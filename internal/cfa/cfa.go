@@ -43,22 +43,31 @@ func BuildRoutineCFG(p *program.Program, r program.RoutineID) *RoutineCFG {
 	}
 	for i, bid := range rt.Blocks {
 		b := p.Block(bid)
-		add := func(to program.BlockID) {
-			j, ok := c.Local[to]
+		for k := 0; ; k++ {
+			to, ok := succ(b, k)
 			if !ok {
-				return
+				break
 			}
-			c.Succ[i] = append(c.Succ[i], j)
-			c.Pred[j] = append(c.Pred[j], i)
-		}
-		for _, a := range b.Out {
-			add(a.To)
-		}
-		if b.HasCall && b.Call.Cont != program.NoBlock {
-			add(b.Call.Cont)
+			if j, in := c.Local[to]; in {
+				c.Succ[i] = append(c.Succ[i], j)
+				c.Pred[j] = append(c.Pred[j], i)
+			}
 		}
 	}
 	return c
+}
+
+// succ returns the k-th intra-routine successor of b: its out-arcs, then
+// its call's continuation. Successors outside b's routine are the caller's
+// to filter.
+func succ(b *program.BasicBlock, k int) (program.BlockID, bool) {
+	if k < len(b.Out) {
+		return b.Out[k].To, true
+	}
+	if k == len(b.Out) && b.HasCall && b.Call.Cont != program.NoBlock {
+		return b.Call.Cont, true
+	}
+	return program.NoBlock, false
 }
 
 // ReversePostorder returns the local node indices reachable from the entry in
@@ -257,13 +266,76 @@ func FindLoops(p *program.Program, r program.RoutineID) []Loop {
 	return loops
 }
 
-// AllLoops detects the natural loops of every routine in the program.
+// AllLoops detects the natural loops of every routine in the program. Only
+// routines whose depth-first walk meets a retreating edge go through
+// FindLoops; most routines have none, and skipping them loses no loop (see
+// loopScan).
 func AllLoops(p *program.Program) []Loop {
+	scan := loopScan{p: p, state: make([]uint8, p.NumBlocks())}
 	var loops []Loop
 	for r := range p.Routines {
-		loops = append(loops, FindLoops(p, program.RoutineID(r))...)
+		if scan.mayLoop(program.RoutineID(r)) {
+			loops = append(loops, FindLoops(p, program.RoutineID(r))...)
+		}
 	}
 	return loops
+}
+
+// loopScan is AllLoops' prefilter: an iterative depth-first walk of each
+// routine over the edges BuildRoutineCFG uses. A natural loop needs a back
+// edge n→h with h dominating n; h then lies on every path from the entry to
+// n, so h is on the walk's stack when n→h is explored, and the walk reports
+// the edge as retreating. The converse does not hold (an irreducible cycle
+// retreats without forming a natural loop), which only costs FindLoops a
+// routine with nothing to find.
+type loopScan struct {
+	p *program.Program
+	// state is per block, shared by all routines: a block belongs to one
+	// routine, and each routine is walked once.
+	state []uint8
+	stack []scanFrame
+}
+
+type scanFrame struct {
+	b    program.BlockID
+	next int // index of the next successor to explore (see succ)
+}
+
+const (
+	scanUnseen uint8 = iota
+	scanOnStack
+	scanDone
+)
+
+// mayLoop walks routine r from its entry and reports whether it meets a
+// retreating edge. Call it at most once per routine.
+func (s *loopScan) mayLoop(r program.RoutineID) bool {
+	entry := s.p.Routine(r).Entry
+	s.state[entry] = scanOnStack
+	stack := append(s.stack[:0], scanFrame{b: entry})
+	found := false
+	for len(stack) > 0 && !found {
+		f := &stack[len(stack)-1]
+		to, ok := succ(s.p.Block(f.b), f.next)
+		if !ok {
+			s.state[f.b] = scanDone
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		f.next++
+		if s.p.Block(to).Routine != r {
+			continue
+		}
+		switch s.state[to] {
+		case scanUnseen:
+			s.state[to] = scanOnStack
+			stack = append(stack, scanFrame{b: to})
+		case scanOnStack:
+			found = true
+		}
+	}
+	s.stack = stack
+	return found
 }
 
 // CallGraph maps each routine to the distinct routines it calls.

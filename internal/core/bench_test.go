@@ -1,0 +1,43 @@
+package core
+
+import (
+	"testing"
+
+	"oslayout/internal/kernelgen"
+)
+
+// BenchmarkBuildSequences times the full sequence schedule on the default
+// kernel under the averaged workload profile.
+func BenchmarkBuildSequences(b *testing.B) {
+	f := newProfiledFixture(b, kernelgen.DefaultConfig().Seed)
+	p := f.use(b, 0)
+	entries, sched := SeedEntries(p), DefaultSchedule()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildSequences(p, entries, sched)
+	}
+}
+
+// BenchmarkOptimize times one layout build per strategy variant on the
+// default kernel at 8 KB, with the parameters the strategy registry uses.
+func BenchmarkOptimize(b *testing.B) {
+	f := newProfiledFixture(b, kernelgen.DefaultConfig().Seed)
+	p := f.use(b, 0)
+	entries := SeedEntries(p)
+	for _, v := range []struct {
+		name           string
+		loops, callOpt bool
+	}{{"opts", false, false}, {"optl", true, false}, {"optcall", true, true}} {
+		b.Run(v.name, func(b *testing.B) {
+			params := DefaultParams(8 << 10)
+			params.LoopExtract, params.CallOpt = v.loops, v.callOpt
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Optimize(p, entries, 0, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -101,6 +101,14 @@ type seqBuilder struct {
 	p       *program.Program
 	total   float64 // total block execution weight
 	visited []bool
+	// seen and queue are findStart's scratch, reused by every restart: a
+	// block is seen by the current restart walk iff seen[b] == epoch. Each
+	// walk either precedes placing a block or ends a schedule phase, so
+	// epochs stay below NumBlocks (< 2^31) plus the phase count and never
+	// wrap.
+	seen  []uint32
+	epoch uint32
+	queue []program.BlockID
 }
 
 // acceptable reports whether block b may join a sequence under th: it must
@@ -132,6 +140,7 @@ func BuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]pr
 		p:       p,
 		total:   float64(p.TotalWeight()),
 		visited: make([]bool, p.NumBlocks()),
+		seen:    make([]uint32, p.NumBlocks()),
 	}
 	var seqs []Sequence
 	for iter, row := range schedule {
@@ -307,9 +316,10 @@ func (sb *seqBuilder) pop(stack *[]program.BlockID, th Thresh) program.BlockID {
 }
 
 // findStart re-walks from the seed through already-visited blocks along
-// sufficiently probable profile edges, returning the first unvisited
-// acceptable block encountered ("we start again from the seed looking for
-// the next acceptable basic block").
+// sufficiently probable profile edges, looking for an unvisited acceptable
+// block ("we start again from the seed looking for the next acceptable
+// basic block"). The walk is breadth first and returns the heaviest
+// acceptable block it meets, the earliest met on ties.
 func (sb *seqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.BlockID {
 	if sb.acceptable(seedEntry, th) {
 		return seedEntry
@@ -318,30 +328,28 @@ func (sb *seqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.Bl
 		// Seed entry not hot enough yet; nothing reachable this iteration.
 		return program.NoBlock
 	}
-	seen := make(map[program.BlockID]bool, 256)
-	queue := []program.BlockID{seedEntry}
-	seen[seedEntry] = true
-	var best program.BlockID = program.NoBlock
+	sb.epoch++ // empties the seen set
+	sb.seen[seedEntry] = sb.epoch
+	queue := append(sb.queue[:0], seedEntry)
+	best := program.NoBlock
 	var bestW uint64
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		b := sb.p.Block(x)
-		tryEdge := func(to program.BlockID, hot bool) {
-			if seen[to] {
-				return
-			}
-			if sb.visited[to] {
-				seen[to] = true
-				queue = append(queue, to)
-				return
-			}
-			if hot && sb.acceptable(to, th) {
-				if w := sb.p.Block(to).Weight; best == program.NoBlock || w > bestW {
-					best, bestW = to, w
-				}
+	tryEdge := func(to program.BlockID, hot bool) {
+		if sb.seen[to] == sb.epoch {
+			return
+		}
+		if sb.visited[to] {
+			sb.seen[to] = sb.epoch
+			queue = append(queue, to)
+			return
+		}
+		if hot && sb.acceptable(to, th) {
+			if w := sb.p.Block(to).Weight; best == program.NoBlock || w > bestW {
+				best, bestW = to, w
 			}
 		}
+	}
+	for i := 0; i < len(queue); i++ {
+		b := sb.p.Block(queue[i])
 		bw := float64(b.Weight)
 		for _, a := range b.Out {
 			if a.Weight == 0 {
@@ -359,5 +367,6 @@ func (sb *seqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.Bl
 			}
 		}
 	}
+	sb.queue = queue
 	return best
 }

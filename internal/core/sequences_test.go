@@ -1,10 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
+	"oslayout/internal/kernelgen"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/progtest"
+	"oslayout/internal/workload"
 )
 
 // fig9Entries maps the push_hrtime entry onto the interrupt seed slot.
@@ -261,6 +267,212 @@ func TestBuildSequencesCapped(t *testing.T) {
 	for i := range fu {
 		if fc[i] != fu[i] {
 			t.Fatalf("capped order diverges at %d", i)
+		}
+	}
+}
+
+// profiledFixture is a default-size kernel with kernel profiles measured
+// from short traces of the paper workloads: profs[0] is their average (the
+// profile every layout builds from), profs[1:] each workload's own.
+type profiledFixture struct {
+	k     *kernelgen.Kernel
+	profs []*profile.Profile
+}
+
+func newProfiledFixture(tb testing.TB, seed int64) *profiledFixture {
+	tb.Helper()
+	cfg := kernelgen.DefaultConfig()
+	cfg.Seed = seed
+	f := &profiledFixture{k: kernelgen.Build(cfg), profs: []*profile.Profile{nil}}
+	for i, w := range workload.Paper() {
+		// The per-workload trace seeds oslayout.NewStudy uses.
+		tr, _, err := workload.Generate(f.k, w, workload.Options{Seed: int64(7001 + 13*i), OSRefs: 200_000})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		osp, _ := profile.FromTrace(tr)
+		f.profs = append(f.profs, osp)
+	}
+	avg, err := profile.Average(f.profs[1:]...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.profs[0] = avg
+	return f
+}
+
+// use applies profile i to the fixture's kernel and returns the program.
+func (f *profiledFixture) use(tb testing.TB, i int) *program.Program {
+	tb.Helper()
+	if err := f.profs[i].Apply(f.k.Prog); err != nil {
+		tb.Fatal(err)
+	}
+	return f.k.Prog
+}
+
+// oracleBuildSequences is BuildSequencesCapped with the restart search of
+// the original implementation, oracleFindStart, which allocates a fresh
+// visited-set map per restart. The greedy step (next, pop) is shared, so a
+// divergence can only come from the restart walk.
+func oracleBuildSequences(p *program.Program, entries [program.NumSeedClasses]program.BlockID, schedule Schedule, maxSeqBytes int64) ([]Sequence, []bool) {
+	sb := &seqBuilder{p: p, total: float64(p.TotalWeight()), visited: make([]bool, p.NumBlocks())}
+	var seqs []Sequence
+	for iter, row := range schedule {
+		for class := 0; class < program.NumSeedClasses; class++ {
+			th := row[class]
+			if th.Exec < 0 || entries[class] == program.NoBlock {
+				continue
+			}
+			var blocks []program.BlockID
+			for {
+				start := oracleFindStart(sb, entries[class], th)
+				if start == program.NoBlock {
+					break
+				}
+				var stack []program.BlockID
+				for cur := start; cur != program.NoBlock; {
+					sb.visited[cur] = true
+					blocks = append(blocks, cur)
+					cur = sb.next(cur, &stack, th)
+				}
+			}
+			if len(blocks) == 0 {
+				continue
+			}
+			for _, chunk := range splitByBytes(p, blocks, maxSeqBytes) {
+				s := Sequence{Seed: program.SeedClass(class), Iter: iter, Thresh: th, Blocks: chunk}
+				for _, b := range chunk {
+					s.Bytes += int64(p.Block(b).Size)
+				}
+				seqs = append(seqs, s)
+			}
+		}
+	}
+	var leftover []program.BlockID
+	for b := range p.Blocks {
+		if !sb.visited[b] && p.Blocks[b].Weight > 0 {
+			leftover = append(leftover, program.BlockID(b))
+		}
+	}
+	if len(leftover) > 0 {
+		sort.SliceStable(leftover, func(i, j int) bool {
+			return p.Block(leftover[i]).Weight > p.Block(leftover[j]).Weight
+		})
+		s := Sequence{Seed: program.SeedOther, Iter: len(schedule), Blocks: leftover}
+		for _, b := range leftover {
+			sb.visited[b] = true
+			s.Bytes += int64(p.Block(b).Size)
+		}
+		seqs = append(seqs, s)
+	}
+	return seqs, sb.visited
+}
+
+// oracleFindStart is the original map-based restart search: a breadth-first
+// walk from the seed through placed blocks along hot-enough edges, keeping
+// the heaviest acceptable unplaced block it meets (strictly heavier wins).
+func oracleFindStart(sb *seqBuilder, seedEntry program.BlockID, th Thresh) program.BlockID {
+	if sb.acceptable(seedEntry, th) {
+		return seedEntry
+	}
+	if !sb.visited[seedEntry] {
+		return program.NoBlock
+	}
+	seen := make(map[program.BlockID]bool, 256)
+	queue := []program.BlockID{seedEntry}
+	seen[seedEntry] = true
+	var best program.BlockID = program.NoBlock
+	var bestW uint64
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		b := sb.p.Block(x)
+		tryEdge := func(to program.BlockID, hot bool) {
+			if seen[to] {
+				return
+			}
+			if sb.visited[to] {
+				seen[to] = true
+				queue = append(queue, to)
+				return
+			}
+			if hot && sb.acceptable(to, th) {
+				if w := sb.p.Block(to).Weight; best == program.NoBlock || w > bestW {
+					best, bestW = to, w
+				}
+			}
+		}
+		bw := float64(b.Weight)
+		for _, a := range b.Out {
+			if a.Weight == 0 {
+				continue
+			}
+			hot := bw == 0 || float64(a.Weight)/bw >= th.Branch
+			tryEdge(a.To, hot)
+		}
+		if b.HasCall {
+			if b.Call.Count > 0 {
+				tryEdge(sb.p.Routine(b.Call.Callee).Entry, true)
+			}
+			if b.Call.Cont != program.NoBlock {
+				tryEdge(b.Call.Cont, true)
+			}
+		}
+	}
+	return best
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []program.BlockID) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// TestBuildSequencesMatchesOracle checks that the production sequence
+// builder reproduces the original map-based restart search exactly: same
+// sequences (seed, iteration, thresholds, blocks, bytes) and same visited
+// set, over several kernels, every profile layouts are built from, both
+// schedules and with and without the byte cap.
+func TestBuildSequencesMatchesOracle(t *testing.T) {
+	schedules := []struct {
+		name  string
+		sched Schedule
+	}{{"default", DefaultSchedule()}, {"table4", Table4Schedule()}}
+	for _, seed := range []int64{kernelgen.DefaultConfig().Seed, 7, 42} {
+		f := newProfiledFixture(t, seed)
+		entries := SeedEntries(f.k.Prog)
+		for pi := range f.profs {
+			p := f.use(t, pi)
+			for _, sc := range schedules {
+				for _, maxBytes := range []int64{0, 1 << 10} {
+					name := fmt.Sprintf("seed=%d/profile=%d/%s/cap=%d", seed, pi, sc.name, maxBytes)
+					got, gotVisited := BuildSequencesCapped(p, entries, sc.sched, maxBytes)
+					want, wantVisited := oracleBuildSequences(p, entries, sc.sched, maxBytes)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d sequences, oracle %d", name, len(got), len(want))
+					}
+					for i := range want {
+						g, w := got[i], want[i]
+						if g.Seed != w.Seed || g.Iter != w.Iter || g.Thresh != w.Thresh || g.Bytes != w.Bytes {
+							t.Fatalf("%s: sequence %d is (seed %d, iter %d, %v, %d bytes), oracle (seed %d, iter %d, %v, %d bytes)",
+								name, i, g.Seed, g.Iter, g.Thresh, g.Bytes, w.Seed, w.Iter, w.Thresh, w.Bytes)
+						}
+						if j := firstDiff(g.Blocks, w.Blocks); j >= 0 {
+							t.Fatalf("%s: sequence %d diverges from the oracle at block %d of %d/%d", name, i, j, len(g.Blocks), len(w.Blocks))
+						}
+					}
+					if !slices.Equal(gotVisited, wantVisited) {
+						t.Fatalf("%s: visited set differs from the oracle", name)
+					}
+				}
+			}
 		}
 	}
 }

@@ -101,10 +101,15 @@ func Build(cfg Config) *Kernel {
 
 	// Append cold mass until the image reaches the target size: whole
 	// routines that no executed path can reach (unusual drivers, panic and
-	// debugging code, configuration paths).
-	for i := 0; p.CodeSize() < cfg.TotalCodeBytes; i++ {
+	// debugging code, configuration paths). The image size is kept as a
+	// running total of the blocks each routine adds.
+	for i, size := 0, p.CodeSize(); size < cfg.TotalCodeBytes; i++ {
+		first := p.NumBlocks()
 		id := b.Decl(fmt.Sprintf("cold_tail%d", i))
 		b.FillCold(id, 3+rng.Intn(24))
+		for j := first; j < p.NumBlocks(); j++ {
+			size += int64(p.Blocks[j].Size)
+		}
 	}
 
 	b.CheckAllFilled()
