@@ -74,6 +74,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: non-positive parameter in %+v", c)
 	case bits.OnesCount(uint(c.Line)) != 1:
 		return fmt.Errorf("cache: line %d not a power of two", c.Line)
+	case c.Line < trace.WordSize:
+		// Also what keeps every line address below emptyTag.
+		return fmt.Errorf("cache: line %d narrower than one %d-byte instruction word", c.Line, trace.WordSize)
 	case c.Size%(c.Line*c.Assoc) != 0:
 		return fmt.Errorf("cache: size %d not divisible by line*assoc %d", c.Size, c.Line*c.Assoc)
 	}
@@ -170,6 +173,11 @@ const (
 // can be tracked.
 const maskWords = 64
 
+// emptyTag is the tag of an empty way. Line addresses are byte addresses
+// divided by a line of at least one 4-byte word (Config.Validate), so they
+// stay below 2^62 and never equal it: a tag compare alone decides a hit.
+const emptyTag = ^uint64(0)
+
 // histDenseMax bounds the dense history tables: line indices beyond it fall
 // back to the overflow map. Both code images are a few MB, so in practice
 // every line is dense.
@@ -183,9 +191,10 @@ type Cache struct {
 	numSets   uint64
 	pow2      bool
 	assoc     int
-	// ways holds tags in LRU order per set: ways[set*assoc] is MRU.
-	ways  []uint64
-	valid []bool
+	// ways holds tags in LRU order per set: ways[set*assoc] is MRU. Empty
+	// ways hold emptyTag and form the tail of each set (of each region,
+	// when partitioned).
+	ways []uint64
 	// Eviction provenance for miss classification, dense per address
 	// region: histLo covers kernel lines (low addresses), histHi covers
 	// application lines (at trace.AppBase and above, re-based to 0), and
@@ -262,9 +271,9 @@ func New(cfg Config) (*Cache, error) {
 		pow2:      bits.OnesCount(uint(sets)) == 1,
 		assoc:     cfg.Assoc,
 		ways:      make([]uint64, sets*cfg.Assoc),
-		valid:     make([]bool, sets*cfg.Assoc),
 		rng:       0x9E3779B97F4A7C15,
 	}
+	c.Flush()
 	c.hiBase = uint64(trace.AppBase) >> c.lineShift
 	switch {
 	case cfg.Part.Enabled():
@@ -335,7 +344,7 @@ func (c *Cache) MarkWords(line uint64, from, to int) {
 			if c.regLen[r] == 0 {
 				continue
 			}
-			if s := base + c.regOff[r]; c.valid[s] && c.ways[s] == line {
+			if s := base + c.regOff[r]; c.ways[s] == line {
 				found = s
 				break
 			}
@@ -344,7 +353,7 @@ func (c *Cache) MarkWords(line uint64, from, to int) {
 			return
 		}
 		base = found
-	} else if !c.valid[base] || c.ways[base] != line {
+	} else if c.ways[base] != line {
 		return
 	}
 	if to >= maskWords {
@@ -376,6 +385,30 @@ func (c *Cache) AccessFunc() func(line uint64, d trace.Domain) MissClass {
 
 // Sets returns the number of cache sets.
 func (c *Cache) Sets() int { return int(c.numSets) }
+
+// DMProbe is the read-only hit test of a direct-mapped power-of-two cache:
+// the line's set holds it or not, and a hit changes no state, so a batch
+// driver may test it inline and call the access function only on a miss.
+// It aliases the cache's tag array, which Flush and Reset empty in place, so
+// one probe stays valid for the cache's lifetime.
+type DMProbe struct {
+	tags []uint64
+	mask uint64
+}
+
+// Hit reports whether the line is resident. The pointer receiver lets a
+// driver test a probe held in a struct field without copying it, which
+// would cost more than the compare.
+func (p *DMProbe) Hit(line uint64) bool { return p.tags[line&p.mask] == line }
+
+// Probe returns the cache's inline hit test; ok is false unless the cache
+// is DirectMappedPow2.
+func (c *Cache) Probe() (p DMProbe, ok bool) {
+	if !c.DirectMappedPow2() {
+		return DMProbe{}, false
+	}
+	return DMProbe{tags: c.ways, mask: c.setMask}, true
+}
 
 // DirectMappedPow2 reports whether the cache is direct-mapped with a
 // power-of-two set count. Two such caches with the same line size and
@@ -410,16 +443,16 @@ func (c *Cache) accessAssocMod(line uint64, d trace.Domain) MissClass {
 
 // accessDM is the direct-mapped fast path: one tag compare, no way shifting.
 func (c *Cache) accessDM(line uint64, set int, d trace.Domain) MissClass {
-	if c.valid[set] && c.ways[set] == line {
+	old := c.ways[set]
+	if old == line {
 		return Hit
 	}
 	class := c.classifyMiss(line, d)
 	c.Stats.Misses[d]++
-	if c.valid[set] {
-		c.recordEviction(c.ways[set], set, d)
+	if old != emptyTag {
+		c.recordEviction(old, set, d)
 	}
 	c.ways[set] = line
-	c.valid[set] = true
 	if c.useMask != nil {
 		c.useMask[set] = 0
 	}
@@ -436,7 +469,7 @@ func (c *Cache) accessAssoc(line uint64, set int, d trace.Domain) MissClass {
 	base := set * c.assoc
 	// Search ways in LRU-order slice.
 	for i := 0; i < c.assoc; i++ {
-		if c.valid[base+i] && c.ways[base+i] == line {
+		if c.ways[base+i] == line {
 			// Move to front (MRU).
 			var mask uint64
 			if c.useMask != nil {
@@ -444,13 +477,11 @@ func (c *Cache) accessAssoc(line uint64, set int, d trace.Domain) MissClass {
 			}
 			for j := i; j > 0; j-- {
 				c.ways[base+j] = c.ways[base+j-1]
-				c.valid[base+j] = c.valid[base+j-1]
 				if c.useMask != nil {
 					c.useMask[base+j] = c.useMask[base+j-1]
 				}
 			}
 			c.ways[base] = line
-			c.valid[base] = true
 			if c.useMask != nil {
 				c.useMask[base] = mask
 			}
@@ -461,33 +492,31 @@ func (c *Cache) accessAssoc(line uint64, set int, d trace.Domain) MissClass {
 	class := c.classifyMiss(line, d)
 	c.Stats.Misses[d]++
 	// Pick the victim way: LRU keeps ways in recency order so the last way
-	// is the victim; random replacement picks any way (preferring invalid
+	// is the victim; random replacement picks any way (preferring empty
 	// ones so warm-up matches LRU).
 	victim := base + c.assoc - 1
 	if c.cfg.Policy == RandomReplacement {
 		victim = base
 		for i := 0; i < c.assoc; i++ {
-			if !c.valid[base+i] {
+			if c.ways[base+i] == emptyTag {
 				victim = base + i
 				break
 			}
 			victim = base + int(c.nextRand()%uint64(c.assoc))
 		}
 	}
-	if c.valid[victim] {
+	if c.ways[victim] != emptyTag {
 		c.recordEviction(c.ways[victim], victim, d)
 	}
 	// Shift the recency order down to the victim slot and install the new
 	// line as MRU (harmless bookkeeping under random replacement).
 	for j := victim - base; j > 0; j-- {
 		c.ways[base+j] = c.ways[base+j-1]
-		c.valid[base+j] = c.valid[base+j-1]
 		if c.useMask != nil {
 			c.useMask[base+j] = c.useMask[base+j-1]
 		}
 	}
 	c.ways[base] = line
-	c.valid[base] = true
 	if c.useMask != nil {
 		c.useMask[base] = 0
 	}
@@ -625,8 +654,8 @@ func (c *Cache) nextRand() uint64 {
 
 // Flush empties the cache but keeps history and statistics.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
+	for i := range c.ways {
+		c.ways[i] = emptyTag
 	}
 }
 

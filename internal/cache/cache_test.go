@@ -14,6 +14,7 @@ func TestConfigValidate(t *testing.T) {
 		{Size: 8 << 10, Line: 32, Assoc: 1},
 		{Size: 8 << 10, Line: 16, Assoc: 8},
 		{Size: 7 << 10, Line: 32, Assoc: 1}, // non-power-of-two size is fine
+		{Size: 8 << 10, Line: 4, Assoc: 1},  // one instruction word per line
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
@@ -27,6 +28,8 @@ func TestConfigValidate(t *testing.T) {
 		{Size: 8 << 10, Line: 24, Assoc: 1},  // line not a power of two
 		{Size: 1000, Line: 32, Assoc: 1},     // not divisible
 		{Size: 8 << 10, Line: 32, Assoc: 17}, // not divisible
+		{Size: 8 << 10, Line: 1, Assoc: 1},   // narrower than a word
+		{Size: 8 << 10, Line: 2, Assoc: 1},   // narrower than a word
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -380,6 +383,69 @@ func TestAccessFuncMatchesAccessLine(t *testing.T) {
 		}
 		if a.Stats != b.Stats {
 			t.Fatalf("%v: stats diverged: %+v vs %+v", cfg, a.Stats, b.Stats)
+		}
+	}
+}
+
+// TestDMProbeMatchesAccess checks the inline hit test against the access
+// path on every direct-mapped power-of-two geometry from 1 to 512 sets. One
+// probe, taken at construction, must stay exact across Flush and Reset, and
+// must never hit an empty way: line 0 and the lines either side of the
+// application base are in every sequence.
+func TestDMProbeMatchesAccess(t *testing.T) {
+	for _, line := range []int{4, 32, 256} {
+		for sets := 1; sets <= 512; sets *= 2 {
+			c := MustNew(Config{Size: sets * line, Line: line, Assoc: 1})
+			p, ok := c.Probe()
+			if !ok {
+				t.Fatalf("%v: no probe for a direct-mapped power-of-two cache", c.Config())
+			}
+			hi := uint64(trace.AppBase) / uint64(line)
+			var pool []uint64
+			for l := uint64(0); l < uint64(3*sets+4); l++ {
+				pool = append(pool, l, hi-1-l, hi+l)
+			}
+			rng := rand.New(rand.NewSource(int64(sets * line)))
+			var hits, misses int
+			for phase := 0; phase < 3; phase++ {
+				switch phase {
+				case 1:
+					c.Flush()
+				case 2:
+					c.Reset()
+				}
+				if p.Hit(0) || p.Hit(hi) {
+					t.Fatalf("%v phase %d: probe hits in an empty cache", c.Config(), phase)
+				}
+				for i := 0; i < 2000; i++ {
+					// Half the accesses go to a hot dozen so every size hits.
+					l := pool[rng.Intn(len(pool))]
+					if rng.Intn(2) == 0 {
+						l = pool[rng.Intn(12)]
+					}
+					d := trace.Domain(rng.Intn(2))
+					hit := p.Hit(l)
+					if got := c.AccessLine(l, d); hit != (got == Hit) {
+						t.Fatalf("%v phase %d: Hit(%d) = %v, access = %v", c.Config(), phase, l, hit, got)
+					}
+					if hit {
+						hits++
+					} else {
+						misses++
+					}
+				}
+			}
+			if hits == 0 || misses == 0 {
+				t.Errorf("%v: degenerate sequence, %d hits and %d misses", c.Config(), hits, misses)
+			}
+		}
+	}
+	for _, cfg := range []Config{
+		{Size: 1536, Line: 32, Assoc: 1},
+		{Size: 1 << 10, Line: 32, Assoc: 2},
+	} {
+		if _, ok := MustNew(cfg).Probe(); ok {
+			t.Errorf("%v: probe offered for a geometry that is not DirectMappedPow2", cfg)
 		}
 	}
 }

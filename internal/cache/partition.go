@@ -237,12 +237,12 @@ func (c *Cache) SetPartition(p Partition, keep bool) error {
 		}
 		pool = pool[:0]
 		// Gather the whole set under the old layout before writing anything:
-		// old and new region ranges overlap. Valid lines form a recency-
+		// old and new region ranges overlap. Resident lines form a recency-
 		// ordered prefix of each region.
 		for r := Region(0); r < NumRegions; r++ {
 			ob := base + c.regOff[r]
 			for i := 0; i < c.regLen[r]; i++ {
-				if !c.valid[ob+i] {
+				if c.ways[ob+i] == emptyTag {
 					break
 				}
 				e := wayEntry{line: c.ways[ob+i]}
@@ -262,7 +262,6 @@ func (c *Cache) SetPartition(p Partition, keep bool) error {
 			i := 0
 			for ; i < len(kept[r]); i++ {
 				c.ways[nb+i] = kept[r][i].line
-				c.valid[nb+i] = true
 				if c.useMask != nil {
 					c.useMask[nb+i] = kept[r][i].mask
 				}
@@ -270,7 +269,6 @@ func (c *Cache) SetPartition(p Partition, keep bool) error {
 			if keep {
 				for i < newLen[r] && ph < len(pool) {
 					c.ways[nb+i] = pool[ph].line
-					c.valid[nb+i] = true
 					if c.useMask != nil {
 						c.useMask[nb+i] = pool[ph].mask
 					}
@@ -280,7 +278,7 @@ func (c *Cache) SetPartition(p Partition, keep bool) error {
 				}
 			}
 			for ; i < newLen[r]; i++ {
-				c.valid[nb+i] = false
+				c.ways[nb+i] = emptyTag
 			}
 		}
 		c.repart.Dropped += uint64(len(pool) - ph)
@@ -323,7 +321,7 @@ func (c *Cache) accessPartMod(line uint64, d trace.Domain) MissClass {
 func (c *Cache) accessPart(line uint64, set int, d trace.Domain) MissClass {
 	base := set * c.assoc
 	for i := 0; i < c.assoc; i++ {
-		if c.valid[base+i] && c.ways[base+i] == line {
+		if c.ways[base+i] == line {
 			r := c.regOfWay[i]
 			rb := base + c.regOff[r]
 			var mask uint64
@@ -332,13 +330,11 @@ func (c *Cache) accessPart(line uint64, set int, d trace.Domain) MissClass {
 			}
 			for j := base + i; j > rb; j-- {
 				c.ways[j] = c.ways[j-1]
-				c.valid[j] = c.valid[j-1]
 				if c.useMask != nil {
 					c.useMask[j] = c.useMask[j-1]
 				}
 			}
 			c.ways[rb] = line
-			c.valid[rb] = true
 			if c.useMask != nil {
 				c.useMask[rb] = mask
 			}
@@ -354,14 +350,14 @@ func (c *Cache) accessPart(line uint64, set int, d trace.Domain) MissClass {
 	if c.cfg.Policy == RandomReplacement {
 		victim = rb
 		for i := 0; i < n; i++ {
-			if !c.valid[rb+i] {
+			if c.ways[rb+i] == emptyTag {
 				victim = rb + i
 				break
 			}
 			victim = rb + int(c.nextRand()%uint64(n))
 		}
 	}
-	if c.valid[victim] {
+	if c.ways[victim] != emptyTag {
 		if c.useMask != nil {
 			u := &c.utilReg[r]
 			u.Evictions++
@@ -372,13 +368,11 @@ func (c *Cache) accessPart(line uint64, set int, d trace.Domain) MissClass {
 	}
 	for j := victim; j > rb; j-- {
 		c.ways[j] = c.ways[j-1]
-		c.valid[j] = c.valid[j-1]
 		if c.useMask != nil {
 			c.useMask[j] = c.useMask[j-1]
 		}
 	}
 	c.ways[rb] = line
-	c.valid[rb] = true
 	if c.useMask != nil {
 		c.useMask[rb] = 0
 	}

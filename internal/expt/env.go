@@ -7,7 +7,6 @@ package expt
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"oslayout"
@@ -88,9 +87,6 @@ type Env struct {
 	par      int
 	cpus     int
 	loops    []cfa.Loop
-	// refsTot lazily caches per-workload total references (recordReplay).
-	refsOnce sync.Once
-	refsTot  []uint64
 	// results memoizes experiment outputs by registry memo key, so
 	// experiments sharing a runner (fig4/fig5) compute once per run.
 	results map[string]Renderer
@@ -258,7 +254,7 @@ func (e *Env) Eval(i int, osL, appL *layout.Layout, cfg cache.Config) (*simulate
 		r, err = e.St.Evaluate(i, osL, appL, cfg)
 	}
 	if err == nil {
-		e.recordReplay(i, start)
+		e.recordReplay(i, start, r)
 	}
 	return r, err
 }
@@ -282,7 +278,7 @@ func (e *Env) EvalMany(i int, osL, appL *layout.Layout, cfgs []cache.Config) ([]
 		rs, err = e.St.EvaluateMany(i, osL, appL, cfgs)
 	}
 	if err == nil {
-		e.recordReplay(i, start)
+		e.recordReplay(i, start, rs...)
 	}
 	return rs, err
 }
@@ -299,7 +295,7 @@ func (e *Env) EvalManyConfigured(i int, osL, appL *layout.Layout, cfgs []cache.C
 	start := time.Now()
 	rs, err := e.St.EvaluateManyConfigured(i, osL, appL, cfgs, observers, setups)
 	if err == nil {
-		e.recordReplay(i, start)
+		e.recordReplay(i, start, rs...)
 	}
 	return rs, err
 }
@@ -324,27 +320,15 @@ func (e *Env) progressObserver(i int, cfg cache.Config) *obs.SimStats {
 
 // recordReplay accounts one finished trace replay on the recorder: event
 // and reference counts plus wall-clock, the raw material for throughput
-// metrics. The reference total needs a one-time scan per workload, so it
-// is skipped entirely when no recorder is attached.
-func (e *Env) recordReplay(i int, start time.Time) {
-	if e.rec == nil {
+// metrics. Every engine path stamps the trace's per-domain reference totals
+// on each result, so the count is read off the first one; a call with no
+// configurations replayed nothing and records nothing.
+func (e *Env) recordReplay(i int, start time.Time, rs ...*simulate.Result) {
+	if e.rec == nil || len(rs) == 0 {
 		return
 	}
 	e.rec.AddReplay(uint64(e.St.Data[i].Trace.NumEvents()), time.Since(start))
-	e.rec.Add("replay.refs", e.workloadRefs(i))
-}
-
-// workloadRefs returns workload i's total instruction-word references,
-// computed once per environment (the scan is O(events)).
-func (e *Env) workloadRefs(i int) uint64 {
-	e.refsOnce.Do(func() {
-		e.refsTot = make([]uint64, len(e.St.Data))
-		for j, d := range e.St.Data {
-			osRefs, appRefs := d.Trace.Refs()
-			e.refsTot[j] = osRefs + appRefs
-		}
-	})
-	return e.refsTot[i]
+	e.rec.Add("replay.refs", rs[0].Stats.TotalRefs())
 }
 
 // LayoutCacheStats returns the strategy build cache's hit/miss counts.

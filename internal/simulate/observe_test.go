@@ -9,7 +9,7 @@ import (
 )
 
 // TestRunManyObserverNeutrality is the observer-neutrality guard: across
-// the mixed 11-config equivalence grid, RunMany with a recording observer
+// the mixed 13-config equivalence grid, RunMany with a recording observer
 // on every configuration and RunMany with nil observers must produce
 // bit-identical Results — observation may only read, never perturb. The
 // cases also cover partial attachment (only some configs observed) and the

@@ -13,10 +13,12 @@ import (
 )
 
 // runner pairs one cache's hoisted access function with its result
-// accumulators. obs is non-nil only on the observed drive path; the
-// unobserved drive loops never read it.
+// accumulators. probe is set on chain members only, which test it inline
+// and call access only on a miss. obs is non-nil only on the observed drive
+// path; the unobserved drive loops never read it.
 type runner struct {
 	access func(uint64, trace.Domain) cache.MissClass
+	probe  cache.DMProbe
 	res    *Result
 	obs    obs.Observer
 }
@@ -221,7 +223,8 @@ func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
 		mkRunners := func(idx []int) []runner {
 			rs := make([]runner, len(idx))
 			for k, i := range idx {
-				rs[k] = runner{caches[i].AccessFunc(), results[i], obsAt(i)}
+				probe, _ := caches[i].Probe() // the zero probe of a rest cache is never read
+				rs[k] = runner{caches[i].AccessFunc(), probe, results[i], obsAt(i)}
 			}
 			return rs
 		}
@@ -341,23 +344,23 @@ func driveUnits(units []driveUnit, d *unitData, workers int) {
 // time, so the loop touches only the flat pre-elided access arrays; the
 // inclusion-chain skip (a direct-mapped power-of-two hit implies a hit in
 // every larger chain member, with no state change either way) remains a
-// drive-time rule because it depends on per-cache hit state.
+// drive-time rule because it depends on per-cache hit state. A chain hit
+// costs one tag load and compare through the member's probe; the access
+// call and the (domain, block) decode happen only on a miss.
 func driveWindow(accs []uint64, chain, rest []runner) {
 	for _, v := range accs {
 		line := v & streamLineMask
-		a := uint32(v >> streamAttrShift)
-		d := trace.Domain(a >> eventDomainShift)
-		b := a & (1<<eventDomainShift - 1)
 		for k := range chain {
 			r := &chain[k]
-			cl := r.access(line, d)
-			if cl == cache.Hit {
+			if r.probe.Hit(line) {
 				break
 			}
-			recordMiss(r.res, cl, d, b)
+			d, b := unpackAttr(v)
+			recordMiss(r.res, r.access(line, d), d, b)
 		}
 		for k := range rest {
 			r := &rest[k]
+			d, b := unpackAttr(v)
 			if cl := r.access(line, d); cl != cache.Hit {
 				recordMiss(r.res, cl, d, b)
 			}
@@ -391,10 +394,10 @@ func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint64,
 			line := accs[j] & streamLineMask
 			for k := range chain {
 				r := &chain[k]
-				cl := r.access(line, d)
-				if cl == cache.Hit {
+				if r.probe.Hit(line) {
 					break
 				}
+				cl := r.access(line, d)
 				recordMiss(r.res, cl, d, b)
 				if r.obs != nil {
 					r.obs.Miss(line, d, cl, b)
@@ -412,6 +415,13 @@ func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint64,
 		}
 		start = end
 	}
+}
+
+// unpackAttr splits a packed access word's attribution into its domain and
+// block.
+func unpackAttr(v uint64) (trace.Domain, uint32) {
+	a := uint32(v >> streamAttrShift)
+	return trace.Domain(a >> eventDomainShift), a & (1<<eventDomainShift - 1)
 }
 
 // recordMiss accumulates one classified miss into the per-block arrays.

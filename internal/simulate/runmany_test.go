@@ -68,6 +68,11 @@ var equivalenceGrid = []cache.Config{
 	{Size: 1536, Line: 16, Assoc: 2, Policy: cache.RandomReplacement},
 	{Size: 4 << 10, Line: 128, Assoc: 1},
 	{Size: 4 << 10, Line: 256, Assoc: 2},
+	// The 32 B chain's two extremes: one set, where every line change
+	// conflicts, and 1M sets spanning both images (the application sits at
+	// AppBase = 16 MB), where nothing is ever evicted.
+	{Size: 32, Line: 32, Assoc: 1},
+	{Size: 32 << 20, Line: 32, Assoc: 1},
 }
 
 func TestRunManyMatchesIndividualRuns(t *testing.T) {

@@ -98,7 +98,7 @@ func TestCompileErrors(t *testing.T) {
 }
 
 // TestParallelDriveBitIdentical is the core equivalence contract of the
-// parallel drive: fanning the 11-config mixed grid across a worker pool
+// parallel drive: fanning the 13-config mixed grid across a worker pool
 // must reproduce the sequential results bit for bit, at every pool width.
 func TestParallelDriveBitIdentical(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
