@@ -233,6 +233,7 @@ func BenchmarkRunManyMemoized(b *testing.B) {
 	if _, err := simulate.RunManyOpt(tr, osL, nil, runManyGrid, opt); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := simulate.RunManyOpt(tr, osL, nil, runManyGrid, opt); err != nil {
@@ -252,6 +253,7 @@ func BenchmarkCompareGrid(b *testing.B) {
 	env := sharedEnv(b)
 	strategies := []string{"base", "shuffle", "mcf", "ch", "ph", "opts", "optl", "optcall"}
 	sizes := []int{4 << 10, 8 << 10, 16 << 10}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := env.RunCompare(strategies, sizes, 32, 1); err != nil {

@@ -102,20 +102,20 @@ type Figure1 struct {
 func (e *Env) RunFigure1() (*Figure1, error) {
 	const workloadIdx = 1 // TRFD+Make
 	cfg := cache.Config{Size: 16 << 10, Line: 32, Assoc: 1}
-	res, err := e.Eval(workloadIdx, e.Base(), nil, cfg)
+	_, blocks, err := e.EvalBlocks(workloadIdx, e.Base(), nil, cfg)
 	if err != nil {
 		return nil, err
 	}
 	bucket := uint64(1 << 10)
 	f := &Figure1{Workload: e.Workloads()[workloadIdx]}
-	f.Total = simulate.MissHistogram(res, trace.DomainOS, e.Base(), bucket)
-	f.Self = simulate.HistogramOf(res.BlockSelf[trace.DomainOS], e.Base(), bucket)
-	f.Cross = simulate.HistogramOf(res.BlockCross[trace.DomainOS], e.Base(), bucket)
+	f.Total = simulate.HistogramOf(blocks.Misses[trace.DomainOS], e.Base(), bucket)
+	f.Self = simulate.HistogramOf(blocks.Self[trace.DomainOS], e.Base(), bucket)
+	f.Cross = simulate.HistogramOf(blocks.Cross[trace.DomainOS], e.Base(), bucket)
 	var self, total uint64
-	for _, v := range res.BlockSelf[trace.DomainOS] {
+	for _, v := range blocks.Self[trace.DomainOS] {
 		self += v
 	}
-	for _, v := range res.BlockMisses[trace.DomainOS] {
+	for _, v := range blocks.Misses[trace.DomainOS] {
 		total += v
 	}
 	f.SelfShare = ratio(self, total)
@@ -240,15 +240,16 @@ func (e *Env) RunTable2() (*Table2, error) {
 
 	cfg := cache.Config{Size: 16 << 10, Line: 32, Assoc: 1}
 	for i := range e.St.Data {
-		res, err := e.Eval(i, e.Base(), nil, cfg)
+		_, blocks, err := e.EvalBlocks(i, e.Base(), nil, cfg)
 		if err != nil {
 			return nil, err
 		}
 		if err := e.St.UseWorkloadProfile(i); err != nil {
 			return nil, err
 		}
-		t.CoreRows = append(t.CoreRows, metrics.Characterize(e.St.Data[i].Trace, coreSet, res))
-		t.RegRows = append(t.RegRows, metrics.Characterize(e.St.Data[i].Trace, regSet, res))
+		osMisses := blocks.Misses[trace.DomainOS]
+		t.CoreRows = append(t.CoreRows, metrics.Characterize(e.St.Data[i].Trace, coreSet, osMisses))
+		t.RegRows = append(t.RegRows, metrics.Characterize(e.St.Data[i].Trace, regSet, osMisses))
 	}
 	return t, nil
 }

@@ -17,6 +17,7 @@ import (
 	"oslayout/internal/obs"
 	"oslayout/internal/simulate"
 	"oslayout/internal/strategy"
+	"oslayout/internal/trace"
 )
 
 // DefaultCache is the evaluation's reference organisation: an 8 KB
@@ -37,10 +38,11 @@ type Options struct {
 	// OnWindow, when non-nil, receives one live progress sample per
 	// completed miss-rate window of every replay the environment runs: a
 	// streaming SimStats observer is attached to the first configuration
-	// of each Eval/EvalMany batch. The callback is invoked from parEach
-	// workers concurrently and must be safe for that. Replay results stay
-	// bit-identical (observation never changes cache state); the CLI paths
-	// leave this nil, so the unobserved fast paths are untouched there.
+	// of each Eval/EvalBlocks/EvalMany batch. The callback is invoked from
+	// parEach workers concurrently and must be safe for that. Replay
+	// results stay bit-identical (observation never changes cache state);
+	// the CLI paths leave this nil, so the unobserved fast paths are
+	// untouched there.
 	OnWindow func(obs.WindowFlush)
 	// Par bounds the environment's parallelism — both the experiment-level
 	// parEach fan-out and the replay engine's drive worker pool (the CLI's
@@ -257,6 +259,36 @@ func (e *Env) Eval(i int, osL, appL *layout.Layout, cfg cache.Config) (*simulate
 		e.recordReplay(i, start, r)
 	}
 	return r, err
+}
+
+// EvalBlocks is Eval plus per-block miss attribution, which only the
+// experiments that read it pay for. A live-progress hook watches the same
+// replay, so its windows match Eval's.
+func (e *Env) EvalBlocks(i int, osL, appL *layout.Layout, cfg cache.Config) (*simulate.Result, *obs.BlockMisses, error) {
+	start := time.Now()
+	blocks := obs.NewBlockMisses(e.St.Data[i].Trace)
+	var o obs.Observer = blocks
+	if e.onWindow != nil {
+		o = progressBlocks{e.progressObserver(i, cfg), blocks}
+	}
+	r, err := e.St.EvaluateObserved(i, osL, appL, cfg, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.recordReplay(i, start, r)
+	return r, blocks, nil
+}
+
+// progressBlocks is a progress SimStats that also charges each miss to its
+// block.
+type progressBlocks struct {
+	*obs.SimStats
+	blocks *obs.BlockMisses
+}
+
+func (p progressBlocks) Miss(line uint64, d trace.Domain, class cache.MissClass, block uint32) {
+	p.SimStats.Miss(line, d, class, block)
+	p.blocks.Miss(line, d, class, block)
 }
 
 // EvalMany simulates workload i under the given layouts across many cache

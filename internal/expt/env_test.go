@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"reflect"
 	"testing"
 
 	"oslayout"
@@ -9,9 +10,10 @@ import (
 )
 
 // TestRecordReplayRefs checks the recorder's replay.refs count, which the
-// throughput metrics divide by: each Eval, EvalMany and EvalManyConfigured
-// call adds exactly its trace's references, on a materialised and on a
-// streaming environment, and a call with no configurations adds nothing.
+// throughput metrics divide by: each Eval, EvalBlocks, EvalMany and
+// EvalManyConfigured call adds exactly its trace's references, on a
+// materialised and on a streaming environment, and a call with no
+// configurations adds nothing.
 func TestRecordReplayRefs(t *testing.T) {
 	cfgs := []cache.Config{DefaultCache, {Size: 4 << 10, Line: 16, Assoc: 2}}
 	for _, streaming := range []bool{false, true} {
@@ -44,6 +46,10 @@ func TestRecordReplayRefs(t *testing.T) {
 				_, err := e.EvalManyConfigured(i, osL, nil, cfgs, nil, nil)
 				return err
 			}},
+			{"EvalBlocks", func(i int) error {
+				_, _, err := e.EvalBlocks(i, osL, nil, cfgs[0])
+				return err
+			}},
 		}
 		refs := func() uint64 { return rec.Counters()["replay.refs"] }
 		for i, d := range e.St.Data {
@@ -64,6 +70,78 @@ func TestRecordReplayRefs(t *testing.T) {
 			}
 			if got := refs() - before; got != 0 {
 				t.Errorf("streaming=%v %s: EvalMany with no configurations added %d references", streaming, d.Workload.Name, got)
+			}
+		}
+	}
+}
+
+// TestEvalBlocks checks per-block attribution through the environment. On a
+// materialised and a streaming environment, each workload's per-block sums
+// equal its result's per-domain misses, self and cross misses, and the
+// result equals Eval's. With an OnWindow hook the counts are identical and
+// the replay delivers the same progress windows Eval does.
+func TestEvalBlocks(t *testing.T) {
+	cfg := cache.Config{Size: 4 << 10, Line: 32, Assoc: 1}
+	sum := func(vs []uint64) uint64 {
+		var n uint64
+		for _, v := range vs {
+			n += v
+		}
+		return n
+	}
+	for _, streaming := range []bool{false, true} {
+		mode := oslayout.StreamOff
+		if streaming {
+			mode = oslayout.StreamOn
+		}
+		opt := Options{OSRefs: 60_000, Stream: mode, ChunkEvents: 4 << 10}
+		plain, err := NewEnv(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flushes []obs.WindowFlush
+		opt.OnWindow = func(f obs.WindowFlush) { flushes = append(flushes, f) }
+		opt.Par = 1
+		hooked, err := NewEnv(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range plain.St.Data {
+			name := d.Workload.Name
+			res, blocks, err := plain.EvalBlocks(i, plain.Base(), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &res.Stats
+			for dom := range st.Misses {
+				if sum(blocks.Misses[dom]) != st.Misses[dom] || sum(blocks.Self[dom]) != st.Self[dom] ||
+					sum(blocks.Cross[dom]) != st.Cross[dom] {
+					t.Errorf("streaming=%v %s domain %d: per-block sums differ from stats %+v", streaming, name, dom, *st)
+				}
+			}
+			if st.Misses[0] == 0 || st.Self[0] == 0 {
+				t.Errorf("streaming=%v %s: degenerate replay %+v", streaming, name, *st)
+			}
+			if want, err := plain.Eval(i, plain.Base(), nil, cfg); err != nil || !reflect.DeepEqual(res, want) {
+				t.Errorf("streaming=%v %s: EvalBlocks result differs from Eval (err %v)", streaming, name, err)
+			}
+
+			flushes = nil
+			hres, hblocks, err := hooked.EvalBlocks(i, hooked.Base(), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := flushes
+			flushes = nil
+			if _, err := hooked.Eval(i, hooked.Base(), nil, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(hres, res) || !reflect.DeepEqual(hblocks, blocks) {
+				t.Errorf("streaming=%v %s: counts differ with a progress hook", streaming, name)
+			}
+			if len(got) == 0 || !reflect.DeepEqual(got, flushes) {
+				t.Errorf("streaming=%v %s: EvalBlocks delivered %d progress windows, Eval %d (or they differ)",
+					streaming, name, len(got), len(flushes))
 			}
 		}
 	}

@@ -230,12 +230,12 @@ func (e *Env) RunFigure13() (*Figure13, error) {
 		var rows [][4]float64
 		var baseOSMisses float64
 		for li, l := range layouts {
-			res, err := e.Eval(i, l, nil, cfg)
+			_, blocks, err := e.EvalBlocks(i, l, nil, cfg)
 			if err != nil {
 				return nil, err
 			}
 			var row [4]float64
-			for b, m := range res.BlockMisses[trace.DomainOS] {
+			for b, m := range blocks.Misses[trace.DomainOS] {
 				row[figure13Class(classes[b])] += float64(m)
 			}
 			if li == 0 {
@@ -298,11 +298,11 @@ func (e *Env) RunFigure14() (*Figure14, error) {
 	f := &Figure14{}
 	sum := func(dst *[]uint64, l *layout.Layout) error {
 		for i := range e.St.Data {
-			res, err := e.Eval(i, l, nil, cfg)
+			_, blocks, err := e.EvalBlocks(i, l, nil, cfg)
 			if err != nil {
 				return err
 			}
-			h := simulate.MissHistogram(res, trace.DomainOS, e.Base(), 1<<10)
+			h := simulate.HistogramOf(blocks.Misses[trace.DomainOS], e.Base(), 1<<10)
 			if *dst == nil {
 				*dst = make([]uint64, len(h))
 			}

@@ -107,7 +107,8 @@ func ConflictPairs(p *program.Program, l *layout.Layout, cfg cache.Config, k int
 }
 
 // MissShareOfRoutines returns the fraction of OS misses attributed to blocks
-// of the given routines, from a simulation result's per-block misses.
+// of the given routines, from per-block miss counts (an obs.BlockMisses OS
+// slice).
 func MissShareOfRoutines(p *program.Program, blockMisses []uint64, routines map[program.RoutineID]bool) float64 {
 	var in, total uint64
 	for b, m := range blockMisses {

@@ -3,7 +3,6 @@ package metrics
 import (
 	"oslayout/internal/core"
 	"oslayout/internal/program"
-	"oslayout/internal/simulate"
 	"oslayout/internal/trace"
 )
 
@@ -68,8 +67,9 @@ type SeqCharacterization struct {
 }
 
 // Characterize computes Table 2 for one workload: transition probabilities
-// come from the trace, the miss share from a Base-layout simulation result.
-func Characterize(t *trace.Trace, set *SeqSet, baseRes *simulate.Result) SeqCharacterization {
+// come from the trace, the miss share from the per-block OS misses of a
+// Base-layout simulation (an obs.BlockMisses OS slice).
+func Characterize(t *trace.Trace, set *SeqSet, osMisses []uint64) SeqCharacterization {
 	var c SeqCharacterization
 
 	// Transition probabilities over consecutive OS block events, walked in
@@ -131,7 +131,7 @@ func Characterize(t *trace.Trace, set *SeqSet, baseRes *simulate.Result) SeqChar
 		c.RefsPct = 100 * refsMember / refsAll
 	}
 	var missAll, missMember float64
-	for b, m := range baseRes.BlockMisses[trace.DomainOS] {
+	for b, m := range osMisses {
 		missAll += float64(m)
 		if set.Contains(program.BlockID(b)) {
 			missMember += float64(m)

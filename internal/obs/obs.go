@@ -12,7 +12,8 @@
 //     breakdowns, a windowed miss-rate time series over the trace, and the
 //     top-N conflicting line pairs. Attached at group-setup time by
 //     simulate.RunManyObserved; a nil observer costs nothing (the replay
-//     engine keeps its unobserved fast paths).
+//     engine keeps its unobserved fast paths). BlockMisses is the
+//     per-block miss attribution observer.
 //   - Recorder: scoped spans and counters timing study build, trace
 //     generation, per-strategy layout construction and replay throughput.
 //     All methods are nil-receiver safe so call sites need no branches.

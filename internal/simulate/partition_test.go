@@ -73,41 +73,20 @@ func TestPartitionNeutralityAndWorkers(t *testing.T) {
 }
 
 // legacySplitReplay reproduces the deleted RunSplit model exactly: two
-// independent caches, fetches routed by domain, statistics summed.
-func legacySplitReplay(t *testing.T, tr *trace.Trace, osL, appL *layout.Layout, osCfg, appCfg cache.Config) *Result {
-	t.Helper()
+// independent caches, fetches routed by domain, statistics summed, with the
+// oracle's per-block attribution.
+func legacySplitReplay(tr *trace.Trace, osL, appL *layout.Layout, osCfg, appCfg cache.Config) (cache.Stats, *obs.BlockMisses) {
 	osc := cache.MustNew(osCfg)
 	apc := cache.MustNew(appCfg)
-	res := newResult(tr, osL)
-	for _, e := range tr.Events {
-		if !e.IsBlock() {
-			continue
-		}
-		d := e.Domain()
-		b := e.Block()
-		l, p, c := osL, tr.OS, osc
+	blocks := blockOracle(tr, osL, appL, func(d trace.Domain) *cache.Cache {
 		if d == trace.DomainApp {
-			l, p, c = appL, tr.App, apc
+			return apc
 		}
-		addr := l.Addr[b]
-		size := p.Block(b).Size
-		c.Stats.Refs[d] += trace.RefsOf(size)
-		for line := c.LineOf(addr); line <= c.LineOf(addr+uint64(size)-1); line++ {
-			switch c.AccessLine(line, d) {
-			case cache.SelfMiss:
-				res.BlockMisses[d][b]++
-				res.BlockSelf[d][b]++
-			case cache.CrossMiss:
-				res.BlockMisses[d][b]++
-				res.BlockCross[d][b]++
-			case cache.ColdMiss:
-				res.BlockMisses[d][b]++
-			}
-		}
-	}
-	res.Stats = osc.Stats
-	res.Stats.Add(&apc.Stats)
-	return res
+		return osc
+	})
+	st := osc.Stats
+	st.Add(&apc.Stats)
+	return st, blocks
 }
 
 // TestPartitionedSplitMatchesLegacyTwoCache pins the Sep migration: folding
@@ -118,20 +97,19 @@ func legacySplitReplay(t *testing.T, tr *trace.Trace, osL, appL *layout.Layout, 
 func TestPartitionedSplitMatchesLegacyTwoCache(t *testing.T) {
 	tr, osL, appL := mixedTrace(25_000, 4)
 	half := cache.Config{Size: 1 << 10, Line: 32, Assoc: 1}
-	legacy := legacySplitReplay(t, tr, osL, appL, half, half)
+	legacy, legacyBlocks := legacySplitReplay(tr, osL, appL, half, half)
 
 	combined := cache.Config{Size: 2 << 10, Line: 32, Assoc: 2,
 		Part: cache.Partition{OSWays: 1, AppWays: 1}}
-	got, err := RunMany(tr, osL, appL, []cache.Config{combined})
+	blocks := obs.NewBlockMisses(tr)
+	got, err := RunObserved(tr, osL, appL, combined, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Stats != legacy.Stats {
-		t.Fatalf("partitioned stats %+v, legacy two-cache %+v", got[0].Stats, legacy.Stats)
+	if got.Stats != legacy {
+		t.Fatalf("partitioned stats %+v, legacy two-cache %+v", got.Stats, legacy)
 	}
-	if !reflect.DeepEqual(got[0].BlockMisses, legacy.BlockMisses) ||
-		!reflect.DeepEqual(got[0].BlockSelf, legacy.BlockSelf) ||
-		!reflect.DeepEqual(got[0].BlockCross, legacy.BlockCross) {
+	if !reflect.DeepEqual(blocks, legacyBlocks) {
 		t.Fatal("partitioned per-block miss attribution differs from legacy two-cache replay")
 	}
 }

@@ -13,8 +13,8 @@ package simulate
 // source replays the identical event sequence (workload.Source), chunk-wise
 // compilation concatenates to the identical access stream (elision can only
 // strike a window's first line, and the carried prev is exactly the
-// predecessor span's last line — the same invariant CompileEvents exploits
-// to pre-size its arrays), and the per-window driveUnits barrier keeps every
+// predecessor span's last line — the same invariant accessCount uses to
+// size a buffer exactly), and the per-window driveUnits barrier keeps every
 // cache's access order sequential. Only the windowing differs, and the
 // windowing is invisible to the caches.
 
@@ -42,13 +42,9 @@ func newChunkCompiler(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*
 	if lineSize <= 0 || bits.OnesCount(uint(lineSize)) != 1 {
 		return nil, fmt.Errorf("simulate: line size %d not a positive power of two", lineSize)
 	}
-	spans := spanTables(t, osL, appL, lineSize)
-	for _, tab := range spans {
-		for _, sp := range tab {
-			if sp.Last > streamLineMask {
-				return nil, fmt.Errorf("simulate: line address %#x exceeds the packed 32-bit stream range; cannot compile", sp.Last)
-			}
-		}
+	spans, err := spanTables(t, osL, appL, lineSize)
+	if err != nil {
+		return nil, err
 	}
 	return &chunkCompiler{spans: spans, prev: ^uint64(0)}, nil
 }
@@ -56,29 +52,60 @@ func newChunkCompiler(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*
 // compile expands and elides one window of decoded block events into lw,
 // reusing its buffers. The emitted accesses are exactly the corresponding
 // slice of the whole-stream compilation; eventEnd offsets are relative to
-// the window.
+// the window. The window's exact access count sizes the buffers, so they
+// are reallocated only when a later window needs more than an earlier one.
 func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow) error {
-	accs := lw.accs[:0]
-	eventEnd := lw.eventEnd[:0]
+	n := cc.accessCount(attrs)
+	if n > math.MaxUint32 {
+		return fmt.Errorf("simulate: window of %d line accesses exceeds the %d offset limit", n, math.MaxUint32)
+	}
+	accs := emptied(lw.accs, int(n))[:n]
+	eventEnd := emptied(lw.eventEnd, len(attrs))[:len(attrs)]
+	j := 0
 	prev := cc.prev
-	for _, a := range attrs {
+	for i, a := range attrs {
 		sp := cc.spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
-		hi := uint64(a) << streamAttrShift
+		dom := a & (1 << eventDomainShift)
 		for line := sp.First; line <= sp.Last; line++ {
 			if line == prev {
 				continue
 			}
 			prev = line
-			accs = append(accs, hi|line)
+			accs[j] = dom | uint32(line)
+			j++
 		}
-		eventEnd = append(eventEnd, uint32(len(accs)))
-	}
-	if len(accs) > math.MaxUint32 {
-		return fmt.Errorf("simulate: window of %d line accesses exceeds the %d offset limit", len(accs), math.MaxUint32)
+		eventEnd[i] = uint32(j)
 	}
 	cc.prev = prev
 	lw.accs, lw.eventEnd = accs, eventEnd
 	return nil
+}
+
+// accessCount returns the exact number of accesses compile emits for attrs:
+// the span lengths minus the spans whose first line repeats the previous
+// span's last, the only place elision can strike (lines within a span
+// strictly increase).
+func (cc *chunkCompiler) accessCount(attrs []uint32) uint64 {
+	var n uint64
+	prev := cc.prev
+	for _, a := range attrs {
+		sp := cc.spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
+		n += sp.Last - sp.First + 1
+		if sp.First == prev {
+			n--
+		}
+		prev = sp.Last
+	}
+	return n
+}
+
+// emptied returns s truncated to length zero with room for n elements,
+// allocating only when its capacity falls short.
+func emptied[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // runManyStreamed is RunManyOpt's replay loop for header-only traces. The
@@ -116,9 +143,10 @@ func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Conf
 
 	// Double buffering: two window buffers cycle between the free list and
 	// the work queue, so the producer decodes and compiles the next window
-	// while the drive units replay the current one. Buffer capacity grows to
-	// the high-water chunk footprint on the first windows and is reused
-	// thereafter — the O(chunk) bound.
+	// while the drive units replay the current one. Each buffer is sized on
+	// its first window (event arrays from the batch length, access arrays
+	// by the compiler's exact count) and reused thereafter — the O(chunk)
+	// bound.
 	type item struct {
 		d   *unitData
 		err error
@@ -141,7 +169,7 @@ func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Conf
 				return
 			}
 			d := <-free
-			d.attrs = d.attrs[:0]
+			d.attrs = emptied(d.attrs, len(batch))
 			for _, e := range batch {
 				if !e.IsBlock() {
 					continue

@@ -7,20 +7,37 @@ import (
 
 	"oslayout/internal/cache"
 	"oslayout/internal/obs"
+	"oslayout/internal/trace"
 )
 
 // TestStreamedMatchesMaterialised is the pipeline's acceptance test:
 // replaying a trace through the chunked pipeline must produce results
 // bit-identical to the materialised path, at every chunk size — including
-// one larger than the trace, so the whole stream is one window — and every
-// worker count.
+// one larger than the trace, so the whole stream is one window, and small
+// ones where a later window needs more accesses than a buffer's first,
+// exactly sized, window — and every worker count.
 func TestStreamedMatchesMaterialised(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
 	want, err := RunMany(tr, osL, appL, equivalenceGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range []int{1 << 10, 64 << 10, 1 << 20, len(tr.Events) + 1} {
+	s, err := Compile(tr, osL, appL, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{100, 333} {
+		sizes := windowAccesses(tr, s, chunk)
+		grows := false
+		for k := 2; k < len(sizes); k++ {
+			// Two buffers alternate, so window k reuses window k%2's buffer.
+			grows = grows || sizes[k] > sizes[k%2]
+		}
+		if !grows {
+			t.Fatalf("chunk=%d: no later window outgrows its buffer's first (%v)", chunk, sizes)
+		}
+	}
+	for _, chunk := range []int{100, 333, 1 << 10, 64 << 10, 1 << 20, len(tr.Events) + 1} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("chunk=%d/workers=%d", chunk, workers), func(t *testing.T) {
 				view := tr.ChunkView(chunk)
@@ -40,6 +57,27 @@ func TestStreamedMatchesMaterialised(t *testing.T) {
 			})
 		}
 	}
+}
+
+// windowAccesses returns the 32 B access count of each chunk-event window
+// of tr, read off its materialised stream s.
+func windowAccesses(tr *trace.Trace, s *Stream, chunk int) []uint32 {
+	var sizes []uint32
+	blocks, prev := 0, uint32(0)
+	for lo := 0; lo < len(tr.Events); lo += chunk {
+		for _, e := range tr.Events[lo:min(lo+chunk, len(tr.Events))] {
+			if e.IsBlock() {
+				blocks++
+			}
+		}
+		end := uint32(0)
+		if blocks > 0 {
+			end = s.eventEnd[blocks-1]
+		}
+		sizes = append(sizes, end-prev)
+		prev = end
+	}
+	return sizes
 }
 
 // TestStreamedObservedMatchesMaterialised checks that observers see the

@@ -12,14 +12,13 @@ import (
 	"oslayout/internal/trace"
 )
 
-// runner pairs one cache's hoisted access function with its result
-// accumulators. probe is set on chain members only, which test it inline
-// and call access only on a miss. obs is non-nil only on the observed drive
-// path; the unobserved drive loops never read it.
+// runner is one cache's hoisted access function. probe is set on chain
+// members only, which test it inline and call access only on a miss. obs is
+// non-nil only on the observed drive path; the unobserved drive loops never
+// read it.
 type runner struct {
 	access func(uint64, trace.Domain) cache.MissClass
 	probe  cache.DMProbe
-	res    *Result
 	obs    obs.Observer
 }
 
@@ -120,8 +119,7 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 			return nil, err
 		}
 		caches[i] = c
-		results[i] = newResult(t, osL)
-		results[i].Config = cfg
+		results[i] = &Result{LayoutName: osL.Name, Config: cfg}
 		if opt.Setups != nil && opt.Setups[i] != nil {
 			if err := opt.Setups[i](c); err != nil {
 				return nil, err
@@ -142,7 +140,7 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 		}
 		byLine[cfg.Line] = append(byLine[cfg.Line], i)
 	}
-	units := buildUnits(lineSizes, byLine, caches, results, obsAt, opt.Workers)
+	units := buildUnits(lineSizes, byLine, caches, obsAt, opt.Workers)
 
 	// Header-only traces replay through the chunked pipeline: the stream is
 	// regenerated, compiled and driven window by window, never materialised.
@@ -205,7 +203,7 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 // unit. With workers <= 1 the whole group is one unit, driven in a single
 // pass exactly as before.
 func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
-	results []*Result, obsAt func(int) obs.Observer, workers int) []driveUnit {
+	obsAt func(int) obs.Observer, workers int) []driveUnit {
 
 	var units []driveUnit
 	for k, ls := range lineSizes {
@@ -224,7 +222,7 @@ func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
 			rs := make([]runner, len(idx))
 			for k, i := range idx {
 				probe, _ := caches[i].Probe() // the zero probe of a rest cache is never read
-				rs[k] = runner{caches[i].AccessFunc(), probe, results[i], obsAt(i)}
+				rs[k] = runner{caches[i].AccessFunc(), probe, obsAt(i)}
 			}
 			return rs
 		}
@@ -254,7 +252,7 @@ const eventDomainShift = 31
 // the window). For a materialised replay the window is the whole stream; for
 // a streamed replay it is one chunk.
 type lineWindow struct {
-	accs     []uint64
+	accs     []uint32
 	eventEnd []uint32
 }
 
@@ -341,29 +339,25 @@ func driveUnits(units []driveUnit, d *unitData, workers int) {
 
 // driveWindow replays one window of compiled accesses through the unit's
 // caches. Span expansion and same-line elision already happened at compile
-// time, so the loop touches only the flat pre-elided access arrays; the
+// time, so the loop touches only the flat pre-elided access array; the
 // inclusion-chain skip (a direct-mapped power-of-two hit implies a hit in
 // every larger chain member, with no state change either way) remains a
 // drive-time rule because it depends on per-cache hit state. A chain hit
-// costs one tag load and compare through the member's probe; the access
-// call and the (domain, block) decode happen only on a miss.
-func driveWindow(accs []uint64, chain, rest []runner) {
+// costs one tag load and compare through the member's probe; a miss only
+// calls the access function, whose cache counts it by domain and class.
+func driveWindow(accs []uint32, chain, rest []runner) {
 	for _, v := range accs {
-		line := v & streamLineMask
+		line := uint64(v & streamLineMask)
+		d := trace.Domain(v >> eventDomainShift)
 		for k := range chain {
 			r := &chain[k]
 			if r.probe.Hit(line) {
 				break
 			}
-			d, b := unpackAttr(v)
-			recordMiss(r.res, r.access(line, d), d, b)
+			r.access(line, d)
 		}
 		for k := range rest {
-			r := &rest[k]
-			d, b := unpackAttr(v)
-			if cl := r.access(line, d); cl != cache.Hit {
-				recordMiss(r.res, cl, d, b)
-			}
+			rest[k].access(line, d)
 		}
 	}
 }
@@ -371,14 +365,15 @@ func driveWindow(accs []uint64, chain, rest []runner) {
 // driveWindowObserved is driveWindow plus observer notification: the walk
 // follows the window's per-event offsets so every trace event — including
 // ones whose accesses were all elided at compile time — is announced to
-// every watcher of the unit in exact replay order, and each recorded miss
-// is forwarded to its runner's observer (evictions reach observers through
-// the cache-side hook installed at setup). The cache-visible access
-// sequence is exactly driveWindow's, so results stay bit-identical to the
-// unobserved path; and because every observer belongs to exactly one unit,
-// the per-observer event/miss sequence is identical whether units run
-// sequentially or in parallel, and whether windows arrive whole or chunked.
-func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint64,
+// every watcher of the unit in exact replay order, and each miss is
+// forwarded to its runner's observer with the block of the event that
+// caused it (evictions reach observers through the cache-side hook
+// installed at setup). The cache-visible access sequence is exactly
+// driveWindow's, so results stay bit-identical to the unobserved path; and
+// because every observer belongs to exactly one unit, the per-observer
+// event/miss sequence is identical whether units run sequentially or in
+// parallel, and whether windows arrive whole or chunked.
+func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint32,
 	refsTab [trace.NumDomains][]uint64, chain, rest []runner, watchers []obs.Observer) {
 
 	start := uint32(0)
@@ -391,46 +386,24 @@ func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint64,
 		}
 		end := eventEnd[i]
 		for j := start; j < end; j++ {
-			line := accs[j] & streamLineMask
+			line := uint64(accs[j] & streamLineMask)
 			for k := range chain {
 				r := &chain[k]
 				if r.probe.Hit(line) {
 					break
 				}
 				cl := r.access(line, d)
-				recordMiss(r.res, cl, d, b)
 				if r.obs != nil {
 					r.obs.Miss(line, d, cl, b)
 				}
 			}
 			for k := range rest {
 				r := &rest[k]
-				if cl := r.access(line, d); cl != cache.Hit {
-					recordMiss(r.res, cl, d, b)
-					if r.obs != nil {
-						r.obs.Miss(line, d, cl, b)
-					}
+				if cl := r.access(line, d); cl != cache.Hit && r.obs != nil {
+					r.obs.Miss(line, d, cl, b)
 				}
 			}
 		}
 		start = end
-	}
-}
-
-// unpackAttr splits a packed access word's attribution into its domain and
-// block.
-func unpackAttr(v uint64) (trace.Domain, uint32) {
-	a := uint32(v >> streamAttrShift)
-	return trace.Domain(a >> eventDomainShift), a & (1<<eventDomainShift - 1)
-}
-
-// recordMiss accumulates one classified miss into the per-block arrays.
-func recordMiss(res *Result, cl cache.MissClass, d trace.Domain, b uint32) {
-	res.BlockMisses[d][b]++
-	switch cl {
-	case cache.SelfMiss:
-		res.BlockSelf[d][b]++
-	case cache.CrossMiss:
-		res.BlockCross[d][b]++
 	}
 }

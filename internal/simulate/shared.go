@@ -56,7 +56,6 @@ type SharedResult struct {
 type sharedUnit struct {
 	lineIdx int
 	access  func(line uint64, d trace.Domain) cache.MissClass
-	res     *Result
 	cpu     *obs.CPUStats
 	o       obs.Observer
 	// curCPU is the CPU of the event being replayed; the eviction hook
@@ -116,14 +115,12 @@ func RunShared(mt *trace.MultiTrace, osL, appL *layout.Layout, cfgs []cache.Conf
 			byLine[cfg.Line] = k
 			lineSizes = append(lineSizes, cfg.Line)
 		}
-		res := newResult(mt.Trace, osL)
-		res.Config = cfg
-		u := &sharedUnit{lineIdx: k, access: c.AccessFunc(), res: res, cpu: obs.NewCPUStats(mt.CPUs)}
+		u := &sharedUnit{lineIdx: k, access: c.AccessFunc(), cpu: obs.NewCPUStats(mt.CPUs)}
 		if opt.Observers != nil {
 			u.o = opt.Observers[i]
 		}
 		units[i] = u
-		results[i] = &SharedResult{Result: res, CPU: u.cpu}
+		results[i] = &SharedResult{Result: &Result{LayoutName: osL.Name, Config: cfg}, CPU: u.cpu}
 		// One hook serves both books: cross-CPU attribution always, plus
 		// the observer's Evict when one is attached.
 		c.SetEvictionHook(func(victim uint64, set int, ev trace.Domain) {
@@ -173,7 +170,7 @@ func RunShared(mt *trace.MultiTrace, osL, appL *layout.Layout, cfgs []cache.Conf
 		if len(batch) == 0 {
 			break
 		}
-		w.attrs, w.cpuOf = w.attrs[:0], w.cpuOf[:0]
+		w.attrs, w.cpuOf = emptied(w.attrs, len(batch)), emptied(w.cpuOf, len(batch))
 		for _, e := range batch {
 			for left == 0 {
 				if runIdx >= len(mt.Runs) {
@@ -252,13 +249,12 @@ func (u *sharedUnit) drive(w *sharedWindow) {
 		}
 		end := lw.eventEnd[i]
 		for j := start; j < end; j++ {
-			line := lw.accs[j] & streamLineMask
+			line := uint64(lw.accs[j] & streamLineMask)
 			cl := u.access(line, d)
 			if cl == cache.Hit {
 				u.cpu.Hit(line, cpu, d)
 				continue
 			}
-			recordMiss(u.res, cl, d, b)
 			u.cpu.Miss(cpu, d)
 			u.cpu.Install(line, cpu)
 			if u.o != nil {

@@ -14,19 +14,14 @@ import (
 	"oslayout/internal/trace"
 )
 
-// Result is the outcome of one simulation run.
+// Result is the outcome of one simulation run. Per-block miss attribution
+// is not part of it: attach an obs.BlockMisses observer to the replays that
+// need it.
 type Result struct {
 	// LayoutName names the OS layout evaluated.
 	LayoutName string
 	Config     cache.Config
 	Stats      cache.Stats
-	// BlockMisses[d][b] counts misses attributed to block b of domain d.
-	// The application slice is nil when the trace has none.
-	BlockMisses [trace.NumDomains][]uint64
-	// BlockSelf and BlockCross decompose BlockMisses into self- and
-	// cross-interference components (the remainder is cold misses).
-	BlockSelf  [trace.NumDomains][]uint64
-	BlockCross [trace.NumDomains][]uint64
 }
 
 // AppBase is the base virtual address of application images: a distinct
@@ -42,13 +37,10 @@ func Run(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	res, err := run(t, osL, appL, c, false)
-	if err != nil {
+	if err := run(t, osL, appL, c, false); err != nil {
 		return nil, err
 	}
-	res.Config = cfg
-	res.Stats = c.Stats
-	return res, nil
+	return &Result{LayoutName: osL.Name, Config: cfg, Stats: c.Stats}, nil
 }
 
 // RunUtil is Run with cache-line utilization tracking enabled: it
@@ -63,13 +55,10 @@ func RunUtil(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config) (*Resul
 	if err := c.EnableUtilization(); err != nil {
 		return nil, cache.UtilStats{}, err
 	}
-	res, err := run(t, osL, appL, c, true)
-	if err != nil {
+	if err := run(t, osL, appL, c, true); err != nil {
 		return nil, cache.UtilStats{}, err
 	}
-	res.Config = cfg
-	res.Stats = c.Stats
-	return res, c.Util, nil
+	return &Result{LayoutName: osL.Name, Config: cfg, Stats: c.Stats}, c.Util, nil
 }
 
 // run is the common replay loop over a single cache; util marks the fetched
@@ -77,12 +66,10 @@ func RunUtil(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config) (*Resul
 // alternatives, formerly separate two-cache replay loops here, are now
 // expressed as way partitions of one cache (cache.Partition) and replayed by
 // the compiled-stream engine.
-func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) (*Result, error) {
-
+func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) error {
 	if err := checkLayouts(t, osL, appL); err != nil {
-		return nil, err
+		return err
 	}
-	res := newResult(t, osL)
 
 	// Iterate in windows so header-only traces replay in O(chunk) memory;
 	// cache and routing state plainly carries across window boundaries.
@@ -90,7 +77,7 @@ func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) (*
 	for {
 		batch, rerr := r.Read()
 		if rerr != nil {
-			return nil, rerr
+			return rerr
 		}
 		if len(batch) == 0 {
 			break
@@ -114,16 +101,7 @@ func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) (*
 			startLine := c.LineOf(addr)
 			endLine := c.LineOf(addr + uint64(size) - 1)
 			for line := startLine; line <= endLine; line++ {
-				switch c.AccessLine(line, d) {
-				case cache.SelfMiss:
-					res.BlockMisses[d][b]++
-					res.BlockSelf[d][b]++
-				case cache.CrossMiss:
-					res.BlockMisses[d][b]++
-					res.BlockCross[d][b]++
-				case cache.ColdMiss:
-					res.BlockMisses[d][b]++
-				}
+				c.AccessLine(line, d)
 				if util {
 					lineBase := line * uint64(c.Config().Line)
 					from := 0
@@ -139,7 +117,7 @@ func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) (*
 			}
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // checkLayouts validates that the layouts match the trace's programs.
@@ -153,44 +131,9 @@ func checkLayouts(t *trace.Trace, osL, appL *layout.Layout) error {
 	return nil
 }
 
-// newResult allocates a Result with per-block miss arrays sized to the
-// trace's programs.
-func newResult(t *trace.Trace, osL *layout.Layout) *Result {
-	res := &Result{LayoutName: osL.Name}
-	res.BlockMisses[trace.DomainOS] = make([]uint64, t.OS.NumBlocks())
-	res.BlockSelf[trace.DomainOS] = make([]uint64, t.OS.NumBlocks())
-	res.BlockCross[trace.DomainOS] = make([]uint64, t.OS.NumBlocks())
-	if t.App != nil {
-		res.BlockMisses[trace.DomainApp] = make([]uint64, t.App.NumBlocks())
-		res.BlockSelf[trace.DomainApp] = make([]uint64, t.App.NumBlocks())
-		res.BlockCross[trace.DomainApp] = make([]uint64, t.App.NumBlocks())
-	}
-	return res
-}
-
-// MissHistogram aggregates per-block misses into address-range buckets of
-// the given width under a reference layout (the paper plots misses against
-// Base-layout virtual addresses even for optimised layouts, Figure 14).
-func MissHistogram(res *Result, d trace.Domain, ref *layout.Layout, bucket uint64) []uint64 {
-	if bucket == 0 {
-		bucket = 1 << 10
-	}
-	n := (ref.End() - ref.Base + bucket - 1) / bucket
-	h := make([]uint64, n)
-	for b, m := range res.BlockMisses[d] {
-		if m == 0 {
-			continue
-		}
-		idx := (ref.Addr[b] - ref.Base) / bucket
-		if idx < uint64(len(h)) {
-			h[idx] += m
-		}
-	}
-	return h
-}
-
-// HistogramOf aggregates an arbitrary per-block count slice into
-// address-range buckets under a reference layout.
+// HistogramOf aggregates a per-block count slice (an obs.BlockMisses domain,
+// say) into address-range buckets under a reference layout: the paper plots
+// misses against Base-layout addresses even for optimised layouts.
 func HistogramOf(perBlock []uint64, ref *layout.Layout, bucket uint64) []uint64 {
 	if bucket == 0 {
 		bucket = 1 << 10

@@ -5,6 +5,7 @@ import (
 
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
+	"oslayout/internal/obs"
 	"oslayout/internal/progtest"
 	"oslayout/internal/trace"
 )
@@ -43,12 +44,16 @@ func TestRunCountsConflictMisses(t *testing.T) {
 	if st.Refs[trace.DomainOS] != 160 {
 		t.Fatalf("refs = %d, want 160", st.Refs[trace.DomainOS])
 	}
-	// Per-block attribution.
-	if res.BlockMisses[trace.DomainOS][0] != 10 || res.BlockMisses[trace.DomainOS][1] != 10 {
-		t.Fatalf("block misses = %v", res.BlockMisses[trace.DomainOS])
+	// Per-block attribution, from an attached observer.
+	blocks := obs.NewBlockMisses(tr)
+	if _, err := RunObserved(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, blocks); err != nil {
+		t.Fatal(err)
 	}
-	if res.BlockSelf[trace.DomainOS][0] != 9 || res.BlockSelf[trace.DomainOS][1] != 9 {
-		t.Fatalf("block self = %v", res.BlockSelf[trace.DomainOS])
+	if blocks.Misses[trace.DomainOS][0] != 10 || blocks.Misses[trace.DomainOS][1] != 10 {
+		t.Fatalf("block misses = %v", blocks.Misses[trace.DomainOS])
+	}
+	if blocks.Self[trace.DomainOS][0] != 9 || blocks.Self[trace.DomainOS][1] != 9 {
+		t.Fatalf("block self = %v", blocks.Self[trace.DomainOS])
 	}
 }
 
@@ -162,16 +167,16 @@ func TestPartitionedReservedRoutesReservedLines(t *testing.T) {
 
 func TestMissAndRefHistograms(t *testing.T) {
 	tr, l := conflictTrace(5)
-	res, err := Run(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1})
-	if err != nil {
+	blocks := obs.NewBlockMisses(tr)
+	if _, err := RunObserved(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, blocks); err != nil {
 		t.Fatal(err)
 	}
-	h := MissHistogram(res, trace.DomainOS, l, 64)
+	h := HistogramOf(blocks.Misses[trace.DomainOS], l, 64)
 	// Block 0 at 0 (bucket 0), block 1 at 64 (bucket 1).
 	if len(h) != 2 || h[0] != 5 || h[1] != 5 {
 		t.Fatalf("miss histogram = %v", h)
 	}
-	hs := HistogramOf(res.BlockSelf[trace.DomainOS], l, 64)
+	hs := HistogramOf(blocks.Self[trace.DomainOS], l, 64)
 	if hs[0] != 4 || hs[1] != 4 {
 		t.Fatalf("self histogram = %v", hs)
 	}

@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"oslayout/internal/layout"
@@ -20,8 +19,9 @@ import (
 //     each block event packed, per-block reference tables. One trace has
 //     exactly one Events regardless of how many layouts it is replayed under.
 //   - Stream: the layout- and line-size-dependent expansion — the elided
-//     line-access sequence with per-access block attribution, plus per-event
-//     offsets so observed drives can announce events in exact replay order.
+//     line-access sequence with each access's fetching domain, plus
+//     per-event offsets so observed drives can announce events (and with
+//     them each miss's block) in exact replay order.
 //
 // Sharing the resolved reference stream across configurations is the classic
 // single-pass trick (Hill & Smith's all-associativity simulation, the
@@ -37,9 +37,6 @@ type Events struct {
 	attrs []uint32
 	// refsTab[d][b] is block b of domain d's instruction-word references.
 	refsTab [trace.NumDomains][]uint64
-	// counts[d][b] is how many events reference block b of domain d; Compile
-	// sizes its arrays from it in O(blocks) instead of re-walking the events.
-	counts [trace.NumDomains][]uint32
 	// refs is the stream's per-domain reference total.
 	refs [trace.NumDomains]uint64
 }
@@ -52,10 +49,8 @@ type Events struct {
 func Decode(t *trace.Trace) *Events {
 	ev := &Events{}
 	ev.refsTab[trace.DomainOS] = refsOf(t.OS)
-	ev.counts[trace.DomainOS] = make([]uint32, t.OS.NumBlocks())
 	if t.App != nil {
 		ev.refsTab[trace.DomainApp] = refsOf(t.App)
-		ev.counts[trace.DomainApp] = make([]uint32, t.App.NumBlocks())
 	}
 	ev.attrs = make([]uint32, 0, t.NumEvents())
 	r := t.Chunks()
@@ -71,7 +66,6 @@ func Decode(t *trace.Trace) *Events {
 			d := e.Domain()
 			b := e.Block()
 			ev.refs[d] += ev.refsTab[d][b]
-			ev.counts[d][b]++
 			ev.attrs = append(ev.attrs, uint32(d)<<eventDomainShift|uint32(b))
 		}
 	}
@@ -86,7 +80,7 @@ func (ev *Events) Refs() [trace.NumDomains]uint64 { return ev.refs }
 
 // Bytes estimates the decoded events' memory footprint, for cache budgets.
 func (ev *Events) Bytes() int64 {
-	return int64(4*len(ev.attrs) + 12*(len(ev.refsTab[0])+len(ev.refsTab[1])))
+	return int64(4*len(ev.attrs) + 8*(len(ev.refsTab[0])+len(ev.refsTab[1])))
 }
 
 // Stream is the compiled line stream of one (trace, OS layout, app layout,
@@ -97,12 +91,11 @@ func (ev *Events) Bytes() int64 {
 type Stream struct {
 	lineSize int
 	ev       *Events
-	// accs is the elided line-access sequence, one packed word per access:
-	// the (domain, block) attribution in the high 32 bits, the line address
-	// in the low 32. One array instead of parallel line/attr arrays keeps
-	// the drive loop at a single 8-byte load per access. Compile rejects
-	// layouts whose line addresses overflow 32 bits (a >4G-line code image).
-	accs []uint64
+	// accs is the elided line-access sequence, one 4-byte word per access:
+	// the fetching domain in bit 31, where the event's attr has it, and the
+	// line address below. Compile rejects layouts whose line addresses
+	// reach 2^31 (a >2G-line code image).
+	accs []uint32
 	// eventEnd[i] is the end offset into accs of block event i's accesses
 	// (its start is eventEnd[i-1]), so observed drives can walk the stream
 	// event by event and announce every event — including ones whose
@@ -111,11 +104,8 @@ type Stream struct {
 }
 
 // streamLineMask extracts the line address from a packed access word; the
-// attribution sits above it.
-const (
-	streamLineMask  = 1<<32 - 1
-	streamAttrShift = 32
-)
+// domain bit sits above it.
+const streamLineMask = 1<<eventDomainShift - 1
 
 // Compile resolves, expands and elides the trace's line accesses for one
 // line size under the given layouts. appL may be nil when the trace has no
@@ -126,69 +116,21 @@ func Compile(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, e
 
 // CompileEvents is Compile over an already-decoded event stream, so callers
 // compiling one trace under many layouts or line sizes (the stream cache)
-// share a single decode. ev must be Decode(t).
+// share a single decode. ev must be Decode(t). The whole stream is one
+// window of the chunked pipeline's compiler.
 func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error) {
-	if lineSize <= 0 || bits.OnesCount(uint(lineSize)) != 1 {
-		return nil, fmt.Errorf("simulate: line size %d not a positive power of two", lineSize)
-	}
 	if err := checkLayouts(t, osL, appL); err != nil {
 		return nil, err
 	}
-	spans := spanTables(t, osL, appL, lineSize)
-	// Pre-size the access array exactly: the un-elided expansion length is
-	// Σ_b count(b)·spanLen(b) — an O(blocks) sum over the per-block event
-	// histogram, not a pass over the events — and bounds the elided stream
-	// from above, so the write pass below never reallocates. The same sweep
-	// front-loads the uint32 offset check and the packed-line range check.
-	var raw uint64
-	for d, tab := range spans {
-		for b, sp := range tab {
-			if sp.Last > streamLineMask {
-				return nil, fmt.Errorf("simulate: line address %#x exceeds the packed 32-bit stream range; cannot compile", sp.Last)
-			}
-			raw += uint64(ev.counts[d][b]) * (sp.Last - sp.First + 1)
-		}
+	cc, err := newChunkCompiler(t, osL, appL, lineSize)
+	if err != nil {
+		return nil, err
 	}
-	// Elision can only strike an event's first line: within one span lines
-	// strictly increase, and the drive-time prev is always the previous
-	// span's Last whether or not that line was emitted. Counting the
-	// boundary collisions therefore gives the exact elided length, so the
-	// array below is allocated (and zeroed) to precisely the bytes it needs.
-	var elided uint64
-	prev := ^uint64(0)
-	for _, a := range ev.attrs {
-		sp := spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
-		if sp.First == prev {
-			elided++
-		}
-		prev = sp.Last
+	var lw lineWindow
+	if err := cc.compile(ev.attrs, &lw); err != nil {
+		return nil, err
 	}
-	total := raw - elided
-	if total > math.MaxUint32 {
-		return nil, fmt.Errorf("simulate: stream of %d line accesses exceeds the %d offset limit; cannot compile", total, math.MaxUint32)
-	}
-	s := &Stream{
-		lineSize: lineSize,
-		ev:       ev,
-		accs:     make([]uint64, total),
-		eventEnd: make([]uint32, len(ev.attrs)),
-	}
-	n := 0
-	prev = ^uint64(0)
-	for i, a := range ev.attrs {
-		sp := spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
-		hi := uint64(a) << streamAttrShift
-		for line := sp.First; line <= sp.Last; line++ {
-			if line == prev {
-				continue
-			}
-			prev = line
-			s.accs[n] = hi | line
-			n++
-		}
-		s.eventEnd[i] = uint32(n)
-	}
-	return s, nil
+	return &Stream{lineSize: lineSize, ev: ev, accs: lw.accs, eventEnd: lw.eventEnd}, nil
 }
 
 // LineSize returns the line size the stream was compiled for.
@@ -204,7 +146,7 @@ func (s *Stream) Events() *Events { return s.ev }
 // Bytes estimates the stream's own memory footprint (excluding the shared
 // Events), for cache budgets.
 func (s *Stream) Bytes() int64 {
-	return int64(8*len(s.accs) + 4*len(s.eventEnd))
+	return int64(4*len(s.accs) + 4*len(s.eventEnd))
 }
 
 // StreamSource supplies compiled streams to RunManyOpt; implementations
@@ -230,15 +172,23 @@ type lineSpan struct {
 }
 
 // spanTables precomputes, for one line size, the line-address range each
-// block's execution covers under the given layouts.
-func spanTables(t *trace.Trace, osL, appL *layout.Layout, lineSize int) [trace.NumDomains][]lineSpan {
+// block's execution covers under the given layouts, rejecting line
+// addresses that reach the packed access word's domain bit.
+func spanTables(t *trace.Trace, osL, appL *layout.Layout, lineSize int) ([trace.NumDomains][]lineSpan, error) {
 	shift := uint(bits.TrailingZeros(uint(lineSize)))
 	var tabs [trace.NumDomains][]lineSpan
 	tabs[trace.DomainOS] = spansOf(osL, shift)
 	if t.App != nil {
 		tabs[trace.DomainApp] = spansOf(appL, shift)
 	}
-	return tabs
+	for _, tab := range tabs {
+		for _, sp := range tab {
+			if sp.Last > streamLineMask {
+				return tabs, fmt.Errorf("simulate: line address %#x exceeds the packed 31-bit stream range; cannot compile", sp.Last)
+			}
+		}
+	}
+	return tabs, nil
 }
 
 func spansOf(l *layout.Layout, shift uint) []lineSpan {

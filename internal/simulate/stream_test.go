@@ -30,19 +30,15 @@ func TestCompileStreamProperties(t *testing.T) {
 			t.Fatalf("consecutive duplicate line %#x at access %d: elision failed", s.accs[j]&streamLineMask, j)
 		}
 	}
-	// Every access's packed attribution must be a real event attr: domain
-	// bit plus a block index within its program.
-	for j, v := range s.accs {
-		a := uint32(v >> streamAttrShift)
-		d := a >> eventDomainShift
-		b := a & (1<<eventDomainShift - 1)
-		n := uint32(tr.OS.NumBlocks())
-		if d == uint32(trace.DomainApp) {
-			n = uint32(tr.App.NumBlocks())
+	// Every access word carries its event's domain in bit 31.
+	start := uint32(0)
+	for i, a := range s.ev.attrs {
+		for j := start; j < s.eventEnd[i]; j++ {
+			if got, want := s.accs[j]>>eventDomainShift, a>>eventDomainShift; got != want {
+				t.Fatalf("access %d of event %d: domain bit %d, event domain %d", j, i, got, want)
+			}
 		}
-		if b >= n {
-			t.Fatalf("access %d: block %d out of range for domain %d", j, b, d)
-		}
+		start = s.eventEnd[i]
 	}
 	// Event offsets must be monotone and cover the access array exactly.
 	blocks := 0
@@ -94,6 +90,33 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile(tr, osL, nil, 32); err == nil {
 		t.Error("missing app layout accepted for two-domain trace")
+	}
+
+	// Line addresses must stay below the access word's domain bit: a block
+	// at line 2^31 is rejected, materialised and streamed; one at line
+	// 2^31-1 compiles and replays exactly as the per-event loop does.
+	two, _ := conflictTrace(2)
+	cfg := cache.Config{Size: 64, Line: 32, Assoc: 1}
+	for _, line := range []uint64{1 << 31, 1<<31 - 1} {
+		l := layout.New("far", two.OS, 0)
+		l.Place(0, 0)
+		l.Place(1, line*32)
+		_, cerr := CompileEvents(Decode(two), two, l, nil, 32)
+		got, rerr := RunManyOpt(two.ChunkView(1), l, nil, []cache.Config{cfg}, Options{})
+		if accept := line < 1<<31; (cerr == nil) != accept || (rerr == nil) != accept {
+			t.Errorf("block at line %#x: compile error %v, streamed replay error %v; want accepted = %v", line, cerr, rerr, accept)
+			continue
+		}
+		if rerr != nil {
+			continue
+		}
+		want, err := Run(two, l, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0], want) {
+			t.Errorf("block at line %#x: streamed %+v, per-event %+v", line, got[0].Stats, want.Stats)
+		}
 	}
 }
 

@@ -88,6 +88,10 @@ type (
 	// eviction-provenance breakdowns, windowed miss-rate series and top
 	// conflicting line pairs for one cache configuration.
 	SimStats = obs.SimStats
+	// BlockMisses is the per-block miss attribution observer: misses,
+	// self- and cross-interference misses charged to the basic block whose
+	// fetch caused them.
+	BlockMisses = obs.BlockMisses
 	// Recorder collects scoped phase timings and counters across the
 	// pipeline (study build, trace generation, layout construction, replay
 	// throughput). All methods are nil-receiver safe.
@@ -100,6 +104,10 @@ type (
 // NewSimStats returns a recording observer splitting the trace into the
 // given number of time-series windows (a default resolution when 0).
 func NewSimStats(windows int) *SimStats { return obs.NewSimStats(windows) }
+
+// NewBlockMisses returns a per-block miss observer sized to the trace's
+// programs; pass it to Study.EvaluateObserved.
+func NewBlockMisses(t *Trace) *BlockMisses { return obs.NewBlockMisses(t) }
 
 // NewRecorder returns an empty phase/counter recorder.
 func NewRecorder() *Recorder { return obs.NewRecorder() }

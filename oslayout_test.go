@@ -2,6 +2,7 @@ package oslayout
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"oslayout/internal/cache"
@@ -239,6 +240,45 @@ func TestStudyDeterminism(t *testing.T) {
 	}
 }
 
+// TestWarmReplayAllocation guards the warm replay path against per-block
+// allocation: a single-worker EvaluateMany whose streams come from the
+// study's stream cache must allocate less than 8 bytes per OS block per
+// configuration. Per-block miss arrays on every Result cost 24.
+func TestWarmReplayAllocation(t *testing.T) {
+	st := smallStudy(t).WithDrivePar(1)
+	osL, _, err := st.BuildStrategy("base", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []CacheConfig{
+		{Size: 4 << 10, Line: 32, Assoc: 1},
+		{Size: 8 << 10, Line: 32, Assoc: 1},
+		{Size: 16 << 10, Line: 32, Assoc: 1},
+	}
+	const reps = 5
+	for i := range st.Data {
+		if _, err := st.EvaluateMany(i, osL, nil, cfgs); err != nil { // compiles the streams
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < reps; r++ {
+			if _, err := st.EvaluateMany(i, osL, nil, cfgs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perCfg := float64(after.TotalAlloc-before.TotalAlloc) / reps / float64(len(cfgs))
+		if limit := 8 * float64(st.Kernel.Prog.NumBlocks()); perCfg >= limit {
+			t.Errorf("%s: warm replay allocates %.0f B per config, limit %.0f (8 B x %d OS blocks)",
+				st.Data[i].Workload.Name, perCfg, limit, st.Kernel.Prog.NumBlocks())
+		}
+	}
+	if hits, _ := st.StreamCacheStats(); hits == 0 {
+		t.Error("warm replays never hit the stream cache")
+	}
+}
+
 func TestReExportedHelpers(t *testing.T) {
 	if DefaultKernelConfig().TotalCodeBytes != 940<<10 {
 		t.Error("DefaultKernelConfig changed")
@@ -251,6 +291,7 @@ func TestReExportedHelpers(t *testing.T) {
 		t.Error("DefaultPlacementParams wrong")
 	}
 	var _ CacheStats = cache.Stats{}
+	var _ Observer = (*BlockMisses)(nil)
 	var _ = program.NumSeedClasses
 }
 
