@@ -21,6 +21,8 @@ import (
 
 	"oslayout"
 	"oslayout/internal/cache"
+	"oslayout/internal/chlayout"
+	"oslayout/internal/core"
 	"oslayout/internal/expt"
 	"oslayout/internal/kernelgen"
 	"oslayout/internal/layout"
@@ -196,7 +198,7 @@ func BenchmarkRunMany(b *testing.B) {
 	tr := env.St.Data[3].Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := simulate.RunMany(tr, osL, nil, runManyGrid); err != nil {
+		if _, err := simulate.RunManyOpt(tr, osL, nil, runManyGrid, simulate.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,7 +258,7 @@ func BenchmarkCompareGrid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.RunCompare(strategies, sizes, 32, 1); err != nil {
+		if _, err := env.RunCompareOpts(strategies, sizes, 32, 1, expt.CompareOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,29 +266,33 @@ func BenchmarkCompareGrid(b *testing.B) {
 
 // BenchmarkOptSConstruction measures the full placement algorithm
 // (sequences, SelfConfFree selection, loop analysis, assembly) on the
-// averaged profile.
+// averaged profile. It calls core.Optimize directly: the study's memoized
+// builders would time a map lookup on every iteration after the first.
 func BenchmarkOptSConstruction(b *testing.B) {
 	env := sharedEnv(b)
 	if err := env.St.UseAverageProfile(); err != nil {
 		b.Fatal(err)
 	}
+	prog := env.St.Kernel.Prog
 	params := oslayout.DefaultPlacementParams(8 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.St.OptimizeWithCurrentProfile(params); err != nil {
+		if _, err := core.Optimize(prog, core.SeedEntries(prog), 0, params); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCHConstruction measures the Chang-Hwu baseline construction.
+// BenchmarkCHConstruction measures the Chang-Hwu baseline construction,
+// calling chlayout.New directly for the same reason.
 func BenchmarkCHConstruction(b *testing.B) {
 	env := sharedEnv(b)
+	if err := env.St.UseAverageProfile(); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.St.CHLayout(); err != nil {
-			b.Fatal(err)
-		}
+		chlayout.New(env.St.Kernel.Prog, 0)
 	}
 }
 

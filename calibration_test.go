@@ -49,21 +49,15 @@ func TestCalibrationReport(t *testing.T) {
 		k.ExecutedRoutines(), 100*float64(k.ExecutedRoutines())/float64(k.NumRoutines()))
 
 	cfg := cache.Config{Size: 8 << 10, Line: 32, Assoc: 1}
-	base := st.BaseLayout()
+	base, _ := mustBuild(t, st, "base", 0)
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := st.CHLayout()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch, _ := mustBuild(t, st, "ch", 0)
 	if err := ch.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := st.OptS(cfg.Size)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, plan := mustBuild(t, st, "opts", cfg.Size)
 	if err := plan.Layout.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -404,13 +404,11 @@ func conflictReports(env *expt.Env, rec *oslayout.Recorder) ([]obs.ConflictRepor
 	var reps []obs.ConflictReport
 	for i, d := range env.St.Data {
 		s := oslayout.NewSimStats(0)
-		t0 := time.Now()
-		res, err := env.St.EvaluateObserved(i, base, nil, cfg, s)
+		res, err := env.EvalMany(i, base, nil, []oslayout.CacheConfig{cfg}, []obs.Observer{s}, nil)
 		if err != nil {
 			return nil, err
 		}
-		rec.AddReplay(uint64(d.Trace.NumEvents()), time.Since(t0))
-		reps = append(reps, obs.NewConflictReport(d.Workload.Name, base.Name, s, res.Stats.MissRate(), resolve, 8))
+		reps = append(reps, obs.NewConflictReport(d.Workload.Name, base.Name, s, res[0].Stats.MissRate(), resolve, 8))
 	}
 	return reps, nil
 }

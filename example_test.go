@@ -31,16 +31,20 @@ func ExampleNewStudy() {
 	// first: TRFD_4
 }
 
-// ExampleStudy_OptS optimises the kernel layout and shows that it beats the
-// original layout on the paper's reference cache.
-func ExampleStudy_OptS() {
+// ExampleStudy_BuildStrategy optimises the kernel layout with the paper's
+// OptS strategy and shows that it beats the original layout on the paper's
+// reference cache.
+func ExampleStudy_BuildStrategy() {
 	st, err := oslayout.NewStudy(smallOpts())
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg := oslayout.CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
-	base := st.BaseLayout()
-	plan, err := st.OptS(cfg.Size)
+	base, _, err := st.BuildStrategy("base", 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts, _, err := st.BuildStrategy("opts", cfg.Size)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +53,7 @@ func ExampleStudy_OptS() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ro, err := st.Evaluate(i, plan.Layout, nil, cfg)
+		ro, err := st.Evaluate(i, opts, nil, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

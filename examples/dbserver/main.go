@@ -56,7 +56,10 @@ func main() {
 	}
 
 	cfg := oslayout.CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
-	base := st.BaseLayout()
+	base, _, err := st.BuildStrategy("base", 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	rb, err := st.Evaluate(oltpIdx, base, nil, cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -27,12 +27,15 @@ func main() {
 		kp.NumRoutines(), kp.NumBlocks(), kp.CodeSize()>>10)
 
 	cfg := oslayout.CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
-	base := st.BaseLayout()
-	ch, err := st.CHLayout()
+	base, _, err := st.BuildStrategy("base", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := st.OptS(cfg.Size)
+	ch, _, err := st.BuildStrategy("ch", 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts, plan, err := st.BuildStrategy("opts", cfg.Size)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ro, err := st.Evaluate(i, plan.Layout, nil, cfg)
+		ro, err := st.Evaluate(i, opts, nil, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -83,15 +83,19 @@ func main() {
 
 	// Where would the misses go? Evaluate Base vs OptS on the spot.
 	cfg := oslayout.CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
-	rb, err := st.Evaluate(idx, st.BaseLayout(), nil, cfg)
+	base, _, err := st.BuildStrategy("base", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := st.OptS(cfg.Size)
+	rb, err := st.Evaluate(idx, base, nil, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ro, err := st.Evaluate(idx, plan.Layout, nil, cfg)
+	opts, _, err := st.BuildStrategy("opts", cfg.Size)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ro, err := st.Evaluate(idx, opts, nil, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

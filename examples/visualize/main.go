@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// stderr: where OptS placed these routines' blocks.
-	plan, err := st.OptS(8 << 10)
+	opts, _, err := st.BuildStrategy("opts", 8<<10)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func main() {
 		blk := &k.Prog.Blocks[b]
 		if want[blk.Routine] && blk.Weight > 0 {
 			rows = append(rows, placed{
-				addr:    plan.Layout.Addr[b],
+				addr:    opts.Addr[b],
 				routine: k.Prog.Routine(blk.Routine).Name,
 				block:   program.BlockID(b),
 				weight:  blk.Weight,
@@ -93,7 +93,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  %s %#08x  %-16s blk%-6d w=%d\n",
 			marker, r.addr, r.routine, r.block, r.weight)
 	}
-	frags := plan.Layout.Fragments(true)
+	frags := opts.Fragments(true)
 	fmt.Fprintf(os.Stderr, "\n%d blocks, %d routine transitions in address order\n", len(rows), transitions)
 	for i, r := range routines {
 		fmt.Fprintf(os.Stderr, "  %-16s split into %d fragment(s)\n", names[i], frags[r])

@@ -21,7 +21,7 @@ import (
 // the workload × cache-size grid — the engine behind the CLI's `compare`
 // subcommand. It is the generalisation of Figure 15-(a): any strategy mix,
 // any size ladder, one batched trace replay per (workload, layout) through
-// simulate.RunMany.
+// Env.EvalMany (see Env.RunCompareOpts).
 type Compare struct {
 	Strategies []string
 	Sizes      []int
@@ -85,26 +85,13 @@ type Attribution struct {
 // topSetsShown is how many hottest sets TopSetShare aggregates over.
 const topSetsShown = 4
 
-// RunCompare builds each strategy (once for size-independent strategies,
-// per size otherwise) and evaluates the full grid. Layout construction is
-// serial (profile application mutates kernel weights); evaluation batches
-// cache sizes sharing a (trace, layout) pair through the single-pass engine
-// and runs the batches in parallel.
-func (e *Env) RunCompare(strategies []string, sizes []int, line, assoc int) (*Compare, error) {
-	return e.RunCompareDetail(strategies, sizes, line, assoc, false)
-}
-
-// RunCompareDetail is RunCompare with optional conflict attribution: in
-// detail mode every replay carries a SimStats observer and each grid cell
-// additionally reports its cold/self/cross decomposition, set-conflict
-// concentration and worst conflicting routine pair.
-func (e *Env) RunCompareDetail(strategies []string, sizes []int, line, assoc int, detail bool) (*Compare, error) {
-	return e.RunCompareOpts(strategies, sizes, line, assoc, CompareOptions{Detail: detail})
-}
-
-// CompareOptions tunes RunCompareOpts beyond the grid itself.
+// CompareOptions tunes RunCompareOpts beyond the grid itself; the zero
+// value runs the plain single-CPU grid.
 type CompareOptions struct {
-	// Detail attaches conflict attribution to every cell.
+	// Detail attaches conflict attribution to every cell: every replay
+	// carries a SimStats observer and each cell additionally reports its
+	// cold/self/cross decomposition, set-conflict concentration and worst
+	// conflicting routine pair.
 	Detail bool
 	// Partition, when non-empty, is a partition.Spec applied to every
 	// cell's cache (e.g. "static", "interval,every=4,grain=1"); dynamic
@@ -164,7 +151,11 @@ func selection(idx []int, n int, what string) ([]bool, error) {
 	return sel, nil
 }
 
-// RunCompareOpts is the full-option comparison engine.
+// RunCompareOpts builds each strategy (once for size-independent
+// strategies, per size otherwise) and evaluates the full grid. Layout
+// construction is serial (profile application mutates kernel weights);
+// evaluation batches cache sizes sharing a (trace, layout) pair through the
+// single-pass engine and runs the batches in parallel.
 func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, opt CompareOptions) (*Compare, error) {
 	if len(strategies) == 0 {
 		return nil, fmt.Errorf("expt: compare needs at least one strategy")
@@ -259,36 +250,15 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 		}
 	}
 
-	c.Rates = make([][][]float64, len(sizes))
-	for si := range sizes {
-		c.Rates[si] = make([][]float64, nw)
-		for wi := 0; wi < nw; wi++ {
-			c.Rates[si][wi] = make([]float64, len(strategies))
-		}
-	}
+	ns, nk := len(sizes), len(strategies)
+	c.Rates = alloc3[float64](ns, nw, nk)
 	if detail {
-		c.Attr = make([][][]*Attribution, len(sizes))
-		for si := range sizes {
-			c.Attr[si] = make([][]*Attribution, nw)
-			for wi := 0; wi < nw; wi++ {
-				c.Attr[si][wi] = make([]*Attribution, len(strategies))
-			}
-		}
+		c.Attr = alloc3[*Attribution](ns, nw, nk)
 	}
 	if c.Partition != "" {
-		c.PartEvents = make([][][]uint64, len(sizes))
-		c.PartFinal = make([][][]string, len(sizes))
-		c.PartSplit = make([][][]cache.Partition, len(sizes))
-		for si := range sizes {
-			c.PartEvents[si] = make([][]uint64, nw)
-			c.PartFinal[si] = make([][]string, nw)
-			c.PartSplit[si] = make([][]cache.Partition, nw)
-			for wi := 0; wi < nw; wi++ {
-				c.PartEvents[si][wi] = make([]uint64, len(strategies))
-				c.PartFinal[si][wi] = make([]string, len(strategies))
-				c.PartSplit[si][wi] = make([]cache.Partition, len(strategies))
-			}
-		}
+		c.PartEvents = alloc3[uint64](ns, nw, nk)
+		c.PartFinal = alloc3[string](ns, nw, nk)
+		c.PartSplit = alloc3[cache.Partition](ns, nw, nk)
 	}
 
 	// Multi-CPU grids share one merged trace per workload across the
@@ -302,11 +272,11 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 	var srcs []*workload.MultiSource
 	var cpuMemo [][]cpuTraceMemo
 	if cpus > 1 {
-		c.CPURates = alloc4[float64](len(sizes), nw, len(strategies), cpus)
+		c.CPURates = alloc4[float64](ns, nw, nk, cpus)
 		appLs = make([]*layout.Layout, nw)
 		if opt.Private {
-			c.CPURefs = alloc4[uint64](len(sizes), nw, len(strategies), cpus)
-			c.CPUMisses = alloc4[uint64](len(sizes), nw, len(strategies), cpus)
+			c.CPURefs = alloc4[uint64](ns, nw, nk, cpus)
+			c.CPUMisses = alloc4[uint64](ns, nw, nk, cpus)
 			srcs = make([]*workload.MultiSource, nw)
 			cpuMemo = make([][]cpuTraceMemo, nw)
 			for wi := 0; wi < nw; wi++ {
@@ -322,16 +292,8 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 				cpuMemo[wi] = make([]cpuTraceMemo, cpus)
 			}
 		} else {
-			c.Evictions = make([][][]uint64, len(sizes))
-			c.CrossEvictions = make([][][]uint64, len(sizes))
-			for si := range sizes {
-				c.Evictions[si] = make([][]uint64, nw)
-				c.CrossEvictions[si] = make([][]uint64, nw)
-				for wi := 0; wi < nw; wi++ {
-					c.Evictions[si][wi] = make([]uint64, len(strategies))
-					c.CrossEvictions[si][wi] = make([]uint64, len(strategies))
-				}
-			}
+			c.Evictions = alloc3[uint64](ns, nw, nk)
+			c.CrossEvictions = alloc3[uint64](ns, nw, nk)
 			mtrs = make([]*trace.MultiTrace, nw)
 			for wi := 0; wi < nw; wi++ {
 				if !wsel[wi] {
@@ -476,7 +438,7 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 			}
 		} else {
 			var err error
-			if ress, err = e.EvalManyConfigured(tk.wi, osL, nil, cfgs, observers, setups); err != nil {
+			if ress, err = e.EvalMany(tk.wi, osL, nil, cfgs, observers, setups); err != nil {
 				return err
 			}
 		}
@@ -549,17 +511,23 @@ func (m *cpuTraceMemo) get(e *Env, ms *workload.MultiSource, cpu int) (*trace.Tr
 	return m.tr, m.err
 }
 
+// alloc3 allocates a zeroed [a][b][c] grid.
+func alloc3[T any](a, b, c int) [][][]T {
+	out := make([][][]T, a)
+	for i := range out {
+		out[i] = make([][]T, b)
+		for j := range out[i] {
+			out[i][j] = make([]T, c)
+		}
+	}
+	return out
+}
+
 // alloc4 allocates a zeroed [a][b][c][d] grid.
 func alloc4[T any](a, b, c, d int) [][][][]T {
 	out := make([][][][]T, a)
 	for i := range out {
-		out[i] = make([][][]T, b)
-		for j := range out[i] {
-			out[i][j] = make([][]T, c)
-			for k := range out[i][j] {
-				out[i][j][k] = make([]T, d)
-			}
-		}
+		out[i] = alloc3[T](b, c, d)
 	}
 	return out
 }

@@ -403,9 +403,10 @@ func (e *Env) RunReplacementPolicy() (*ReplacementPolicy, error) {
 	// Both policies share each (trace, layout) pair: batch them through the
 	// single-pass engine, in parallel over workload × layout.
 	layouts := []*layout.Layout{e.Base(), plan.Layout}
+	cfgs := []cache.Config{lru, rnd}
 	if err := e.parEach(len(e.St.Data)*2, func(j int) error {
 		i, li := j/2, j%2
-		ress, err := e.EvalMany(i, layouts[li], nil, []cache.Config{lru, rnd})
+		ress, err := e.EvalMany(i, layouts[li], nil, cfgs, e.progress(i, cfgs), nil)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"time"
 
 	"oslayout"
 	"oslayout/internal/cache"
@@ -114,7 +115,7 @@ func (e *Env) RunLineUtil() (*LineUtil, error) {
 	nw := len(e.St.Data)
 	appLs := make([]*layout.Layout, nw)
 	for i := range e.St.Data {
-		appLs[i] = e.AppBase(i)
+		appLs[i] = e.St.AppBaseLayout(i)
 	}
 	u.Util = make([][][3]float64, len(u.Lines))
 	for li := range u.Util {
@@ -123,10 +124,12 @@ func (e *Env) RunLineUtil() (*LineUtil, error) {
 	err = e.parEach(len(u.Lines)*nw*3, func(j int) error {
 		li, wi, k := j/(nw*3), (j/3)%nw, j%3
 		cfg := cache.Config{Size: 8 << 10, Line: u.Lines[li], Assoc: 1}
-		_, util, err := simulate.RunUtil(e.St.Data[wi].Trace, layouts[k], appLs[wi], cfg)
+		start := time.Now()
+		res, util, err := simulate.RunUtil(e.St.Data[wi].Trace, layouts[k], appLs[wi], cfg)
 		if err != nil {
 			return err
 		}
+		e.recordReplay(wi, start, res)
 		u.Util[li][wi][k] = util.Utilization()
 		return nil
 	})

@@ -130,7 +130,7 @@ func TestCompareMultiCPU(t *testing.T) {
 
 	// cpus<=1 must leave the classic grid untouched — same rates, same
 	// render, no multiprocessor fields.
-	classic, err := e.RunCompare(strategies, sizes, 32, 1)
+	classic, err := e.RunCompareOpts(strategies, sizes, 32, 1, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,16 +89,14 @@ func (e *Env) RunFigure18X() (*Figure18X, error) {
 	f.Final = make([][]string, nw)
 	f.Traj = make([][]string, nw)
 
-	// Application layouts come from the strategy cache; build them serially
-	// before the parallel evaluation (layout construction mutates weights).
+	// Build the application layouts serially before the parallel
+	// evaluation (layout construction mutates weights). A workload without
+	// an application keeps nil.
 	appOpts := make([]*oslayout.Layout, nw)
 	for i := 0; i < nw; i++ {
 		appOpt, err := e.AppOpt(i, cfg.Size, plan)
 		if err != nil {
 			return nil, err
-		}
-		if appOpt == nil {
-			appOpt = e.AppBase(i)
 		}
 		appOpts[i] = appOpt
 	}
@@ -119,7 +117,7 @@ func (e *Env) RunFigure18X() (*Figure18X, error) {
 			observers[r] = k
 			setups[r] = k.Bind
 		}
-		ress, err := e.EvalManyConfigured(i, plan.Layout, appOpts[i], cfgs, observers, setups)
+		ress, err := e.EvalMany(i, plan.Layout, appOpts[i], cfgs, observers, setups)
 		if err != nil {
 			return err
 		}

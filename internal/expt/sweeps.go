@@ -78,7 +78,7 @@ func (e *Env) RunFigure15() (*Figure15, error) {
 		for k, si := range tk.sis {
 			cfgs[k] = cache.Config{Size: f.Sizes[si], Line: 32, Assoc: 1}
 		}
-		ress, err := e.EvalMany(tk.wi, layoutsBySize[tk.sis[0]][tk.li], nil, cfgs)
+		ress, err := e.EvalMany(tk.wi, layoutsBySize[tk.sis[0]][tk.li], nil, cfgs, e.progress(tk.wi, cfgs), nil)
 		if err != nil {
 			return err
 		}
@@ -163,7 +163,11 @@ func (e *Env) RunFigure16() (*Figure16, error) {
 	for si, size := range f.Sizes {
 		var areas []int64
 		for _, cut := range f.Cutoffs {
-			plan, err := e.OptSCutoff(size, cut)
+			// An OptS variant per cutoff; cutoff 0 disables the area.
+			p := oslayout.DefaultPlacementParams(size)
+			p.SelfConfFreeCutoff = cut
+			p.Name = fmt.Sprintf("OptS-scf%g", cut)
+			plan, err := e.St.Optimize(p)
 			if err != nil {
 				return nil, err
 			}
@@ -188,7 +192,7 @@ func (e *Env) RunFigure16() (*Figure16, error) {
 		baseCfgs[si] = cache.Config{Size: size, Line: 32, Assoc: 1}
 	}
 	if err := e.parEach(nw, func(wi int) error {
-		ress, err := e.EvalMany(wi, base, nil, baseCfgs)
+		ress, err := e.EvalMany(wi, base, nil, baseCfgs, e.progress(wi, baseCfgs), nil)
 		if err != nil {
 			return err
 		}
@@ -294,7 +298,7 @@ func (e *Env) RunFigure17() (*Figure17, error) {
 	}
 	err = e.parEach(nw*3, func(j int) error {
 		wi, k := j/3, j%3
-		ress, err := e.EvalMany(wi, layouts[k], nil, cfgs)
+		ress, err := e.EvalMany(wi, layouts[k], nil, cfgs, e.progress(wi, cfgs), nil)
 		if err != nil {
 			return err
 		}
@@ -358,23 +362,42 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sep: both halves optimised for a half-size cache.
+	// Sep: half the cache for the OS, half for the application, both
+	// halves optimised for a half-size cache. The halves fold into one
+	// way-partitioned cache with dedicated OS and application ways.
 	halfPlan, err := e.Plan("opts", cfg.Size/2)
+	if err != nil {
+		return nil, err
+	}
+	halfCfg := cache.Config{Size: cfg.Size / 2, Line: cfg.Line, Assoc: cfg.Assoc}
+	sepCfg, err := oslayout.CombineSplit(halfCfg, halfCfg)
 	if err != nil {
 		return nil, err
 	}
 	// Resv: the SelfConfFree-qualifying blocks live in a dedicated 1KB
 	// cache; the OS image keeps them contiguous but reserves no windows in
 	// the other logical caches ("laid out without SelfConfFree area").
-	noSCF, err := e.plan("Resv/7K", func() (*oslayout.Plan, error) {
-		p := oslayout.DefaultPlacementParams(7 << 10)
-		p.Name = "Resv"
-		p.NoSCFWindows = true
-		return e.St.Optimize(p)
-	})
+	resvParams := oslayout.DefaultPlacementParams(7 << 10)
+	resvParams.Name = "Resv"
+	resvParams.NoSCFWindows = true
+	noSCF, err := e.St.Optimize(resvParams)
 	if err != nil {
 		return nil, err
 	}
+	// The reserved cache is a 1KB reserved way region for the hottest
+	// sequence blocks next to a 7KB main region, realised as one
+	// way-partitioned cache (the main region is 7-way so both regions index
+	// the same 32 sets; the historical model used a direct-mapped 7KB main
+	// cache — see EXPERIMENTS.md for the delta). A line straddling reserved
+	// and unreserved code routes reserved.
+	resvCfg, err := oslayout.CombineReserved(
+		cache.Config{Size: 1 << 10, Line: cfg.Line, Assoc: cfg.Assoc},
+		cache.Config{Size: 7 << 10, Line: cfg.Line, Assoc: 7 * cfg.Assoc})
+	if err != nil {
+		return nil, err
+	}
+	resvLines := oslayout.ReservedLines(noSCF.Layout, noSCF.SelfConfFree, resvCfg.Line)
+	resvSetup := []oslayout.CacheSetup{func(c *cache.Cache) error { return c.SetReservedLines(resvLines) }}
 	callPlan, err := e.Plan("optcall", cfg.Size)
 	if err != nil {
 		return nil, err
@@ -398,40 +421,25 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 		}
 		row = append(row, ratio(resA.Stats.TotalMisses(), baseTotal))
 
-		// Sep: half the cache for the OS, half for the application.
-		halfCfg := cache.Config{Size: cfg.Size / 2, Line: cfg.Line, Assoc: cfg.Assoc}
 		appHalf, err := e.AppOpt(i, halfCfg.Size, halfPlan)
 		if err != nil {
 			return nil, err
 		}
-		if appHalf == nil {
-			appHalf = e.AppBase(i)
-		}
-		resSep, err := e.St.EvaluateSplit(i, halfPlan.Layout, appHalf, halfCfg, halfCfg)
+		resSep, err := e.EvalMany(i, halfPlan.Layout, appHalf, []cache.Config{sepCfg}, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, ratio(resSep.Stats.TotalMisses(), baseTotal))
+		row = append(row, ratio(resSep[0].Stats.TotalMisses(), baseTotal))
 
-		// Resv: a 1KB reserved way region for the hottest sequence blocks
-		// next to a 7KB main region, realised as one way-partitioned cache
-		// (the main region is 7-way so both regions index the same 32 sets;
-		// the historical model used a direct-mapped 7KB main cache — see
-		// EXPERIMENTS.md for the delta).
-		smallCfg := cache.Config{Size: 1 << 10, Line: cfg.Line, Assoc: cfg.Assoc}
-		mainCfg := cache.Config{Size: 7 << 10, Line: cfg.Line, Assoc: 7 * cfg.Assoc}
 		appOptR, err := e.AppOpt(i, cfg.Size, noSCF)
 		if err != nil {
 			return nil, err
 		}
-		if appOptR == nil {
-			appOptR = e.AppBase(i)
-		}
-		resResv, err := e.St.EvaluateReserved(i, noSCF.Layout, appOptR, noSCF.SelfConfFree, smallCfg, mainCfg)
+		resResv, err := e.EvalMany(i, noSCF.Layout, appOptR, []cache.Config{resvCfg}, nil, resvSetup)
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, ratio(resResv.Stats.TotalMisses(), baseTotal))
+		row = append(row, ratio(resResv[0].Stats.TotalMisses(), baseTotal))
 
 		// Call: the advanced Section 4.4 loop optimisation plus OptA app.
 		appOptC, err := e.AppOpt(i, cfg.Size, callPlan)

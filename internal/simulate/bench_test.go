@@ -34,7 +34,7 @@ func BenchmarkDriveChain(b *testing.B) {
 	if app != nil {
 		appL = layout.NewBase(app.Prog, AppBase)
 	}
-	s, err := Compile(tr, osL, appL, 32)
+	s, err := CompileEvents(Decode(tr), tr, osL, appL, 32)
 	if err != nil {
 		b.Fatal(err)
 	}

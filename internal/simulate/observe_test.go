@@ -5,18 +5,29 @@ import (
 	"testing"
 
 	"oslayout/internal/cache"
+	"oslayout/internal/layout"
 	"oslayout/internal/obs"
+	"oslayout/internal/trace"
 )
 
+// runObserved replays one configuration with one observer attached.
+func runObserved(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config, o obs.Observer) (*Result, error) {
+	ress, err := RunManyOpt(t, osL, appL, []cache.Config{cfg}, Options{Observers: []obs.Observer{o}})
+	if err != nil {
+		return nil, err
+	}
+	return ress[0], nil
+}
+
 // TestRunManyObserverNeutrality is the observer-neutrality guard: across
-// the mixed 13-config equivalence grid, RunMany with a recording observer
-// on every configuration and RunMany with nil observers must produce
-// bit-identical Results — observation may only read, never perturb. The
-// cases also cover partial attachment (only some configs observed) and the
-// single-config RunObserved wrapper.
+// the mixed 13-config equivalence grid, RunManyOpt with a recording
+// observer on every configuration and RunManyOpt with nil observers must
+// produce bit-identical Results — observation may only read, never perturb.
+// The cases also cover partial attachment (only some configs observed) and
+// a single observed configuration.
 func TestRunManyObserverNeutrality(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
-	plain, err := RunMany(tr, osL, appL, equivalenceGrid)
+	plain, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +61,13 @@ func TestRunManyObserverNeutrality(t *testing.T) {
 					stats[i] = o.(*obs.SimStats)
 				}
 			}
-			observed, err := RunManyObserved(tr, osL, appL, equivalenceGrid, observers)
+			observed, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{Observers: observers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, cfg := range equivalenceGrid {
 				if !reflect.DeepEqual(plain[i], observed[i]) {
-					t.Errorf("%v: observed result differs from plain RunMany\n  plain:    %+v\n  observed: %+v",
+					t.Errorf("%v: observed result differs from the unobserved replay\n  plain:    %+v\n  observed: %+v",
 						cfg, plain[i].Stats, observed[i].Stats)
 				}
 				s := stats[i]
@@ -96,22 +107,22 @@ func TestRunManyObserverNeutrality(t *testing.T) {
 		})
 	}
 
-	// RunObserved must match Run on the reference configuration.
+	// A single observed configuration must match Run.
 	for _, cfg := range equivalenceGrid[:3] {
 		one, err := Run(tr, osL, appL, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ob := obs.NewSimStats(0)
-		got, err := RunObserved(tr, osL, appL, cfg, ob)
+		got, err := runObserved(tr, osL, appL, cfg, ob)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(one, got) {
-			t.Errorf("%v: RunObserved differs from Run", cfg)
+			t.Errorf("%v: observed replay differs from Run", cfg)
 		}
 		if ob.TotalMisses() != one.Stats.TotalMisses() {
-			t.Errorf("%v: RunObserved observer misses %d, want %d", cfg, ob.TotalMisses(), one.Stats.TotalMisses())
+			t.Errorf("%v: observer misses %d, want %d", cfg, ob.TotalMisses(), one.Stats.TotalMisses())
 		}
 	}
 }
@@ -119,7 +130,7 @@ func TestRunManyObserverNeutrality(t *testing.T) {
 func TestRunManyObservedValidation(t *testing.T) {
 	tr, osL := conflictTrace(4)
 	cfgs := []cache.Config{{Size: 64, Line: 32, Assoc: 1}}
-	if _, err := RunManyObserved(tr, osL, nil, cfgs, make([]obs.Observer, 2)); err == nil {
+	if _, err := RunManyOpt(tr, osL, nil, cfgs, Options{Observers: make([]obs.Observer, 2)}); err == nil {
 		t.Error("mismatched observer count accepted")
 	}
 }
@@ -143,7 +154,7 @@ func BenchmarkRunManyNilObserver(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunManyObserved(tr, osL, appL, grid, nil); err != nil {
+		if _, err := RunManyOpt(tr, osL, appL, grid, Options{Observers: nil}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +181,7 @@ func TestRunObservedWindowFlush(t *testing.T) {
 		idxs = append(idxs, idx)
 		flushed = append(flushed, w)
 	}
-	got, err := RunObserved(tr, osL, appL, cfg, s)
+	got, err := runObserved(tr, osL, appL, cfg, s)
 	if err != nil {
 		t.Fatal(err)
 	}

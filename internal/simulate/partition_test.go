@@ -102,7 +102,7 @@ func TestPartitionedSplitMatchesLegacyTwoCache(t *testing.T) {
 	combined := cache.Config{Size: 2 << 10, Line: 32, Assoc: 2,
 		Part: cache.Partition{OSWays: 1, AppWays: 1}}
 	blocks := obs.NewBlockMisses(tr)
-	got, err := RunObserved(tr, osL, appL, combined, blocks)
+	got, err := runObserved(tr, osL, appL, combined, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ import (
 // exactly sized, window — and every worker count.
 func TestStreamedMatchesMaterialised(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
-	want, err := RunMany(tr, osL, appL, equivalenceGrid)
+	want, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Compile(tr, osL, appL, 32)
+	s, err := CompileEvents(Decode(tr), tr, osL, appL, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ type runner struct {
 // bind repartitioning policies (internal/partition).
 type CacheSetup func(*cache.Cache) error
 
-// Options tunes a RunManyOpt replay. The zero value reproduces RunMany
-// exactly: no observers, no setups, direct compilation, sequential drive.
+// Options tunes a RunManyOpt replay. The zero value selects no observers,
+// no setups, direct compilation and the sequential drive.
 type Options struct {
 	// Observers, when non-nil, must match the configs in length;
 	// Observers[i] (which may be nil) watches config i's replay.
@@ -42,7 +42,7 @@ type Options struct {
 	// Streams supplies compiled line streams; nil compiles directly,
 	// sharing one trace decode across the call's line sizes. A memoizing
 	// source (internal/streamcache) additionally shares compilations across
-	// RunMany calls.
+	// RunManyOpt calls.
 	Streams StreamSource
 	// Workers bounds the drive worker pool. Values <= 1 select the
 	// sequential path: one pass per line-size group driving every cache of
@@ -55,45 +55,24 @@ type Options struct {
 	Workers int
 }
 
-// RunMany is the single-pass multi-configuration engine: where repeated Run
-// calls replay the trace once per cache organisation — re-decoding every
-// event and re-resolving every block address each time — RunMany compiles
-// the trace once per distinct line size into a flat pre-elided line stream
-// (see Compile) and drives all caches sharing that line size from it (in
-// the spirit of Hill & Smith's all-associativity and the Cheetah-style
-// single-pass simulators cited by the paper's successors). It returns one
-// Result per config in order, each bit-identical to the one the equivalent
-// Run call produces. appL may be nil when the trace has no application.
-func RunMany(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config) ([]*Result, error) {
-	return RunManyOpt(t, osL, appL, cfgs, Options{})
-}
-
-// RunObserved is Run with an attached observer: the replay additionally
-// reports every trace event, classified miss and eviction to o, from which
-// collectors like obs.SimStats derive per-set conflict histograms,
-// provenance breakdowns, windowed miss-rate series and conflicting line
-// pairs. The returned Result is bit-identical to Run's.
-func RunObserved(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config, o obs.Observer) (*Result, error) {
-	ress, err := RunManyOpt(t, osL, appL, []cache.Config{cfg}, Options{Observers: []obs.Observer{o}})
-	if err != nil {
-		return nil, err
-	}
-	return ress[0], nil
-}
-
-// RunManyObserved is RunMany with optional per-configuration observers.
-func RunManyObserved(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, observers []obs.Observer) ([]*Result, error) {
-	return RunManyOpt(t, osL, appL, cfgs, Options{Observers: observers})
-}
-
-// RunManyOpt is the full-control entry point of the engine: RunMany plus
-// per-config observers, a pluggable stream source and a bounded parallel
-// drive. Observation is gated at unit-setup time — a unit whose
-// configurations carry no observer runs through exactly the unobserved
-// drive loop, so the nil case stays bit-identical and pays nothing per
-// access. Observed units keep the repeat-elision and inclusion-chain fast
-// paths: both elide only hits, which change no state, so every miss-derived
-// metric the observers see is exact.
+// RunManyOpt is the single-pass multi-configuration engine: where repeated
+// Run calls replay the trace once per cache organisation — re-decoding every
+// event and re-resolving every block address each time — RunManyOpt
+// compiles the trace once per distinct line size into a flat pre-elided line
+// stream (see CompileEvents) and drives all caches sharing that line size
+// from it (in the spirit of Hill & Smith's all-associativity and the
+// Cheetah-style single-pass simulators cited by the paper's successors). It
+// returns one Result per config in order, each bit-identical to the one the
+// equivalent Run call produces. appL may be nil when the trace has no
+// application.
+//
+// Options add per-config observers and setups, a pluggable stream source
+// and a bounded parallel drive. Observation is gated at unit-setup time — a
+// unit whose configurations carry no observer runs through exactly the
+// unobserved drive loop, so the nil case stays bit-identical and pays
+// nothing per access. Observed units keep the repeat-elision and
+// inclusion-chain fast paths: both elide only hits, which change no state,
+// so every miss-derived metric the observers see is exact.
 func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, opt Options) ([]*Result, error) {
 	observers := opt.Observers
 	if observers != nil && len(observers) != len(cfgs) {

@@ -14,7 +14,7 @@ import (
 // mixedTrace builds a representative two-domain trace: an OS program and an
 // application program with varied block sizes (1 to 5 lines each at 32B),
 // a locality-skewed random event stream, and invocation markers sprinkled
-// in (RunMany must skip them exactly like Run does).
+// in (RunManyOpt must skip them exactly like Run does).
 func mixedTrace(events int, seed int64) (*trace.Trace, *layout.Layout, *layout.Layout) {
 	sizes := []int32{4, 8, 12, 20, 32, 36, 64, 100, 144, 8, 16, 24, 60}
 	build := func(name string, n int) *program.Program {
@@ -57,7 +57,7 @@ func mixedTrace(events int, seed int64) (*trace.Trace, *layout.Layout, *layout.L
 var equivalenceGrid = []cache.Config{
 	{Size: 1 << 10, Line: 16, Assoc: 1},
 	// Nested direct-mapped power-of-two sizes at one line size, listed out
-	// of order: these form the inclusion chain inside RunMany.
+	// of order: these form the inclusion chain inside RunManyOpt.
 	{Size: 4 << 10, Line: 32, Assoc: 1},
 	{Size: 1 << 10, Line: 32, Assoc: 1},
 	{Size: 2 << 10, Line: 32, Assoc: 1},
@@ -77,7 +77,7 @@ var equivalenceGrid = []cache.Config{
 
 func TestRunManyMatchesIndividualRuns(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
-	many, err := RunMany(tr, osL, appL, equivalenceGrid)
+	many, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRunManyMatchesIndividualRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(one, many[i]) {
-			t.Errorf("%v: RunMany result differs from Run\n  Run:     %+v\n  RunMany: %+v",
+			t.Errorf("%v: RunManyOpt result differs from Run\n  Run:        %+v\n  RunManyOpt: %+v",
 				cfg, one.Stats, many[i].Stats)
 		}
 		if many[i].Stats.TotalMisses() == 0 {
@@ -106,7 +106,7 @@ func TestRunManyOSOnlyTrace(t *testing.T) {
 		{Size: 128, Line: 32, Assoc: 1},
 		{Size: 64, Line: 64, Assoc: 1},
 	}
-	many, err := RunMany(tr, osL, nil, cfgs)
+	many, err := RunManyOpt(tr, osL, nil, cfgs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +127,15 @@ func TestRunManyOSOnlyTrace(t *testing.T) {
 
 func TestRunManyValidation(t *testing.T) {
 	tr, osL := conflictTrace(2)
-	if _, err := RunMany(tr, osL, nil, []cache.Config{{Size: 100, Line: 32, Assoc: 1}}); err == nil {
+	if _, err := RunManyOpt(tr, osL, nil, []cache.Config{{Size: 100, Line: 32, Assoc: 1}}, Options{}); err == nil {
 		t.Error("invalid config accepted")
 	}
 	other, _, _ := mixedTrace(10, 1)
 	foreign := layout.NewBase(other.OS, 0)
-	if _, err := RunMany(tr, foreign, nil, []cache.Config{{Size: 64, Line: 32, Assoc: 1}}); err == nil {
+	if _, err := RunManyOpt(tr, foreign, nil, []cache.Config{{Size: 64, Line: 32, Assoc: 1}}, Options{}); err == nil {
 		t.Error("foreign layout accepted")
 	}
-	res, err := RunMany(tr, osL, nil, nil)
+	res, err := RunManyOpt(tr, osL, nil, nil, Options{})
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty config list: res=%v err=%v", res, err)
 	}

@@ -44,7 +44,7 @@ func TestSharedSingleCPUMatchesRunMany(t *testing.T) {
 	}
 	for i := range equivalenceGrid {
 		if !reflect.DeepEqual(want[i], got[i].Result) {
-			t.Errorf("%v: shared single-CPU result differs from RunMany\n  want: %+v\n  got:  %+v",
+			t.Errorf("%v: shared single-CPU result differs from RunManyOpt\n  want: %+v\n  got:  %+v",
 				equivalenceGrid[i], want[i].Stats, got[i].Stats)
 		}
 	}

@@ -46,7 +46,7 @@ func TestRunCountsConflictMisses(t *testing.T) {
 	}
 	// Per-block attribution, from an attached observer.
 	blocks := obs.NewBlockMisses(tr)
-	if _, err := RunObserved(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, blocks); err != nil {
+	if _, err := runObserved(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, blocks); err != nil {
 		t.Fatal(err)
 	}
 	if blocks.Misses[trace.DomainOS][0] != 10 || blocks.Misses[trace.DomainOS][1] != 10 {
@@ -129,7 +129,7 @@ func TestPartitionedSplitIsolatesDomains(t *testing.T) {
 	}
 	splitCfg := cache.Config{Size: 64, Line: 32, Assoc: 2,
 		Part: cache.Partition{OSWays: 1, AppWays: 1}}
-	ress, err := RunMany(tr, osL, appL, []cache.Config{splitCfg})
+	ress, err := RunManyOpt(tr, osL, appL, []cache.Config{splitCfg}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPartitionedReservedRoutesReservedLines(t *testing.T) {
 func TestMissAndRefHistograms(t *testing.T) {
 	tr, l := conflictTrace(5)
 	blocks := obs.NewBlockMisses(tr)
-	if _, err := RunObserved(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, blocks); err != nil {
+	if _, err := runObserved(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, blocks); err != nil {
 		t.Fatal(err)
 	}
 	h := HistogramOf(blocks.Misses[trace.DomainOS], l, 64)

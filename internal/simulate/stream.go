@@ -26,7 +26,7 @@ import (
 // Sharing the resolved reference stream across configurations is the classic
 // single-pass trick (Hill & Smith's all-associativity simulation, the
 // Cheetah simulator); compiling it into a reusable artifact moves the
-// amortisation one level up, across RunMany calls.
+// amortisation one level up, across RunManyOpt calls.
 
 // Events is the layout-independent decode of one trace: one packed
 // (domain, block) record per basic-block event, the per-block
@@ -86,14 +86,14 @@ func (ev *Events) Bytes() int64 {
 // Stream is the compiled line stream of one (trace, OS layout, app layout,
 // line size) tuple: every block event's line span expanded and consecutive
 // same-line accesses elided, exactly as the drive loops used to do per
-// replay. A Stream is immutable after Compile; any number of drive workers
-// and RunMany calls may read it concurrently.
+// replay. A Stream is immutable after CompileEvents; any number of drive
+// workers and RunManyOpt calls may read it concurrently.
 type Stream struct {
 	lineSize int
 	ev       *Events
 	// accs is the elided line-access sequence, one 4-byte word per access:
 	// the fetching domain in bit 31, where the event's attr has it, and the
-	// line address below. Compile rejects layouts whose line addresses
+	// line address below. CompileEvents rejects layouts whose line addresses
 	// reach 2^31 (a >2G-line code image).
 	accs []uint32
 	// eventEnd[i] is the end offset into accs of block event i's accesses
@@ -107,17 +107,13 @@ type Stream struct {
 // domain bit sits above it.
 const streamLineMask = 1<<eventDomainShift - 1
 
-// Compile resolves, expands and elides the trace's line accesses for one
-// line size under the given layouts. appL may be nil when the trace has no
-// application. lineSize must be a positive power of two.
-func Compile(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error) {
-	return CompileEvents(Decode(t), t, osL, appL, lineSize)
-}
-
-// CompileEvents is Compile over an already-decoded event stream, so callers
-// compiling one trace under many layouts or line sizes (the stream cache)
-// share a single decode. ev must be Decode(t). The whole stream is one
-// window of the chunked pipeline's compiler.
+// CompileEvents resolves, expands and elides the trace's line accesses for
+// one line size under the given layouts. appL may be nil when the trace has
+// no application; lineSize must be a positive power of two. It works on an
+// already-decoded event stream, so callers compiling one trace under many
+// layouts or line sizes (the stream cache) share a single decode. ev must be
+// Decode(t). The whole stream is one window of the chunked pipeline's
+// compiler.
 func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error) {
 	if err := checkLayouts(t, osL, appL); err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 
 func TestCompileStreamProperties(t *testing.T) {
 	tr, osL, appL := mixedTrace(20_000, 7)
-	s, err := Compile(tr, osL, appL, 32)
+	s, err := CompileEvents(Decode(tr), tr, osL, appL, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +77,18 @@ func TestCompileStreamProperties(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	tr, osL, appL := mixedTrace(100, 3)
-	if _, err := Compile(tr, osL, appL, 48); err == nil {
+	if _, err := CompileEvents(Decode(tr), tr, osL, appL, 48); err == nil {
 		t.Error("non-power-of-two line size accepted")
 	}
-	if _, err := Compile(tr, osL, appL, 0); err == nil {
+	if _, err := CompileEvents(Decode(tr), tr, osL, appL, 0); err == nil {
 		t.Error("zero line size accepted")
 	}
 	other, _, _ := mixedTrace(10, 4)
 	foreign := layout.NewBase(other.OS, 0)
-	if _, err := Compile(tr, foreign, appL, 32); err == nil {
+	if _, err := CompileEvents(Decode(tr), tr, foreign, appL, 32); err == nil {
 		t.Error("foreign OS layout accepted")
 	}
-	if _, err := Compile(tr, osL, nil, 32); err == nil {
+	if _, err := CompileEvents(Decode(tr), tr, osL, nil, 32); err == nil {
 		t.Error("missing app layout accepted for two-domain trace")
 	}
 
@@ -125,7 +125,7 @@ func TestCompileErrors(t *testing.T) {
 // must reproduce the sequential results bit for bit, at every pool width.
 func TestParallelDriveBitIdentical(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
-	seq, err := RunMany(tr, osL, appL, equivalenceGrid)
+	seq, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func (c *countingSource) Stream(t *trace.Trace, osL, appL *layout.Layout, lineSi
 
 func TestRunManyOptStreamSource(t *testing.T) {
 	tr, osL, appL := mixedTrace(15_000, 5)
-	want, err := RunMany(tr, osL, appL, equivalenceGrid)
+	want, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,9 +95,10 @@ func (c *Cache) Build(name string, p Params) (*Built, error) {
 }
 
 // Custom memoizes a caller-supplied build under an opaque key, for
-// parameter variants outside the registry (SelfConfFree-cutoff sweeps, the
-// Resv setup, per-workload application layouts). Keys live in a separate
-// namespace from registered strategy names.
+// parameter variants outside the registry (Study.Optimize keys its full
+// placement parameters here). Keys live in a separate namespace from
+// registered strategy names. build runs under the cache lock, so it must
+// not call back into the cache.
 func (c *Cache) Custom(key string, build func(Study) (*layout.Layout, *core.Plan, error)) (*Built, error) {
 	k := cacheKey{name: "custom:" + key}
 	c.mu.Lock()

@@ -73,18 +73,34 @@ func TestCacheConcurrentBuilds(t *testing.T) {
 }
 
 // TestConcurrentBuildStrategy is the public-API face of the same property:
-// two (and more) concurrent Study.BuildStrategy calls — same key and
+// concurrent Study.BuildStrategy and Study.Optimize calls — same key and
 // different keys — must be safe and deterministic. Before builds were
 // routed through the study's cache, this raced on the kernel program's
-// weight fields.
+// weight fields. The Optimize calls use a non-default SelfConfFree cutoff,
+// a parameter variant outside the strategy registry.
 func TestConcurrentBuildStrategy(t *testing.T) {
 	st := testStudy(t)
+	params := oslayout.DefaultPlacementParams(8 << 10)
+	params.Name = "OptS-scf0.01"
+	params.SelfConfFreeCutoff = 0.01
+	build := func(st *oslayout.Study, name string) (*oslayout.Layout, error) {
+		if name == "optimize" {
+			plan, err := st.Optimize(params)
+			if err != nil {
+				return nil, err
+			}
+			return plan.Layout, nil
+		}
+		l, _, err := st.BuildStrategy(name, 8<<10)
+		return l, err
+	}
+	names := []string{"ch", "opts", "optimize"}
 
 	// Reference placements, built serially on a second identical study.
 	ref := testStudy(t)
 	refAddr := map[string][]uint64{}
-	for _, name := range []string{"ch", "opts"} {
-		l, _, err := ref.BuildStrategy(name, 8<<10)
+	for _, name := range names {
+		l, err := build(ref, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,15 +108,12 @@ func TestConcurrentBuildStrategy(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 9; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			name := "ch"
-			if g%2 == 1 {
-				name = "opts"
-			}
-			l, _, err := st.BuildStrategy(name, 8<<10)
+			name := names[g%len(names)]
+			l, err := build(st, name)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				return

@@ -69,36 +69,30 @@ func TestProfileSwitching(t *testing.T) {
 
 func TestLayoutFamilyOnStudy(t *testing.T) {
 	st := smallStudy(t)
-	base := st.BaseLayout()
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"base", "ch", "opts", "optl", "optcall"} {
+		l, _ := mustBuild(t, st, name, 8<<10)
+		if err := l.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	ch, err := st.CHLayout()
+}
+
+// mustBuild builds a registered strategy's kernel layout, failing the test
+// on error.
+func mustBuild(t testing.TB, st *Study, name string, cacheSize int) (*Layout, *Plan) {
+	t.Helper()
+	l, plan, err := st.BuildStrategy(name, cacheSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, build := range []func(int) (*Plan, error){st.OptS, st.OptL, st.OptCall} {
-		plan, err := build(8 << 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := plan.Layout.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return l, plan
 }
 
 func TestEvaluateAgainstEachLayout(t *testing.T) {
 	st := smallStudy(t)
 	cfg := CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
-	base := st.BaseLayout()
-	plan, err := st.OptS(cfg.Size)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _ := mustBuild(t, st, "base", 0)
+	_, plan := mustBuild(t, st, "opts", cfg.Size)
 	for i := range st.Data {
 		rb, err := st.Evaluate(i, base, nil, cfg)
 		if err != nil {
@@ -121,10 +115,7 @@ func TestEvaluateAgainstEachLayout(t *testing.T) {
 
 func TestAppOptLayout(t *testing.T) {
 	st := smallStudy(t)
-	plan, err := st.OptS(8 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, plan := mustBuild(t, st, "opts", 8<<10)
 	hot := OSHotBytes(plan, 8<<10)
 	if hot <= 0 || hot > 8<<10 {
 		t.Fatalf("OSHotBytes = %d", hot)
@@ -160,14 +151,20 @@ func TestAppOptLayout(t *testing.T) {
 func TestEvaluateSplitAndReserved(t *testing.T) {
 	st := smallStudy(t)
 	half := CacheConfig{Size: 4 << 10, Line: 32, Assoc: 1}
-	plan, err := st.OptS(4 << 10)
+	_, plan := mustBuild(t, st, "opts", 4<<10)
+	evalOne := func(cfg CacheConfig, setup CacheSetup) *Result {
+		t.Helper()
+		ress, err := st.EvaluateMany(1, plan.Layout, nil, []CacheConfig{cfg}, nil, []CacheSetup{setup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ress[0]
+	}
+	split, err := CombineSplit(half, half)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.EvaluateSplit(1, plan.Layout, nil, half, half)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := evalOne(split, nil)
 	if res.Stats.TotalRefs() == 0 {
 		t.Fatal("split run produced no references")
 	}
@@ -176,13 +173,17 @@ func TestEvaluateSplitAndReserved(t *testing.T) {
 	// 7KB 7-way, 32 sets each.
 	small := CacheConfig{Size: 1 << 10, Line: 32, Assoc: 1}
 	main := CacheConfig{Size: 7 << 10, Line: 32, Assoc: 7}
-	resv, err := st.EvaluateReserved(1, plan.Layout, nil, plan.SelfConfFree, small, main)
+	resvCfg, err := CombineReserved(small, main)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lines := ReservedLines(plan.Layout, plan.SelfConfFree, resvCfg.Line)
+	if len(lines) == 0 {
+		t.Fatal("the SelfConfFree area occupies no lines")
+	}
+	resv := evalOne(resvCfg, func(c *cache.Cache) error { return c.SetReservedLines(lines) })
 	// The legacy direct-mapped main config maps to 224 sets and is rejected.
-	if _, err := st.EvaluateReserved(1, plan.Layout, nil, plan.SelfConfFree,
-		small, CacheConfig{Size: 7 << 10, Line: 32, Assoc: 1}); err == nil {
+	if _, err := CombineReserved(small, CacheConfig{Size: 7 << 10, Line: 32, Assoc: 1}); err == nil {
 		t.Fatal("mismatched set counts accepted")
 	}
 	if resv.Stats.TotalRefs() != res.Stats.TotalRefs() {
@@ -197,11 +198,8 @@ func TestEvaluateSplitAndReserved(t *testing.T) {
 func TestCrossProfileRobustness(t *testing.T) {
 	st := smallStudy(t)
 	cfg := CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
-	base := st.BaseLayout()
-	avgPlan, err := st.OptS(cfg.Size)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _ := mustBuild(t, st, "base", 0)
+	_, avgPlan := mustBuild(t, st, "opts", cfg.Size)
 	for i := range st.Data {
 		rb, err := st.Evaluate(i, base, nil, cfg)
 		if err != nil {
@@ -225,14 +223,8 @@ func TestStudyDeterminism(t *testing.T) {
 			t.Fatalf("%s: studies differ", a.Data[i].Workload.Name)
 		}
 	}
-	pa, err := a.OptS(8 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := b.OptS(8 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pa := mustBuild(t, a, "opts", 8<<10)
+	_, pb := mustBuild(t, b, "opts", 8<<10)
 	for i := range pa.Layout.Addr {
 		if pa.Layout.Addr[i] != pb.Layout.Addr[i] {
 			t.Fatal("OptS layouts differ between identical studies")
@@ -257,13 +249,13 @@ func TestWarmReplayAllocation(t *testing.T) {
 	}
 	const reps = 5
 	for i := range st.Data {
-		if _, err := st.EvaluateMany(i, osL, nil, cfgs); err != nil { // compiles the streams
+		if _, err := st.EvaluateMany(i, osL, nil, cfgs, nil, nil); err != nil { // compiles the streams
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for r := 0; r < reps; r++ {
-			if _, err := st.EvaluateMany(i, osL, nil, cfgs); err != nil {
+			if _, err := st.EvaluateMany(i, osL, nil, cfgs, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -312,15 +304,9 @@ func TestShapesHoldAcrossKernelSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
-		base := st.BaseLayout()
-		ch, err := st.CHLayout()
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := st.OptS(cfg.Size)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, _ := mustBuild(t, st, "base", 0)
+		ch, _ := mustBuild(t, st, "ch", 0)
+		_, plan := mustBuild(t, st, "opts", cfg.Size)
 		var mb, mc, mo uint64
 		for i := range st.Data {
 			rb, err := st.Evaluate(i, base, nil, cfg)
@@ -363,7 +349,7 @@ func TestStudyTraceRoundTripSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
-	base := st.BaseLayout()
+	base, _ := mustBuild(t, st, "base", 0)
 	orig, err := st.Evaluate(3, base, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

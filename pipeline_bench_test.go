@@ -63,7 +63,7 @@ func BenchmarkPipelineMaterialised3M(b *testing.B) {
 	osL := layout.NewBase(k.Prog, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := simulate.RunMany(tr, osL, nil, pipelineGrid); err != nil {
+		if _, err := simulate.RunManyOpt(tr, osL, nil, pipelineGrid, simulate.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
