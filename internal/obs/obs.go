@@ -11,7 +11,7 @@
 //     per-set occupancy and conflict histograms, eviction-provenance
 //     breakdowns, a windowed miss-rate time series over the trace, and the
 //     top-N conflicting line pairs. Attached at group-setup time by
-//     simulate.RunManyObserved; a nil observer costs nothing (the replay
+//     simulate.RunManyOpt; a nil observer costs nothing (the replay
 //     engine keeps its unobserved fast paths). BlockMisses is the
 //     per-block miss attribution observer.
 //   - Recorder: scoped spans and counters timing study build, trace
