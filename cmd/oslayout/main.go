@@ -404,7 +404,7 @@ func conflictReports(env *expt.Env, rec *oslayout.Recorder) ([]obs.ConflictRepor
 	var reps []obs.ConflictReport
 	for i, d := range env.St.Data {
 		s := oslayout.NewSimStats(0)
-		res, err := env.EvalMany(i, base, nil, []oslayout.CacheConfig{cfg}, []obs.Observer{s}, nil)
+		res, err := env.EvalMany(i, []oslayout.Group{{OS: base, Configs: []oslayout.CacheConfig{cfg}}}, []obs.Observer{s}, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -377,8 +377,9 @@ func (c *Cache) AccessLine(line uint64, d trace.Domain) MissClass {
 }
 
 // AccessFunc returns the geometry-specialised access implementation, the
-// same function AccessLine dispatches to. Batch drivers (simulate.RunManyOpt)
-// hoist it out of their inner loops to skip the method dispatch.
+// same function AccessLine dispatches to. The batched replay engine
+// (simulate.RunGroups) hoists it out of its inner loops to skip the method
+// dispatch.
 func (c *Cache) AccessFunc() func(line uint64, d trace.Domain) MissClass {
 	return c.access
 }

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"oslayout"
@@ -20,8 +19,8 @@ import (
 // Compare evaluates an arbitrary set of registered layout strategies over
 // the workload × cache-size grid — the engine behind the CLI's `compare`
 // subcommand. It is the generalisation of Figure 15-(a): any strategy mix,
-// any size ladder, one batched trace replay per (workload, layout) through
-// Env.EvalMany (see Env.RunCompareOpts).
+// any size ladder, one trace replay per workload under every strategy's
+// layouts through Env.EvalMany (see Env.RunCompareOpts).
 type Compare struct {
 	Strategies []string
 	Sizes      []int
@@ -154,8 +153,9 @@ func selection(idx []int, n int, what string) ([]bool, error) {
 // RunCompareOpts builds each strategy (once for size-independent
 // strategies, per size otherwise) and evaluates the full grid. Layout
 // construction is serial (profile application mutates kernel weights);
-// evaluation batches cache sizes sharing a (trace, layout) pair through the
-// single-pass engine and runs the batches in parallel.
+// evaluation replays each trace once through the single-pass engine, under
+// one group per (strategy, layout) that batches the cache sizes sharing the
+// layout, and runs the traces' replays in parallel.
 func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, opt CompareOptions) (*Compare, error) {
 	if len(strategies) == 0 {
 		return nil, fmt.Errorf("expt: compare needs at least one strategy")
@@ -265,12 +265,11 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 	// strategy tasks; materialised or header-only per the study's pipeline
 	// mode, built serially (application image construction), replayed
 	// read-only in parallel below. Private grids keep the per-CPU sources
-	// separate instead and memoize each CPU's individual trace across the
-	// strategy tasks that replay it.
+	// separate instead; each CPU's trace is generated by the one task that
+	// replays it.
 	var mtrs []*trace.MultiTrace
 	var appLs []*layout.Layout
 	var srcs []*workload.MultiSource
-	var cpuMemo [][]cpuTraceMemo
 	if cpus > 1 {
 		c.CPURates = alloc4[float64](ns, nw, nk, cpus)
 		appLs = make([]*layout.Layout, nw)
@@ -278,7 +277,6 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 			c.CPURefs = alloc4[uint64](ns, nw, nk, cpus)
 			c.CPUMisses = alloc4[uint64](ns, nw, nk, cpus)
 			srcs = make([]*workload.MultiSource, nw)
-			cpuMemo = make([][]cpuTraceMemo, nw)
 			for wi := 0; wi < nw; wi++ {
 				if !wsel[wi] {
 					continue
@@ -289,7 +287,6 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 				}
 				srcs[wi] = ms
 				appLs[wi] = appBaseOf(ms)
-				cpuMemo[wi] = make([]cpuTraceMemo, cpus)
 			}
 		} else {
 			c.Evictions = alloc3[uint64](ns, nw, nk)
@@ -311,73 +308,96 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 		}
 	}
 
-	// One task per (workload, strategy): size-independent strategies ride
-	// all sizes on one trace replay; size-dependent ones get one task per
-	// size (each a single-config batch), mirroring Figure 15. Private grids
-	// fan out further, one task per (workload, strategy, cpu).
-	type task struct {
-		wi, k, cpu int // cpu is -1 outside private mode
-		sis        []int
+	// The replay plan: one group per (strategy, layout). A size-independent
+	// strategy rides all sizes on one group; a size-dependent one gets a
+	// single-config group per size, mirroring Figure 15.
+	type group struct {
+		k   int
+		sis []int
 	}
 	allSizes := make([]int, len(sizes))
 	for si := range sizes {
 		allSizes[si] = si
+	}
+	var plan []group
+	for k := range strategies {
+		if !ksel[k] {
+			continue
+		}
+		if !sized[k] {
+			plan = append(plan, group{k, allSizes})
+			continue
+		}
+		for si := range sizes {
+			plan = append(plan, group{k, []int{si}})
+		}
+	}
+	// One task per trace: a workload's trace, or one CPU's trace of a
+	// private grid, replays under every group of the plan in one pass, so a
+	// streamed study regenerates it once. Shared-cache grids replay each
+	// group of the merged trace on its own (RunShared takes one layout
+	// pair).
+	type task struct {
+		wi, cpu int // cpu is -1 outside private mode
+		groups  []group
 	}
 	var tasks []task
 	for wi := 0; wi < nw; wi++ {
 		if !wsel[wi] {
 			continue
 		}
-		for k := range strategies {
-			if !ksel[k] {
-				continue
-			}
-			var sisSets [][]int
-			if sized[k] {
-				for si := range sizes {
-					sisSets = append(sisSets, []int{si})
-				}
-			} else {
-				sisSets = [][]int{allSizes}
-			}
-			for _, sis := range sisSets {
-				if opt.Private {
-					for cpu := 0; cpu < cpus; cpu++ {
-						if csel[cpu] {
-							tasks = append(tasks, task{wi, k, cpu, sis})
-						}
-					}
-				} else {
-					tasks = append(tasks, task{wi, k, -1, sis})
+		switch {
+		case opt.Private:
+			for cpu := 0; cpu < cpus; cpu++ {
+				if csel[cpu] {
+					tasks = append(tasks, task{wi, cpu, plan})
 				}
 			}
+		case cpus > 1:
+			for _, g := range plan {
+				tasks = append(tasks, task{wi, -1, []group{g}})
+			}
+		default:
+			tasks = append(tasks, task{wi, -1, plan})
 		}
 	}
+	// cell locates one replayed configuration: its group in the task and
+	// its grid cell.
+	type cell struct{ gi, si, k int }
 	err = e.parEach(len(tasks), func(j int) error {
 		tk := tasks[j]
-		cfgs := make([]cache.Config, len(tk.sis))
-		for i, si := range tk.sis {
-			cfgs[i] = cache.Config{Size: sizes[si], Line: line, Assoc: assoc}
-			if c.Partition != "" {
-				cfgs[i].Part = spec.Initial()
-			}
+		var appL *layout.Layout
+		if appLs != nil {
+			appL = appLs[tk.wi]
 		}
-		osL := layoutsBySize[tk.sis[0]][tk.k]
+		var groups []simulate.Group
+		var cells []cell
+		for gi, g := range tk.groups {
+			cfgs := make([]cache.Config, len(g.sis))
+			for i, si := range g.sis {
+				cfgs[i] = cache.Config{Size: sizes[si], Line: line, Assoc: assoc}
+				if c.Partition != "" {
+					cfgs[i].Part = spec.Initial()
+				}
+				cells = append(cells, cell{gi, si, g.k})
+			}
+			groups = append(groups, simulate.Group{OS: layoutsBySize[g.sis[0]][g.k], App: appL, Configs: cfgs})
+		}
 		var observers []obs.Observer
 		var stats []*obs.SimStats
 		var setups []oslayout.CacheSetup
 		var ctrls []*partition.Controller
 		if detail || spec.Dynamic() {
-			observers = make([]obs.Observer, len(cfgs))
-			stats = make([]*obs.SimStats, len(cfgs))
+			observers = make([]obs.Observer, len(cells))
+			stats = make([]*obs.SimStats, len(cells))
 		}
 		if c.Partition != "" {
 			// A controller per cell: it carries the SimStats observer
 			// (shared with detail mode) and, for dynamic policies, the
 			// repartitioning hook.
-			setups = make([]oslayout.CacheSetup, len(cfgs))
-			ctrls = make([]*partition.Controller, len(cfgs))
-			for i := range cfgs {
+			setups = make([]oslayout.CacheSetup, len(cells))
+			ctrls = make([]*partition.Controller, len(cells))
+			for i := range cells {
 				k := partition.NewController(spec, 0, nil)
 				ctrls[i] = k
 				setups[i] = k.Bind
@@ -387,77 +407,80 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 				}
 			}
 		} else if detail {
-			for i := range cfgs {
+			for i := range cells {
 				s := obs.NewSimStats(0)
 				observers[i] = s
 				stats[i] = s
 			}
 		}
-		if opt.Private {
-			// Private cell: this CPU's own trace into its own cache; the
+		var ress []*simulate.Result
+		switch {
+		case opt.Private:
+			// Private cells: this CPU's own trace into its own caches; the
 			// integer refs/misses feed Finalize's exact aggregate.
-			tr, err := cpuMemo[tk.wi][tk.cpu].get(e, srcs[tk.wi], tk.cpu)
+			tr, err := e.cpuTrace(srcs[tk.wi], tk.cpu)
 			if err != nil {
 				return err
 			}
 			start := time.Now()
-			priv, err := simulate.RunManyOpt(tr, osL, appLs[tk.wi], cfgs,
-				simulate.Options{Workers: e.par})
+			priv, err := simulate.RunGroups(tr, groups, simulate.Options{Workers: e.par})
 			if err != nil {
 				return err
 			}
-			e.recordAdhocReplay(tr, start)
-			for i, si := range tk.sis {
+			e.recordReplay(tr, len(groups), start, priv...)
+			for i, cl := range cells {
 				st := &priv[i].Stats
-				c.CPURates[si][tk.wi][tk.k][tk.cpu] = st.MissRate()
-				c.CPURefs[si][tk.wi][tk.k][tk.cpu] = st.TotalRefs()
-				c.CPUMisses[si][tk.wi][tk.k][tk.cpu] = st.TotalMisses()
+				c.CPURates[cl.si][tk.wi][cl.k][tk.cpu] = st.MissRate()
+				c.CPURefs[cl.si][tk.wi][cl.k][tk.cpu] = st.TotalRefs()
+				c.CPUMisses[cl.si][tk.wi][cl.k][tk.cpu] = st.TotalMisses()
 			}
 			return nil
-		}
-		var ress []*simulate.Result
-		if cpus > 1 {
+		case cpus > 1:
+			g := groups[0]
 			start := time.Now()
-			shared, err := simulate.RunShared(mtrs[tk.wi], osL, appLs[tk.wi], cfgs,
+			shared, err := simulate.RunShared(mtrs[tk.wi], g.OS, g.App, g.Configs,
 				simulate.SharedOptions{Observers: observers, Setups: setups, Workers: e.par})
 			if err != nil {
 				return err
 			}
-			e.recordAdhocReplay(mtrs[tk.wi].Trace, start)
+			e.recordReplay(mtrs[tk.wi].Trace, 1, start, shared[0].Result)
 			ress = make([]*simulate.Result, len(shared))
-			for i, si := range tk.sis {
+			for i, cl := range cells {
 				ress[i] = shared[i].Result
 				if got := shared[i].CPU.EvictionTotal(); got != shared[i].Evictions {
 					return fmt.Errorf("compare: eviction attribution sums to %d of %d evictions", got, shared[i].Evictions)
 				}
 				for cpu := 0; cpu < cpus; cpu++ {
-					c.CPURates[si][tk.wi][tk.k][cpu] = shared[i].CPU.MissRate(cpu)
+					c.CPURates[cl.si][tk.wi][cl.k][cpu] = shared[i].CPU.MissRate(cpu)
 				}
-				c.Evictions[si][tk.wi][tk.k] = shared[i].Evictions
-				c.CrossEvictions[si][tk.wi][tk.k] = shared[i].CPU.CrossEvictions()
+				c.Evictions[cl.si][tk.wi][cl.k] = shared[i].Evictions
+				c.CrossEvictions[cl.si][tk.wi][cl.k] = shared[i].CPU.CrossEvictions()
 			}
-		} else {
+		default:
 			var err error
-			if ress, err = e.EvalMany(tk.wi, osL, nil, cfgs, observers, setups); err != nil {
+			if ress, err = e.EvalMany(tk.wi, groups, observers, setups); err != nil {
 				return err
 			}
 		}
-		var resolver *obs.LineResolver
+		var resolvers []*obs.LineResolver
 		if detail {
-			resolver = obs.NewLineResolver(line, osL)
+			resolvers = make([]*obs.LineResolver, len(groups))
+			for gi, g := range groups {
+				resolvers[gi] = obs.NewLineResolver(line, g.OS)
+			}
 		}
-		for i, si := range tk.sis {
-			c.Rates[si][tk.wi][tk.k] = ress[i].Stats.MissRate()
+		for i, cl := range cells {
+			c.Rates[cl.si][tk.wi][cl.k] = ress[i].Stats.MissRate()
 			if detail {
-				c.Attr[si][tk.wi][tk.k] = attribute(&ress[i].Stats, stats[i], resolver, line)
+				c.Attr[cl.si][tk.wi][cl.k] = attribute(&ress[i].Stats, stats[i], resolvers[cl.gi], line)
 			}
 			if ctrls != nil {
 				if err := ctrls[i].Err(); err != nil {
 					return err
 				}
-				c.PartEvents[si][tk.wi][tk.k] = ctrls[i].Events().Events
-				c.PartFinal[si][tk.wi][tk.k] = ctrls[i].Final().String()
-				c.PartSplit[si][tk.wi][tk.k] = ctrls[i].Final()
+				c.PartEvents[cl.si][tk.wi][cl.k] = ctrls[i].Events().Events
+				c.PartFinal[cl.si][tk.wi][cl.k] = ctrls[i].Final().String()
+				c.PartSplit[cl.si][tk.wi][cl.k] = ctrls[i].Final()
 			}
 		}
 		return nil
@@ -495,20 +518,6 @@ func (c *Compare) Finalize() {
 			}
 		}
 	}
-}
-
-// cpuTraceMemo single-flights one CPU's individual trace across the
-// strategy tasks replaying it (generation is deterministic, replay is
-// read-only, so sharing one trace is safe at any parallelism).
-type cpuTraceMemo struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-func (m *cpuTraceMemo) get(e *Env, ms *workload.MultiSource, cpu int) (*trace.Trace, error) {
-	m.once.Do(func() { m.tr, m.err = e.cpuTrace(ms, cpu) })
-	return m.tr, m.err
 }
 
 // alloc3 allocates a zeroed [a][b][c] grid.

@@ -211,7 +211,7 @@ func (e *Env) AppOpt(i int, cacheSize int, osPlan *oslayout.Plan) (*layout.Layou
 func (e *Env) Eval(i int, osL, appL *layout.Layout, cfg cache.Config) (*simulate.Result, error) {
 	if e.onWindow != nil {
 		cfgs := []cache.Config{cfg}
-		rs, err := e.EvalMany(i, osL, appL, cfgs, e.progress(i, cfgs), nil)
+		rs, err := e.EvalMany(i, []simulate.Group{{OS: osL, App: appL, Configs: cfgs}}, e.progress(i, cfgs), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +220,7 @@ func (e *Env) Eval(i int, osL, appL *layout.Layout, cfg cache.Config) (*simulate
 	start := time.Now()
 	r, err := e.St.Evaluate(i, osL, appL, cfg)
 	if err == nil {
-		e.recordReplay(i, start, r)
+		e.recordReplay(e.St.Data[i].Trace, 1, start, r)
 	}
 	return r, err
 }
@@ -234,7 +234,7 @@ func (e *Env) EvalBlocks(i int, osL, appL *layout.Layout, cfg cache.Config) (*si
 	if e.onWindow != nil {
 		o = progressBlocks{e.progressObserver(i, cfg), blocks}
 	}
-	rs, err := e.EvalMany(i, osL, appL, []cache.Config{cfg}, []obs.Observer{o}, nil)
+	rs, err := e.EvalMany(i, []simulate.Group{{OS: osL, App: appL, Configs: []cache.Config{cfg}}}, []obs.Observer{o}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -253,20 +253,33 @@ func (p progressBlocks) Miss(line uint64, d trace.Domain, class cache.MissClass,
 	p.blocks.Miss(line, d, class, block)
 }
 
-// EvalMany simulates workload i under the given layouts across many cache
-// organisations in one pass over the trace (Study.EvaluateMany), with
-// optional per-configuration observers and cache setups (nil when unused),
-// and accounts the replay on the recorder. Sweeps batch their grid points
-// through this so parallelism (parEach) is across trace-sharing batches
-// rather than redundant replays; they pass progress(i, cfgs) as their
-// observers to stream live progress.
-func (e *Env) EvalMany(i int, osL, appL *layout.Layout, cfgs []cache.Config, observers []obs.Observer, setups []oslayout.CacheSetup) ([]*simulate.Result, error) {
+// EvalMany simulates workload i under one or more layout pairs across many
+// cache organisations in one pass over the trace (Study.EvaluateMany), with
+// optional per-configuration observers and cache setups (nil when unused,
+// else indexed like the groups' configs concatenated), and accounts each
+// group carrying configurations as one replay on the recorder. Sweeps batch
+// their grid points through this so parallelism (parEach) is across
+// trace-sharing batches rather than redundant replays; they pass
+// progress(i, cfgs) as their observers to stream live progress.
+func (e *Env) EvalMany(i int, groups []simulate.Group, observers []obs.Observer, setups []oslayout.CacheSetup) ([]*simulate.Result, error) {
 	start := time.Now()
-	rs, err := e.St.EvaluateMany(i, osL, appL, cfgs, observers, setups)
+	rs, err := e.St.EvaluateMany(i, groups, observers, setups)
 	if err == nil {
-		e.recordReplay(i, start, rs...)
+		e.recordReplay(e.St.Data[i].Trace, replays(groups), start, rs...)
 	}
 	return rs, err
+}
+
+// replays counts the groups that carry configurations: each is one replay
+// of the trace in the recorder's books.
+func replays(groups []simulate.Group) int {
+	n := 0
+	for _, g := range groups {
+		if len(g.Configs) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // progress returns the observers for a replay of cfgs: a streaming progress
@@ -300,17 +313,18 @@ func (e *Env) progressObserver(i int, cfg cache.Config) *obs.SimStats {
 	return s
 }
 
-// recordReplay accounts one finished trace replay on the recorder: event
-// and reference counts plus wall-clock, the raw material for throughput
-// metrics. Every engine path stamps the trace's per-domain reference totals
-// on each result, so the count is read off the first one; a call with no
-// configurations replayed nothing and records nothing.
-func (e *Env) recordReplay(i int, start time.Time, rs ...*simulate.Result) {
+// recordReplay accounts n finished replays of trace t, all started at
+// start, on the recorder: event and reference counts plus wall-clock, the
+// raw material for throughput metrics. Every engine path stamps the trace's
+// per-domain reference totals on each result, so the count is read off the
+// first one instead of a scan of the trace; a call with no configurations
+// replayed nothing and records nothing.
+func (e *Env) recordReplay(t *trace.Trace, n int, start time.Time, rs ...*simulate.Result) {
 	if e.rec == nil || len(rs) == 0 {
 		return
 	}
-	e.rec.AddReplay(uint64(e.St.Data[i].Trace.NumEvents()), time.Since(start))
-	e.rec.Add("replay.refs", rs[0].Stats.TotalRefs())
+	e.rec.AddReplay(uint64(n)*uint64(t.NumEvents()), time.Since(start))
+	e.rec.Add("replay.refs", uint64(n)*rs[0].Stats.TotalRefs())
 }
 
 // LayoutCacheStats returns the strategy build cache's hit/miss counts.

@@ -8,14 +8,17 @@ import (
 	"oslayout"
 	"oslayout/internal/cache"
 	"oslayout/internal/obs"
+	"oslayout/internal/simulate"
 )
 
 // TestRecordReplayRefs checks the recorder's replay.refs and replay.events
 // counts, which the throughput metrics divide by: each Eval, EvalBlocks and
 // EvalMany call (observed or not) adds exactly its trace's references and
-// events, on a materialised and on a streaming environment, and a call
-// with no configurations adds nothing. The lineutil experiment, which
-// replays through the utilization loop, accounts every replay too.
+// events once per group that carries configurations, on a materialised and
+// on a streaming environment, and a call with no configurations adds
+// nothing. The lineutil experiment, which replays through the utilization
+// loop, accounts every replay too, and so do fig19 and a private
+// multi-CPU compare grid, whose traces lie outside the study's set.
 func TestRecordReplayRefs(t *testing.T) {
 	cfgs := []cache.Config{DefaultCache, {Size: 4 << 10, Line: 16, Assoc: 2}}
 	for _, streaming := range []bool{false, true} {
@@ -24,7 +27,7 @@ func TestRecordReplayRefs(t *testing.T) {
 			mode = oslayout.StreamOn
 		}
 		rec := obs.NewRecorder()
-		e, err := NewEnv(Options{OSRefs: 60_000, Stream: mode, ChunkEvents: 4 << 10, Recorder: rec})
+		e, err := NewEnv(Options{OSRefs: 60_000, Stream: mode, ChunkEvents: 4 << 10, Recorder: rec, CPUs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,23 +35,32 @@ func TestRecordReplayRefs(t *testing.T) {
 			t.Fatalf("study streaming = %v, want %v", e.St.Streaming(), streaming)
 		}
 		osL := e.Base()
+		opts, err := e.Layout("opts", 8<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
 		calls := []struct {
-			name string
-			call func(i int) error
+			name    string
+			replays uint64
+			call    func(i int) error
 		}{
-			{"Eval", func(i int) error {
+			{"Eval", 1, func(i int) error {
 				_, err := e.Eval(i, osL, nil, cfgs[0])
 				return err
 			}},
-			{"EvalMany", func(i int) error {
-				_, err := e.EvalMany(i, osL, nil, cfgs, nil, nil)
+			{"EvalMany", 1, func(i int) error {
+				_, err := e.EvalMany(i, []simulate.Group{{OS: osL, Configs: cfgs}}, nil, nil)
 				return err
 			}},
-			{"EvalMany observed", func(i int) error {
-				_, err := e.EvalMany(i, osL, nil, cfgs, []obs.Observer{nil, obs.NewSimStats(0)}, nil)
+			{"EvalMany observed", 1, func(i int) error {
+				_, err := e.EvalMany(i, []simulate.Group{{OS: osL, Configs: cfgs}}, []obs.Observer{nil, obs.NewSimStats(0)}, nil)
 				return err
 			}},
-			{"EvalBlocks", func(i int) error {
+			{"EvalMany three groups, one empty", 2, func(i int) error {
+				_, err := e.EvalMany(i, []simulate.Group{{OS: osL, Configs: cfgs}, {OS: osL}, {OS: opts, Configs: cfgs[:1]}}, nil, nil)
+				return err
+			}},
+			{"EvalBlocks", 1, func(i int) error {
 				_, _, err := e.EvalBlocks(i, osL, nil, cfgs[0])
 				return err
 			}},
@@ -66,17 +78,17 @@ func TestRecordReplayRefs(t *testing.T) {
 				if err := c.call(i); err != nil {
 					t.Fatalf("streaming=%v %s %s: %v", streaming, c.name, d.Workload.Name, err)
 				}
-				if got, want := refs()-before, osRefs+appRefs; got != want || want == 0 {
-					t.Errorf("streaming=%v %s %s: replay.refs grew by %d, trace has %d references",
-						streaming, c.name, d.Workload.Name, got, want)
+				if got, want := refs()-before, c.replays*(osRefs+appRefs); got != want || want == 0 {
+					t.Errorf("streaming=%v %s %s: replay.refs grew by %d, want %d (%d replays)",
+						streaming, c.name, d.Workload.Name, got, want, c.replays)
 				}
-				if got := events() - beforeEv; got != nev || nev == 0 {
-					t.Errorf("streaming=%v %s %s: replay.events grew by %d, trace has %d events",
-						streaming, c.name, d.Workload.Name, got, nev)
+				if got, want := events()-beforeEv, c.replays*nev; got != want || want == 0 {
+					t.Errorf("streaming=%v %s %s: replay.events grew by %d, want %d (%d replays)",
+						streaming, c.name, d.Workload.Name, got, want, c.replays)
 				}
 			}
 			before := refs()
-			if _, err := e.EvalMany(i, osL, nil, nil, nil, nil); err != nil {
+			if _, err := e.EvalMany(i, []simulate.Group{{OS: osL}}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if got := refs() - before; got != 0 {
@@ -95,6 +107,57 @@ func TestRecordReplayRefs(t *testing.T) {
 		}
 		if got, want := events()-beforeEv, n*allEvents; got != want {
 			t.Errorf("streaming=%v lineutil: replay.events grew by %d, want %d", streaming, got, want)
+		}
+
+		// The multiprocessor traces, counted here from materialised copies:
+		// fig19 replays each workload's merged trace and every CPU's own
+		// trace once per layout (Base, OptS); a private grid replays every
+		// CPU's trace once per group, one for base and one per size for opts.
+		var mergedRefs, mergedEvents, cpuRefs, cpuEvents uint64
+		for i := range e.St.Data {
+			ms, err := e.multiSource(i, e.CPUs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mt, err := ms.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			osRefs, appRefs := mt.Refs()
+			mergedRefs += osRefs + appRefs
+			mergedEvents += uint64(mt.NumEvents())
+			for c := 0; c < e.CPUs(); c++ {
+				tr, err := ms.Source(c).Generate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				osRefs, appRefs := tr.Refs()
+				cpuRefs += osRefs + appRefs
+				cpuEvents += uint64(tr.NumEvents())
+			}
+		}
+		before, beforeEv = refs(), events()
+		if _, err := e.RunFigure19(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := refs()-before, 2*(mergedRefs+cpuRefs); got != want {
+			t.Errorf("streaming=%v fig19: replay.refs grew by %d, want %d", streaming, got, want)
+		}
+		if got, want := events()-beforeEv, 2*(mergedEvents+cpuEvents); got != want {
+			t.Errorf("streaming=%v fig19: replay.events grew by %d, want %d", streaming, got, want)
+		}
+		sizes := []int{4 << 10, 8 << 10}
+		before, beforeEv = refs(), events()
+		if _, err := e.RunCompareOpts([]string{"base", "opts"}, sizes, 32, 1,
+			CompareOptions{CPUs: e.CPUs(), Private: true}); err != nil {
+			t.Fatal(err)
+		}
+		groups := uint64(1 + len(sizes))
+		if got, want := refs()-before, groups*cpuRefs; got != want {
+			t.Errorf("streaming=%v private grid: replay.refs grew by %d, want %d", streaming, got, want)
+		}
+		if got, want := events()-beforeEv, groups*cpuEvents; got != want {
+			t.Errorf("streaming=%v private grid: replay.events grew by %d, want %d", streaming, got, want)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"oslayout/internal/obs"
 	"oslayout/internal/program"
 	"oslayout/internal/simulate"
+	"oslayout/internal/strategy"
 	"oslayout/internal/workload"
 )
 
@@ -203,20 +204,32 @@ func (e *Env) RunAblation() (*Ablation, error) {
 	cfg := DefaultCache
 	a := &Ablation{Workloads: e.Workloads()}
 
+	// Variants build through the strategy cache, under the lock that
+	// serialises every profile application and layout build on the study.
 	mk := func(name string, mutate func(*core.Params), entries func() [program.NumSeedClasses]program.BlockID) (*oslayout.Plan, error) {
-		if err := e.St.UseAverageProfile(); err != nil {
+		b, err := e.layouts.Custom("ablation:"+name, func(strategy.Study) (*layout.Layout, *core.Plan, error) {
+			if err := e.St.UseAverageProfile(); err != nil {
+				return nil, nil, err
+			}
+			params := oslayout.DefaultPlacementParams(cfg.Size)
+			params.Name = name
+			if mutate != nil {
+				mutate(&params)
+			}
+			ent := core.SeedEntries(e.St.Kernel.Prog)
+			if entries != nil {
+				ent = entries()
+			}
+			plan, err := core.Optimize(e.St.Kernel.Prog, ent, 0, params)
+			if err != nil {
+				return nil, nil, err
+			}
+			return plan.Layout, plan, nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		params := oslayout.DefaultPlacementParams(cfg.Size)
-		params.Name = name
-		if mutate != nil {
-			mutate(&params)
-		}
-		ent := core.SeedEntries(e.St.Kernel.Prog)
-		if entries != nil {
-			ent = entries()
-		}
-		return core.Optimize(e.St.Kernel.Prog, ent, 0, params)
+		return b.Plan, nil
 	}
 
 	singleSeed := func() [program.NumSeedClasses]program.BlockID {
@@ -348,7 +361,7 @@ func (e *Env) RunMultiCPU() (*MultiCPU, error) {
 			if err != nil {
 				return err
 			}
-			e.recordAdhocReplay(tr, start)
+			e.recordReplay(tr, 1, start, ress...)
 			rates[i][li][cpu] = ress[0].Stats.MissRate()
 		}
 		return nil
@@ -406,7 +419,7 @@ func (e *Env) RunReplacementPolicy() (*ReplacementPolicy, error) {
 	cfgs := []cache.Config{lru, rnd}
 	if err := e.parEach(len(e.St.Data)*2, func(j int) error {
 		i, li := j/2, j%2
-		ress, err := e.EvalMany(i, layouts[li], nil, cfgs, e.progress(i, cfgs), nil)
+		ress, err := e.EvalMany(i, []simulate.Group{{OS: layouts[li], Configs: cfgs}}, e.progress(i, cfgs), nil)
 		if err != nil {
 			return err
 		}

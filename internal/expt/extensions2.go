@@ -129,7 +129,7 @@ func (e *Env) RunLineUtil() (*LineUtil, error) {
 		if err != nil {
 			return err
 		}
-		e.recordReplay(wi, start, res)
+		e.recordReplay(e.St.Data[wi].Trace, 1, start, res)
 		u.Util[li][wi][k] = util.Utilization()
 		return nil
 	})

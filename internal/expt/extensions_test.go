@@ -1,7 +1,10 @@
 package expt
 
 import (
+	"sync"
 	"testing"
+
+	"oslayout/internal/obs"
 )
 
 func TestCrossProfileShape(t *testing.T) {
@@ -114,6 +117,49 @@ func TestAblationIngredients(t *testing.T) {
 				t.Errorf("variant %q on %s: %.2f of Base", a.Variants[v], a.Workloads[w], x)
 			}
 		}
+	}
+}
+
+// TestAblationBesideStrategyBuilds runs the ablation beside registered
+// strategy builds on one study. Every variant builds under the strategy
+// cache's lock, which serialises all profile application on the study, so
+// the race detector finds nothing and the table renders as it does alone.
+func TestAblationBesideStrategyBuilds(t *testing.T) {
+	ref, err := NewEnv(Options{OSRefs: 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEnv(Options{OSRefs: 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each goroutine announces it is running before it builds, so the
+	// builds overlap the ablation's first variant with no ordering between
+	// them but the cache's lock.
+	var started, done sync.WaitGroup
+	for _, name := range []string{"ch", "ph", "mcf"} {
+		started.Add(1)
+		done.Add(1)
+		go func(name string) {
+			defer done.Done()
+			started.Done()
+			if _, _, err := e.St.BuildStrategy(name, 0); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}(name)
+	}
+	started.Wait()
+	got, err := e.RunAblation()
+	done.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obs.Digest(got.Render()) != obs.Digest(want.Render()) {
+		t.Errorf("ablation beside strategy builds rendered\n%s\nalone\n%s", got.Render(), want.Render())
 	}
 }
 

@@ -62,17 +62,6 @@ func appBaseOf(ms *workload.MultiSource) *layout.Layout {
 	return nil
 }
 
-// recordAdhocReplay accounts a replay of a trace outside the study's own
-// set (the multiprocessor traces) on the recorder.
-func (e *Env) recordAdhocReplay(t *trace.Trace, start time.Time) {
-	if e.rec == nil {
-		return
-	}
-	e.rec.AddReplay(uint64(t.NumEvents()), time.Since(start))
-	os, app := t.Refs()
-	e.rec.Add("replay.refs", os+app)
-}
-
 // fig19Windows is the feedback resolution the missdriven row observes the
 // replay at (repartition decisions fire at window boundaries).
 const fig19Windows = 32
@@ -221,7 +210,7 @@ func (e *Env) RunFigure19() (*Figure19, error) {
 			if err != nil {
 				return err
 			}
-			e.recordAdhocReplay(mt.Trace, start)
+			e.recordReplay(mt.Trace, 1, start, ress[0].Result)
 			for r := range fig19SharedRows {
 				if k := ctrls[r]; k != nil {
 					if err := k.Err(); err != nil {
@@ -258,7 +247,7 @@ func (e *Env) RunFigure19() (*Figure19, error) {
 				if err != nil {
 					return err
 				}
-				e.recordAdhocReplay(tr, start)
+				e.recordReplay(tr, 1, start, ress...)
 				f.PerCPU[i][l][0][c] = ress[0].Stats.MissRate()
 				refs += ress[0].Stats.TotalRefs()
 				misses += ress[0].Stats.TotalMisses()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"oslayout/internal/cache"
+	"oslayout/internal/simulate"
 )
 
 // TestParEachLowestError injects failures at two indices and asserts parEach
@@ -92,7 +93,7 @@ func TestBatchedSweepParallelDeterminism(t *testing.T) {
 	sweep := func() [][]cache.Stats {
 		out := make([][]cache.Stats, nw*reps)
 		err := parEach(nw*reps, func(j int) error {
-			ress, err := e.EvalMany(j%nw, base, nil, grid, nil, nil)
+			ress, err := e.EvalMany(j%nw, []simulate.Group{{OS: base, Configs: grid}}, nil, nil)
 			if err != nil {
 				return err
 			}

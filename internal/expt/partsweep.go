@@ -8,6 +8,7 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/obs"
 	"oslayout/internal/partition"
+	"oslayout/internal/simulate"
 )
 
 // fig18xRows are the partition scenarios the fig18x family sweeps: the
@@ -117,7 +118,7 @@ func (e *Env) RunFigure18X() (*Figure18X, error) {
 			observers[r] = k
 			setups[r] = k.Bind
 		}
-		ress, err := e.EvalMany(i, plan.Layout, appOpts[i], cfgs, observers, setups)
+		ress, err := e.EvalMany(i, []simulate.Group{{OS: plan.Layout, App: appOpts[i], Configs: cfgs}}, observers, setups)
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,13 @@
 package expt
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"oslayout"
 	"oslayout/internal/obs"
+	"oslayout/internal/strategy"
+	"oslayout/internal/trace"
 )
 
 // TestStreamingStudyDigests builds the study twice — once forcing the
@@ -52,6 +55,51 @@ func TestStreamingStudyDigests(t *testing.T) {
 		}
 		if dm, ds := obs.Digest(rm.Render()), obs.Digest(rs.Render()); dm != ds {
 			t.Errorf("%s: streamed digest %s != materialised %s", name, ds, dm)
+		}
+	}
+}
+
+// TestStreamedCompareOpensEachSourceOnce checks that a streamed compare
+// pass regenerates each workload's trace exactly once, however many
+// strategies and sizes the grid holds: every single-CPU mode replays a
+// workload's trace under all of its layout pairs in one pass.
+func TestStreamedCompareOpensEachSourceOnce(t *testing.T) {
+	e, err := NewEnv(Options{OSRefs: 60_000, Stream: oslayout.StreamOn, ChunkEvents: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opens := make([]atomic.Int64, len(e.St.Data))
+	for i, d := range e.St.Data {
+		src, n := d.Trace.Source, &opens[i]
+		d.Trace.Source = func() trace.Reader {
+			n.Add(1)
+			return src()
+		}
+	}
+	sizes := []int{4 << 10, 8 << 10, 16 << 10}
+	two := []string{"base", "opts"}
+	cases := []struct {
+		name       string
+		strategies []string
+		assoc      int
+		opt        CompareOptions
+	}{
+		{"base,opts", two, 1, CompareOptions{}},
+		{"all strategies", strategy.Names(), 1, CompareOptions{}},
+		{"detail", two, 1, CompareOptions{Detail: true}},
+		{"partition", two, 4, CompareOptions{Partition: "interval,every=4,grain=1"}},
+	}
+	for _, tc := range cases {
+		for i := range opens {
+			opens[i].Store(0)
+		}
+		if _, err := e.RunCompareOpts(tc.strategies, sizes, 32, tc.assoc, tc.opt); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, d := range e.St.Data {
+			if n := opens[i].Load(); n != 1 {
+				t.Errorf("%s: %s trace source opened %d times in one pass, want 1", tc.name, d.Workload.Name, n)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
+	"oslayout/internal/simulate"
 	"oslayout/internal/timing"
 )
 
@@ -78,7 +79,7 @@ func (e *Env) RunFigure15() (*Figure15, error) {
 		for k, si := range tk.sis {
 			cfgs[k] = cache.Config{Size: f.Sizes[si], Line: 32, Assoc: 1}
 		}
-		ress, err := e.EvalMany(tk.wi, layoutsBySize[tk.sis[0]][tk.li], nil, cfgs, e.progress(tk.wi, cfgs), nil)
+		ress, err := e.EvalMany(tk.wi, []simulate.Group{{OS: layoutsBySize[tk.sis[0]][tk.li], Configs: cfgs}}, e.progress(tk.wi, cfgs), nil)
 		if err != nil {
 			return err
 		}
@@ -192,7 +193,7 @@ func (e *Env) RunFigure16() (*Figure16, error) {
 		baseCfgs[si] = cache.Config{Size: size, Line: 32, Assoc: 1}
 	}
 	if err := e.parEach(nw, func(wi int) error {
-		ress, err := e.EvalMany(wi, base, nil, baseCfgs, e.progress(wi, baseCfgs), nil)
+		ress, err := e.EvalMany(wi, []simulate.Group{{OS: base, Configs: baseCfgs}}, e.progress(wi, baseCfgs), nil)
 		if err != nil {
 			return err
 		}
@@ -298,7 +299,7 @@ func (e *Env) RunFigure17() (*Figure17, error) {
 	}
 	err = e.parEach(nw*3, func(j int) error {
 		wi, k := j/3, j%3
-		ress, err := e.EvalMany(wi, layouts[k], nil, cfgs, e.progress(wi, cfgs), nil)
+		ress, err := e.EvalMany(wi, []simulate.Group{{OS: layouts[k], Configs: cfgs}}, e.progress(wi, cfgs), nil)
 		if err != nil {
 			return err
 		}
@@ -425,7 +426,7 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 		if err != nil {
 			return nil, err
 		}
-		resSep, err := e.EvalMany(i, halfPlan.Layout, appHalf, []cache.Config{sepCfg}, nil, nil)
+		resSep, err := e.EvalMany(i, []simulate.Group{{OS: halfPlan.Layout, App: appHalf, Configs: []cache.Config{sepCfg}}}, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -435,7 +436,7 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 		if err != nil {
 			return nil, err
 		}
-		resResv, err := e.EvalMany(i, noSCF.Layout, appOptR, []cache.Config{resvCfg}, nil, resvSetup)
+		resResv, err := e.EvalMany(i, []simulate.Group{{OS: noSCF.Layout, App: appOptR, Configs: []cache.Config{resvCfg}}}, nil, resvSetup)
 		if err != nil {
 			return nil, err
 		}

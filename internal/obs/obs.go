@@ -8,10 +8,10 @@
 // Three pieces:
 //
 //   - Observer / SimStats: a per-configuration replay hook collecting
-//     per-set occupancy and conflict histograms, eviction-provenance
-//     breakdowns, a windowed miss-rate time series over the trace, and the
-//     top-N conflicting line pairs. Attached at group-setup time by
-//     simulate.RunManyOpt; a nil observer costs nothing (the replay
+//     per-set conflict histograms, eviction-provenance breakdowns, a
+//     windowed miss-rate time series over the trace, and the top-N
+//     conflicting line pairs. Attached at unit-setup time by
+//     simulate.RunGroups; a nil observer costs nothing (the replay
 //     engine keeps its unobserved fast paths). BlockMisses is the
 //     per-block miss attribution observer.
 //   - Recorder: scoped spans and counters timing study build, trace
@@ -23,6 +23,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 
 	"oslayout/internal/cache"
@@ -105,9 +106,6 @@ type SimStats struct {
 	SetCold   []uint64
 	SetSelf   []uint64
 	SetCross  []uint64
-	// SetOccupancy counts the distinct lines ever installed in each set —
-	// how crowded the set's address mapping is under the evaluated layout.
-	SetOccupancy []uint32
 	// Windows is the miss-rate time series over the trace.
 	Windows []Window
 	// Evictions counts total evictions observed.
@@ -130,8 +128,10 @@ type SimStats struct {
 	totalEvents int
 	eventIdx    int
 	curWindow   int
+	// nextWindowAt is the index of the first event past curWindow, so the
+	// per-event path compares instead of dividing.
+	nextWindowAt int
 
-	seen  map[uint64]bool
 	pairs map[pairKey]uint64
 
 	pendingVictim uint64
@@ -162,14 +162,13 @@ func (s *SimStats) Begin(cfg cache.Config, totalEvents int) {
 	s.totalEvents = totalEvents
 	s.eventIdx = 0
 	s.curWindow = 0
+	s.nextWindowAt = s.windowStart(1)
 	s.Evictions = 0
 	s.SetMisses = make([]uint64, s.sets)
 	s.SetCold = make([]uint64, s.sets)
 	s.SetSelf = make([]uint64, s.sets)
 	s.SetCross = make([]uint64, s.sets)
-	s.SetOccupancy = make([]uint32, s.sets)
 	s.Windows = make([]Window, s.numWindows)
-	s.seen = make(map[uint64]bool)
 	s.pairs = make(map[pairKey]uint64)
 	s.havePending = false
 }
@@ -182,21 +181,30 @@ func (s *SimStats) setOf(line uint64) int {
 	return int(line % uint64(s.sets))
 }
 
+// windowStart returns the index of the first event of window w: event i
+// belongs to window min(i*numWindows/totalEvents, numWindows-1), so window
+// w starts at ceil(w*totalEvents/numWindows). No event starts a window
+// past the last one, nor any window when the event count is unknown.
+func (s *SimStats) windowStart(w int) int {
+	if s.totalEvents <= 0 || w >= s.numWindows {
+		return math.MaxInt
+	}
+	return (w*s.totalEvents + s.numWindows - 1) / s.numWindows
+}
+
 // Event implements Observer.
 func (s *SimStats) Event(d trace.Domain, block uint32, refs uint64) {
-	if s.totalEvents > 0 {
-		w := s.eventIdx * s.numWindows / s.totalEvents
-		if w >= s.numWindows {
-			w = s.numWindows - 1
-		}
-		if w != s.curWindow {
-			if s.OnWindowFlush != nil {
-				for i := s.curWindow; i < w; i++ {
-					s.OnWindowFlush(i, s.Windows[i])
-				}
+	if s.eventIdx >= s.nextWindowAt {
+		// The first event of a later window (or of several: windows hold
+		// no event when there are fewer events than windows).
+		w := min(s.eventIdx*s.numWindows/s.totalEvents, s.numWindows-1)
+		if s.OnWindowFlush != nil {
+			for i := s.curWindow; i < w; i++ {
+				s.OnWindowFlush(i, s.Windows[i])
 			}
-			s.curWindow = w
 		}
+		s.curWindow = w
+		s.nextWindowAt = s.windowStart(w + 1)
 	}
 	s.Windows[s.curWindow].Refs += refs
 	s.eventIdx++
@@ -216,10 +224,6 @@ func (s *SimStats) Miss(line uint64, d trace.Domain, class cache.MissClass, bloc
 		s.SetSelf[set]++
 	case cache.CrossMiss:
 		s.SetCross[set]++
-	}
-	if !s.seen[line] {
-		s.seen[line] = true
-		s.SetOccupancy[set]++
 	}
 	s.Windows[s.curWindow].Misses++
 	if s.havePending {

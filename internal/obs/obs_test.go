@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -48,8 +49,8 @@ func TestSimStatsCollects(t *testing.T) {
 	if cold != 2 || self != 6 || cross != 0 {
 		t.Errorf("Provenance = %d/%d/%d, want 2/6/0", cold, self, cross)
 	}
-	if s.SetOccupancy[1] != 2 {
-		t.Errorf("SetOccupancy[1] = %d, want 2 distinct lines", s.SetOccupancy[1])
+	if s.SetCold[1] != 2 {
+		t.Errorf("SetCold[1] = %d, want one cold miss for each of the 2 distinct lines", s.SetCold[1])
 	}
 	var refs uint64
 	for _, w := range s.Windows {
@@ -223,5 +224,48 @@ func TestSimStatsWindowFlush(t *testing.T) {
 	}
 	if plain.TotalMisses() != hooked.TotalMisses() {
 		t.Errorf("misses differ with hook: %d vs %d", hooked.TotalMisses(), plain.TotalMisses())
+	}
+}
+
+// TestSimStatsWindowBoundaries checks the windowed series against the
+// defining rule — event i of n falls in window min(i*w/n, w-1) — for event
+// counts below, at and above the window count, and that the flush hook
+// reports every window but the last, in order, once each, including windows
+// no event falls in. A replay that announces fewer events than Begin
+// promised, or none, keeps every reference.
+func TestSimStatsWindowBoundaries(t *testing.T) {
+	cfg := cache.Config{Size: 128, Line: 32, Assoc: 1}
+	for _, windows := range []int{1, 3, 32, 64} {
+		for _, events := range []int{0, 1, 2, 5, 31, 32, 33, 100, 1000, 1001} {
+			for _, announced := range []int{events, events / 2} {
+				s := NewSimStats(windows)
+				var flushed []int
+				s.OnWindowFlush = func(idx int, w Window) { flushed = append(flushed, idx) }
+				s.Begin(cfg, events)
+				want := make([]Window, windows)
+				for i := 0; i < announced; i++ {
+					refs := uint64(i%5 + 1)
+					s.Event(trace.DomainOS, uint32(i), refs)
+					want[min(i*windows/events, windows-1)].Refs += refs
+				}
+				if !reflect.DeepEqual(s.Windows, want) {
+					t.Errorf("windows=%d events=%d announced=%d: series %v, want %v", windows, events, announced, s.Windows, want)
+				}
+				last := 0
+				if announced > 0 {
+					last = min((announced-1)*windows/events, windows-1)
+				}
+				if len(flushed) != last {
+					t.Errorf("windows=%d events=%d announced=%d: flushed %v, want windows 0..%d", windows, events, announced, flushed, last-1)
+					continue
+				}
+				for i, idx := range flushed {
+					if idx != i {
+						t.Errorf("windows=%d events=%d announced=%d: flush order %v", windows, events, announced, flushed)
+						break
+					}
+				}
+			}
+		}
 	}
 }

@@ -93,12 +93,12 @@ func TestRunManyObserverNeutrality(t *testing.T) {
 					t.Errorf("%v: windowed series sums to %d refs/%d misses, result has %d/%d",
 						cfg, winRefs, winMisses, st.TotalRefs(), st.TotalMisses())
 				}
-				var occ uint64
-				for _, n := range s.SetOccupancy {
-					occ += uint64(n)
+				var setCold uint64
+				for _, n := range s.SetCold {
+					setCold += n
 				}
-				if occ == 0 {
-					t.Errorf("%v: observer saw no set occupancy", cfg)
+				if setCold == 0 {
+					t.Errorf("%v: observer saw no cold misses", cfg)
 				}
 				if s.Evictions > 0 && len(s.TopPairs(5)) == 0 {
 					t.Errorf("%v: %d evictions but no conflict pairs", cfg, s.Evictions)

@@ -3,11 +3,13 @@ package simulate
 // The chunked replay pipeline: the constant-memory counterpart of the
 // materialised compile-then-drive path. A header-only trace (trace.Source)
 // is regenerated window by window; each window is decoded and compiled —
-// per line size, carrying the one word of cross-chunk state repeat-elision
-// needs — and handed to the drive units over a bounded channel, so the
-// producer compiles window k+1 while the workers drive window k (double
-// buffering: two window buffers alternate between the free list and the
-// work queue). Memory is O(chunk), independent of trace length.
+// per stream (layout pair and line size), carrying the one word of
+// cross-chunk state repeat-elision needs — and handed to the drive units
+// over a bounded channel, so the producer compiles window k+1 while the
+// workers drive window k (double buffering: two window buffers alternate
+// between the free list and the work queue). Memory is O(chunk),
+// independent of trace length and of how many layout pairs one
+// regeneration feeds.
 //
 // Bit-identity with the materialised path holds link by link: the trace
 // source replays the identical event sequence (workload.Source), chunk-wise
@@ -29,13 +31,13 @@ import (
 	"oslayout/internal/trace"
 )
 
-// chunkCompiler compiles successive event windows of one line-size group,
+// chunkCompiler compiles successive event windows of one stream,
 // carrying the repeat-elision state across windows: prev is the line address
 // of the previous window's final span's last line (elided or not), exactly
 // the value the drive-time comparison would hold at that point.
 type chunkCompiler struct {
 	spans [trace.NumDomains][]lineSpan
-	prev  uint64
+	prev  uint32
 }
 
 func newChunkCompiler(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*chunkCompiler, error) {
@@ -46,21 +48,28 @@ func newChunkCompiler(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*
 	if err != nil {
 		return nil, err
 	}
-	return &chunkCompiler{spans: spans, prev: ^uint64(0)}, nil
+	// No line address reaches ^uint32(0), so the first access is never
+	// elided.
+	return &chunkCompiler{spans: spans, prev: ^uint32(0)}, nil
 }
 
 // compile expands and elides one window of decoded block events into lw,
 // reusing its buffers. The emitted accesses are exactly the corresponding
-// slice of the whole-stream compilation; eventEnd offsets are relative to
-// the window. The window's exact access count sizes the buffers, so they
-// are reallocated only when a later window needs more than an earlier one.
-func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow) error {
+// slice of the whole-stream compilation; with ends, eventEnd holds the
+// per-event offsets (relative to the window) that observed drives walk,
+// and without it lw.eventEnd is left nil. The window's exact access count
+// sizes the buffers, so they are reallocated only when a later window needs
+// more than an earlier one.
+func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow, ends bool) error {
 	n := cc.accessCount(attrs)
 	if n > math.MaxUint32 {
 		return fmt.Errorf("simulate: window of %d line accesses exceeds the %d offset limit", n, math.MaxUint32)
 	}
 	accs := emptied(lw.accs, int(n))[:n]
-	eventEnd := emptied(lw.eventEnd, len(attrs))[:len(attrs)]
+	var eventEnd []uint32
+	if ends {
+		eventEnd = emptied(lw.eventEnd, len(attrs))[:len(attrs)]
+	}
 	j := 0
 	prev := cc.prev
 	for i, a := range attrs {
@@ -71,10 +80,12 @@ func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow) error {
 				continue
 			}
 			prev = line
-			accs[j] = dom | uint32(line)
+			accs[j] = dom | line
 			j++
 		}
-		eventEnd[i] = uint32(j)
+		if ends {
+			eventEnd[i] = uint32(j)
+		}
 	}
 	cc.prev = prev
 	lw.accs, lw.eventEnd = accs, eventEnd
@@ -90,7 +101,7 @@ func (cc *chunkCompiler) accessCount(attrs []uint32) uint64 {
 	prev := cc.prev
 	for _, a := range attrs {
 		sp := cc.spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
-		n += sp.Last - sp.First + 1
+		n += uint64(sp.Last-sp.First) + 1
 		if sp.First == prev {
 			n--
 		}
@@ -108,23 +119,37 @@ func emptied[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// runManyStreamed is RunManyOpt's replay loop for header-only traces. The
+// runManyStreamed is RunGroups' replay loop for header-only traces. The
 // caches, results and drive units arrive already built; this function owns
 // windowing, incremental compilation and the producer/consumer handoff.
 // Streaming deliberately bypasses opt.Streams: memoizing a stream that is
 // never materialised would defeat the memory bound, which is the reason
 // streaming was selected.
-func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config,
+//
+// The trace is regenerated once, whatever the number of groups. A window
+// carries one compiled lineWindow per stream, so with several groups each
+// reader batch is split into parts windows (one per group carrying
+// configurations): a window then holds about 1/parts of the batch's events
+// compiled once per group, and the compiled bytes in flight stay those of
+// one group's full batch. A one-group replay keeps the reader's batches as
+// its windows.
+func runManyStreamed(t *trace.Trace, keys []streamKey, parts int,
 	caches []*cache.Cache, results []*Result, obsAt func(int) obs.Observer,
-	lineSizes []int, units []driveUnit, opt Options) ([]*Result, error) {
+	units []driveUnit, opt Options) ([]*Result, error) {
 
-	compilers := make([]*chunkCompiler, len(lineSizes))
-	for k, ls := range lineSizes {
-		cc, err := newChunkCompiler(t, osL, appL, ls)
+	compilers := make([]*chunkCompiler, len(keys))
+	for s, k := range keys {
+		cc, err := newChunkCompiler(t, k.os, k.app, k.line)
 		if err != nil {
 			return nil, err
 		}
-		compilers[k] = cc
+		compilers[s] = cc
+	}
+	// Only observed units walk a window event by event, so a stream no
+	// observer reads is compiled without per-event offsets.
+	ends := make([]bool, len(keys))
+	for _, u := range units {
+		ends[u.stream] = ends[u.stream] || u.ws != nil
 	}
 
 	var refsTab [trace.NumDomains][]uint64
@@ -134,9 +159,9 @@ func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Conf
 	}
 
 	tot := t.Summarize()
-	for i := range cfgs {
+	for i := range caches {
 		if o := obsAt(i); o != nil {
-			o.Begin(cfgs[i], tot.Blocks)
+			o.Begin(results[i].Config, tot.Blocks)
 			caches[i].SetEvictionHook(o.Evict)
 		}
 	}
@@ -144,7 +169,7 @@ func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Conf
 	// Double buffering: two window buffers cycle between the free list and
 	// the work queue, so the producer decodes and compiles the next window
 	// while the drive units replay the current one. Each buffer is sized on
-	// its first window (event arrays from the batch length, access arrays
+	// its first window (event arrays from the window's length, access arrays
 	// by the compiler's exact count) and reused thereafter — the O(chunk)
 	// bound.
 	type item struct {
@@ -153,7 +178,7 @@ func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Conf
 	}
 	free := make(chan *unitData, 2)
 	for i := 0; i < 2; i++ {
-		free <- &unitData{refsTab: refsTab, lines: make([]lineWindow, len(lineSizes))}
+		free <- &unitData{refsTab: refsTab, lines: make([]lineWindow, len(keys))}
 	}
 	work := make(chan item, 2)
 	go func() {
@@ -168,21 +193,27 @@ func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Conf
 			if len(batch) == 0 {
 				return
 			}
-			d := <-free
-			d.attrs = emptied(d.attrs, len(batch))
-			for _, e := range batch {
-				if !e.IsBlock() {
+			for p := 0; p < parts; p++ {
+				part := batch[len(batch)*p/parts : len(batch)*(p+1)/parts]
+				if len(part) == 0 {
 					continue
 				}
-				d.attrs = append(d.attrs, uint32(e.Domain())<<eventDomainShift|uint32(e.Block()))
-			}
-			for k := range compilers {
-				if err := compilers[k].compile(d.attrs, &d.lines[k]); err != nil {
-					work <- item{err: err}
-					return
+				d := <-free
+				d.attrs = emptied(d.attrs, len(part))
+				for _, e := range part {
+					if !e.IsBlock() {
+						continue
+					}
+					d.attrs = append(d.attrs, uint32(e.Domain())<<eventDomainShift|uint32(e.Block()))
 				}
+				for s := range compilers {
+					if err := compilers[s].compile(d.attrs, &d.lines[s], ends[s]); err != nil {
+						work <- item{err: err}
+						return
+					}
+				}
+				work <- item{d: d}
 			}
-			work <- item{d: d}
 		}
 	}()
 

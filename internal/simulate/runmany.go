@@ -27,26 +27,27 @@ type runner struct {
 // bind repartitioning policies (internal/partition).
 type CacheSetup func(*cache.Cache) error
 
-// Options tunes a RunManyOpt replay. The zero value selects no observers,
-// no setups, direct compilation and the sequential drive.
+// Options tunes a RunGroups or RunManyOpt replay. The zero value selects
+// no observers, no setups, direct compilation and the sequential drive.
 type Options struct {
-	// Observers, when non-nil, must match the configs in length;
-	// Observers[i] (which may be nil) watches config i's replay.
+	// Observers, when non-nil, must match the replay's configurations in
+	// length (the groups' configs concatenated in order); Observers[i]
+	// (which may be nil) watches config i's replay.
 	Observers []obs.Observer
-	// Setups, when non-nil, must match the configs in length; Setups[i]
-	// (which may be nil) runs on config i's cache after construction and
-	// before any access. A partitioned cache is always one drive unit of
-	// its own (it is never direct-mapped), so mid-replay repartitioning
-	// installed here stays bit-identical at any worker count.
+	// Setups, when non-nil, must match the configurations in length;
+	// Setups[i] (which may be nil) runs on config i's cache after
+	// construction and before any access. A partitioned cache is always one
+	// drive unit of its own (it is never direct-mapped), so mid-replay
+	// repartitioning installed here stays bit-identical at any worker count.
 	Setups []CacheSetup
 	// Streams supplies compiled line streams; nil compiles directly,
-	// sharing one trace decode across the call's line sizes. A memoizing
+	// sharing one trace decode across the call's streams. A memoizing
 	// source (internal/streamcache) additionally shares compilations across
-	// RunManyOpt calls.
+	// calls.
 	Streams StreamSource
 	// Workers bounds the drive worker pool. Values <= 1 select the
-	// sequential path: one pass per line-size group driving every cache of
-	// the group. Higher values fan independent cache units — each
+	// sequential path: one pass per compiled stream driving every cache
+	// that reads it. Higher values fan independent cache units — each
 	// direct-mapped inclusion chain is one unit, every other cache its own
 	// unit — across min(Workers, units) goroutines over the shared
 	// read-only streams. Results are bit-identical either way: the units
@@ -55,16 +56,39 @@ type Options struct {
 	Workers int
 }
 
-// RunManyOpt is the single-pass multi-configuration engine: where repeated
+// Group is one layout pair and the cache organisations replayed under it.
+// App may be nil when the trace has no application.
+type Group struct {
+	OS, App *layout.Layout
+	Configs []cache.Config
+}
+
+// RunManyOpt replays the trace under one layout pair through many cache
+// organisations: the one-group call of RunGroups. appL may be nil when the
+// trace has no application.
+func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, opt Options) ([]*Result, error) {
+	return RunGroups(t, []Group{{OS: osL, App: appL, Configs: cfgs}}, opt)
+}
+
+// streamKey identifies one compiled stream of a replay: caches of any group
+// sharing a layout pair and a line size see the exact same line-access
+// sequence, so they read one stream.
+type streamKey struct {
+	os, app *layout.Layout
+	line    int
+}
+
+// RunGroups is the single-pass multi-configuration engine: where repeated
 // Run calls replay the trace once per cache organisation — re-decoding every
-// event and re-resolving every block address each time — RunManyOpt
-// compiles the trace once per distinct line size into a flat pre-elided line
-// stream (see CompileEvents) and drives all caches sharing that line size
-// from it (in the spirit of Hill & Smith's all-associativity and the
-// Cheetah-style single-pass simulators cited by the paper's successors). It
-// returns one Result per config in order, each bit-identical to the one the
-// equivalent Run call produces. appL may be nil when the trace has no
-// application.
+// event and re-resolving every block address each time — RunGroups reads
+// the trace once, compiles it once per distinct (layout pair, line size)
+// into a flat pre-elided line stream (see CompileEvents) and drives every
+// cache reading that stream from it (in the spirit of Hill & Smith's
+// all-associativity and the Cheetah-style single-pass simulators cited by
+// the paper's successors). A header-only trace is therefore regenerated
+// once per call, however many groups the call carries. It returns one
+// Result per configuration, the groups' configs concatenated in order, each
+// bit-identical to the one the equivalent Run call produces.
 //
 // Options add per-config observers and setups, a pluggable stream source
 // and a bounded parallel drive. Observation is gated at unit-setup time — a
@@ -73,16 +97,23 @@ type Options struct {
 // nothing per access. Observed units keep the repeat-elision and
 // inclusion-chain fast paths: both elide only hits, which change no state,
 // so every miss-derived metric the observers see is exact.
-func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, opt Options) ([]*Result, error) {
+func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
+	n, parts := 0, 0
+	for _, g := range groups {
+		if err := checkLayouts(t, g.OS, g.App); err != nil {
+			return nil, err
+		}
+		n += len(g.Configs)
+		if len(g.Configs) > 0 {
+			parts++
+		}
+	}
 	observers := opt.Observers
-	if observers != nil && len(observers) != len(cfgs) {
-		return nil, fmt.Errorf("simulate: %d observers for %d configs", len(observers), len(cfgs))
+	if observers != nil && len(observers) != n {
+		return nil, fmt.Errorf("simulate: %d observers for %d configs", len(observers), n)
 	}
-	if opt.Setups != nil && len(opt.Setups) != len(cfgs) {
-		return nil, fmt.Errorf("simulate: %d setups for %d configs", len(opt.Setups), len(cfgs))
-	}
-	if err := checkLayouts(t, osL, appL); err != nil {
-		return nil, err
+	if opt.Setups != nil && len(opt.Setups) != n {
+		return nil, fmt.Errorf("simulate: %d setups for %d configs", len(opt.Setups), n)
 	}
 	obsAt := func(i int) obs.Observer {
 		if observers == nil {
@@ -90,77 +121,79 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 		}
 		return observers[i]
 	}
-	results := make([]*Result, len(cfgs))
-	caches := make([]*cache.Cache, len(cfgs))
-	for i, cfg := range cfgs {
-		c, err := cache.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		caches[i] = c
-		results[i] = &Result{LayoutName: osL.Name, Config: cfg}
-		if opt.Setups != nil && opt.Setups[i] != nil {
-			if err := opt.Setups[i](c); err != nil {
+	results := make([]*Result, n)
+	caches := make([]*cache.Cache, n)
+	// keys[s] is stream s; members[s] lists the configs that read it.
+	var keys []streamKey
+	var members [][]int
+	streamOf := make(map[streamKey]int)
+	i := 0
+	for _, g := range groups {
+		for _, cfg := range g.Configs {
+			c, err := cache.New(cfg)
+			if err != nil {
 				return nil, err
 			}
+			caches[i] = c
+			results[i] = &Result{LayoutName: g.OS.Name, Config: cfg}
+			if opt.Setups != nil && opt.Setups[i] != nil {
+				if err := opt.Setups[i](c); err != nil {
+					return nil, err
+				}
+			}
+			k := streamKey{g.OS, g.App, cfg.Line}
+			s, ok := streamOf[k]
+			if !ok {
+				s = len(keys)
+				streamOf[k] = s
+				keys = append(keys, k)
+				members = append(members, nil)
+			}
+			members[s] = append(members[s], i)
+			i++
 		}
 	}
-	if len(cfgs) == 0 {
+	if n == 0 {
 		return results, nil
 	}
-
-	// Group configs by line size: caches sharing a line size see the exact
-	// same line-access sequence, so they share one compiled stream.
-	byLine := make(map[int][]int)
-	var lineSizes []int
-	for i, cfg := range cfgs {
-		if _, ok := byLine[cfg.Line]; !ok {
-			lineSizes = append(lineSizes, cfg.Line)
-		}
-		byLine[cfg.Line] = append(byLine[cfg.Line], i)
-	}
-	units := buildUnits(lineSizes, byLine, caches, obsAt, opt.Workers)
+	units := buildUnits(members, caches, obsAt, opt.Workers)
 
 	// Header-only traces replay through the chunked pipeline: the stream is
 	// regenerated, compiled and driven window by window, never materialised.
 	if t.Streaming() {
-		return runManyStreamed(t, osL, appL, cfgs, caches, results, obsAt, lineSizes, units, opt)
+		return runManyStreamed(t, keys, parts, caches, results, obsAt, units, opt)
 	}
 
-	streams := make([]*Stream, len(lineSizes))
-	if opt.Streams != nil {
-		for k, ls := range lineSizes {
-			s, err := opt.Streams.Stream(t, osL, appL, ls)
-			if err != nil {
-				return nil, err
+	streams := make([]*Stream, len(keys))
+	var ev *Events
+	for s, k := range keys {
+		var err error
+		if opt.Streams != nil {
+			streams[s], err = opt.Streams.Stream(t, k.os, k.app, k.line)
+		} else {
+			if ev == nil {
+				ev = Decode(t)
 			}
-			streams[k] = s
+			streams[s], err = CompileEvents(ev, t, k.os, k.app, k.line)
 		}
-	} else {
-		ev := Decode(t)
-		for k, ls := range lineSizes {
-			s, err := CompileEvents(ev, t, osL, appL, ls)
-			if err != nil {
-				return nil, err
-			}
-			streams[k] = s
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	refs := streams[0].Events().Refs()
-	numEvents := streams[0].Events().NumEvents()
-	for i := range cfgs {
+	ev = streams[0].Events()
+	refs := ev.Refs()
+	for i := range caches {
 		if o := obsAt(i); o != nil {
-			o.Begin(cfgs[i], numEvents)
+			o.Begin(results[i].Config, ev.NumEvents())
 			caches[i].SetEvictionHook(o.Evict)
 		}
 	}
 
 	// The whole compiled stream is one window.
-	ev := streams[0].Events()
 	data := &unitData{attrs: ev.attrs, refsTab: ev.refsTab, lines: make([]lineWindow, len(streams))}
-	for k, s := range streams {
-		data.lines[k] = lineWindow{accs: s.accs, eventEnd: s.eventEnd}
+	for s, st := range streams {
+		data.lines[s] = lineWindow{accs: st.accs, eventEnd: st.eventEnd}
 	}
 	driveUnits(units, data, opt.Workers)
 
@@ -173,21 +206,19 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 	return results, nil
 }
 
-// buildUnits partitions each line-size group into drive units. Within a
-// group, direct-mapped power-of-two caches form an inclusion chain when
-// ordered by ascending set count: a hit in a smaller member guarantees a hit
-// in every larger one (set-refinement), and a direct-mapped hit is a no-op,
-// so the larger members can be skipped outright. The chain is therefore one
-// sequential unit; every other geometry is independent and becomes its own
-// unit. With workers <= 1 the whole group is one unit, driven in a single
-// pass exactly as before.
-func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
-	obsAt func(int) obs.Observer, workers int) []driveUnit {
-
+// buildUnits partitions each stream's caches into drive units. Among the
+// caches reading one stream, direct-mapped power-of-two caches form an
+// inclusion chain when ordered by ascending set count: a hit in a smaller
+// member guarantees a hit in every larger one (set-refinement), and a
+// direct-mapped hit is a no-op, so the larger members can be skipped
+// outright. The chain is therefore one sequential unit; every other
+// geometry is independent and becomes its own unit. With workers <= 1 each
+// stream's caches are one unit, driven in a single pass.
+func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Observer, workers int) []driveUnit {
 	var units []driveUnit
-	for k, ls := range lineSizes {
+	for s, idx := range members {
 		var chainIdx, restIdx []int
-		for _, i := range byLine[ls] {
+		for _, i := range idx {
 			if caches[i].DirectMappedPow2() {
 				chainIdx = append(chainIdx, i)
 			} else {
@@ -206,7 +237,7 @@ func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
 			return rs
 		}
 		if workers <= 1 {
-			units = append(units, newDriveUnit(k, mkRunners(chainIdx), mkRunners(restIdx)))
+			units = append(units, newDriveUnit(s, mkRunners(chainIdx), mkRunners(restIdx)))
 			continue
 		}
 		// Parallel: the chain is one unit, each rest cache its own. A unit
@@ -214,10 +245,10 @@ func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
 		// disjoint state and may drive concurrently over the shared
 		// read-only stream.
 		if len(chainIdx) > 0 {
-			units = append(units, newDriveUnit(k, mkRunners(chainIdx), nil))
+			units = append(units, newDriveUnit(s, mkRunners(chainIdx), nil))
 		}
 		for _, i := range restIdx {
-			units = append(units, newDriveUnit(k, nil, mkRunners([]int{i})))
+			units = append(units, newDriveUnit(s, nil, mkRunners([]int{i})))
 		}
 	}
 	return units
@@ -226,10 +257,10 @@ func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
 // eventDomainShift packs a resolved block event as domain<<31 | block.
 const eventDomainShift = 31
 
-// lineWindow is one line-size group's compiled arrays for one replay
-// window: the elided accesses plus the per-event end offsets (relative to
-// the window). For a materialised replay the window is the whole stream; for
-// a streamed replay it is one chunk.
+// lineWindow is one compiled stream's arrays for one replay window: the
+// elided accesses plus the per-event end offsets (relative to the window).
+// For a materialised replay the window is the whole stream; for a streamed
+// replay it is one chunk, or one part of a chunk.
 type lineWindow struct {
 	accs     []uint32
 	eventEnd []uint32
@@ -237,30 +268,30 @@ type lineWindow struct {
 
 // unitData is one replay window handed to the drive units: the window's
 // block events, the shared per-block reference tables, and one lineWindow
-// per line-size group (indexed by driveUnit.lineIdx).
+// per compiled stream (indexed by driveUnit.stream).
 type unitData struct {
 	attrs   []uint32
 	refsTab [trace.NumDomains][]uint64
 	lines   []lineWindow
 }
 
-// driveUnit is one independently drivable slice of a replay: a line-size
-// group index plus the runners that consume it. chain holds direct-mapped
+// driveUnit is one independently drivable slice of a replay: a stream
+// index plus the runners that consume it. chain holds direct-mapped
 // power-of-two caches in ascending set order (inclusion semantics); rest
 // caches always run. No two units share a cache, result or observer, so
 // units drive concurrently — and a unit keeps its caches across windows, so
 // chunked replay is a plain continuation of cache state.
 type driveUnit struct {
-	lineIdx int
-	chain   []runner
-	rest    []runner
+	stream int
+	chain  []runner
+	rest   []runner
 	// ws caches the unit's non-nil observers, in config order; computed once
 	// at build time so per-window dispatch allocates nothing.
 	ws []obs.Observer
 }
 
-func newDriveUnit(lineIdx int, chain, rest []runner) driveUnit {
-	u := driveUnit{lineIdx: lineIdx, chain: chain, rest: rest}
+func newDriveUnit(stream int, chain, rest []runner) driveUnit {
+	u := driveUnit{stream: stream, chain: chain, rest: rest}
 	for _, rs := range [][]runner{chain, rest} {
 		for k := range rs {
 			if rs[k].obs != nil {
@@ -274,7 +305,7 @@ func newDriveUnit(lineIdx int, chain, rest []runner) driveUnit {
 // drive replays one window through the unit's caches, picking the observed
 // walk only when the unit actually carries an observer.
 func (u *driveUnit) drive(d *unitData) {
-	lw := &d.lines[u.lineIdx]
+	lw := &d.lines[u.stream]
 	if u.ws != nil {
 		driveWindowObserved(d.attrs, lw.eventEnd, lw.accs, d.refsTab, u.chain, u.rest, u.ws)
 	} else {

@@ -2,7 +2,7 @@ package simulate
 
 // Shared-cache multiprocessor replay: one merged multi-CPU event stream
 // (trace.MultiTrace) driven into caches that all CPUs share. This is a
-// separate drive from RunManyOpt on purpose — the single-CPU hot path stays
+// separate drive from RunGroups on purpose — the single-CPU hot path stays
 // branch-free and bit-identical, while this walk follows the run-length CPU
 // schedule beside the compiled stream and keeps per-CPU books (obs.CPUStats)
 // on every access.
@@ -75,7 +75,7 @@ type sharedWindow struct {
 
 // RunShared replays the merged multi-CPU trace through every configuration:
 // all CPUs fetch into one shared cache per configuration (way-partitioned
-// ones bind their partition via Setups, exactly like RunManyOpt). appL may
+// ones bind their partition via Setups, exactly like RunGroups). appL may
 // be nil when the trace has no application.
 func RunShared(mt *trace.MultiTrace, osL, appL *layout.Layout, cfgs []cache.Config, opt SharedOptions) ([]*SharedResult, error) {
 	if err := mt.CheckRuns(); err != nil {
@@ -187,7 +187,7 @@ func RunShared(mt *trace.MultiTrace, osL, appL *layout.Layout, cfgs []cache.Conf
 			w.cpuOf = append(w.cpuOf, uint8(runCPU))
 		}
 		for k := range compilers {
-			if err := compilers[k].compile(w.attrs, &w.lines[k]); err != nil {
+			if err := compilers[k].compile(w.attrs, &w.lines[k], true); err != nil {
 				return nil, err
 			}
 		}

@@ -26,7 +26,7 @@ import (
 // Sharing the resolved reference stream across configurations is the classic
 // single-pass trick (Hill & Smith's all-associativity simulation, the
 // Cheetah simulator); compiling it into a reusable artifact moves the
-// amortisation one level up, across RunManyOpt calls.
+// amortisation one level up, across RunGroups calls.
 
 // Events is the layout-independent decode of one trace: one packed
 // (domain, block) record per basic-block event, the per-block
@@ -45,7 +45,7 @@ type Events struct {
 // each event is packed into a uint32 alongside the per-block reference
 // tables the replay needs. Decode materialises the packed events — for
 // header-only traces that should stay in O(chunk) memory, use the chunked
-// pipeline (RunManyOpt routes there automatically) instead.
+// pipeline (RunGroups routes there automatically) instead.
 func Decode(t *trace.Trace) *Events {
 	ev := &Events{}
 	ev.refsTab[trace.DomainOS] = refsOf(t.OS)
@@ -87,7 +87,7 @@ func (ev *Events) Bytes() int64 {
 // line size) tuple: every block event's line span expanded and consecutive
 // same-line accesses elided, exactly as the drive loops used to do per
 // replay. A Stream is immutable after CompileEvents; any number of drive
-// workers and RunManyOpt calls may read it concurrently.
+// workers and RunGroups calls may read it concurrently.
 type Stream struct {
 	lineSize int
 	ev       *Events
@@ -123,7 +123,7 @@ func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSiz
 		return nil, err
 	}
 	var lw lineWindow
-	if err := cc.compile(ev.attrs, &lw); err != nil {
+	if err := cc.compile(ev.attrs, &lw, true); err != nil {
 		return nil, err
 	}
 	return &Stream{lineSize: lineSize, ev: ev, accs: lw.accs, eventEnd: lw.eventEnd}, nil
@@ -145,7 +145,7 @@ func (s *Stream) Bytes() int64 {
 	return int64(4*len(s.accs) + 4*len(s.eventEnd))
 }
 
-// StreamSource supplies compiled streams to RunManyOpt; implementations
+// StreamSource supplies compiled streams to RunGroups; implementations
 // (internal/streamcache.Cache) memoize compilation across calls. A source
 // must be safe for concurrent use.
 type StreamSource interface {
@@ -162,9 +162,11 @@ func refsOf(p *program.Program) []uint64 {
 }
 
 // lineSpan is the precomputed [First, Last] line-address range one block's
-// execution touches under a given line size.
+// execution touches under a given line size. spanTables admits only line
+// addresses below the packed access word's domain bit, so a span fits in
+// two 32-bit words.
 type lineSpan struct {
-	First, Last uint64
+	First, Last uint32
 }
 
 // spanTables precomputes, for one line size, the line-address range each
@@ -173,25 +175,25 @@ type lineSpan struct {
 func spanTables(t *trace.Trace, osL, appL *layout.Layout, lineSize int) ([trace.NumDomains][]lineSpan, error) {
 	shift := uint(bits.TrailingZeros(uint(lineSize)))
 	var tabs [trace.NumDomains][]lineSpan
-	tabs[trace.DomainOS] = spansOf(osL, shift)
+	var err error
+	if tabs[trace.DomainOS], err = spansOf(osL, shift); err != nil {
+		return tabs, err
+	}
 	if t.App != nil {
-		tabs[trace.DomainApp] = spansOf(appL, shift)
+		tabs[trace.DomainApp], err = spansOf(appL, shift)
 	}
-	for _, tab := range tabs {
-		for _, sp := range tab {
-			if sp.Last > streamLineMask {
-				return tabs, fmt.Errorf("simulate: line address %#x exceeds the packed 31-bit stream range; cannot compile", sp.Last)
-			}
-		}
-	}
-	return tabs, nil
+	return tabs, err
 }
 
-func spansOf(l *layout.Layout, shift uint) []lineSpan {
+func spansOf(l *layout.Layout, shift uint) ([]lineSpan, error) {
 	spans := make([]lineSpan, len(l.Addr))
 	for b, addr := range l.Addr {
 		size := l.Prog.Block(program.BlockID(b)).Size
-		spans[b] = lineSpan{addr >> shift, (addr + uint64(size) - 1) >> shift}
+		last := (addr + uint64(size) - 1) >> shift
+		if last > streamLineMask {
+			return nil, fmt.Errorf("simulate: line address %#x exceeds the packed 31-bit stream range; cannot compile", last)
+		}
+		spans[b] = lineSpan{uint32(addr >> shift), uint32(last)}
 	}
-	return spans
+	return spans, nil
 }

@@ -79,6 +79,9 @@ type (
 	CacheSetup = simulate.CacheSetup
 	// Result is the outcome of one cache simulation run.
 	Result = simulate.Result
+	// Group is one layout pair and the cache organisations replayed under
+	// it; Study.EvaluateMany replays a trace under several groups at once.
+	Group = simulate.Group
 	// App is a synthesized application image.
 	App = appgen.App
 	// Observer receives replay events from observed simulations.
@@ -532,27 +535,36 @@ func (s *Study) Evaluate(i int, osL, appL *Layout, cfg CacheConfig) (*Result, er
 }
 
 // EvaluateMany replays workload i's trace through many cache organisations
-// in a single pass over compiled line streams (simulate.RunManyOpt): the
-// trace is decoded once per study, the (layout, line size) expansion is
-// memoized across calls in the study's stream cache, and all caches
-// sharing a line size are driven from the same stream — fanned across a
-// worker pool when StudyOptions.DrivePar allows. Results are bit-identical
-// to per-config Evaluate calls; sweep and compare experiments use this to
-// avoid redundant trace replays and recompilations.
+// under one or more layout pairs in a single pass (simulate.RunGroups):
+// the trace is read once per call however many groups it carries, decoded
+// once per study, and each (layout pair, line size) expansion is memoized
+// across calls in the study's stream cache; all caches sharing a stream
+// are driven from it — fanned across a worker pool when
+// StudyOptions.DrivePar allows. A group whose App is nil replays the
+// workload's application under its Base layout. Results, one per
+// configuration with the groups' configs concatenated in order, are
+// bit-identical to per-config Evaluate calls; sweep and compare
+// experiments use this to avoid redundant trace replays and
+// recompilations.
 //
 // observers and setups are optional (nil when unused); when non-nil they
-// match cfgs in length. observers[k] (nil entries are free) additionally
-// receives every trace event, classified miss and eviction of cfgs[k]'s
-// replay, so collectors like SimStats can attribute where the misses went.
-// setups[k] prepares cfgs[k]'s cache before the replay: partition
-// controllers install reserved line sets and bind dynamic repartitioning
-// policies through it. Observation never changes a Result.
-func (s *Study) EvaluateMany(i int, osL, appL *Layout, cfgs []CacheConfig, observers []Observer, setups []CacheSetup) ([]*Result, error) {
+// match the concatenated configs in length. observers[k] (nil entries are
+// free) additionally receives every trace event, classified miss and
+// eviction of config k's replay, so collectors like SimStats can attribute
+// where the misses went. setups[k] prepares config k's cache before the
+// replay: partition controllers install reserved line sets and bind
+// dynamic repartitioning policies through it. Observation never changes a
+// Result.
+func (s *Study) EvaluateMany(i int, groups []Group, observers []Observer, setups []CacheSetup) ([]*Result, error) {
 	d := s.Data[i]
-	if appL == nil && d.App != nil {
-		appL = s.AppBaseLayout(i)
+	gs := make([]Group, len(groups))
+	for k, g := range groups {
+		if g.App == nil && d.App != nil {
+			g.App = s.AppBaseLayout(i)
+		}
+		gs[k] = g
 	}
-	return simulate.RunManyOpt(d.Trace, osL, appL, cfgs, simulate.Options{
+	return simulate.RunGroups(d.Trace, gs, simulate.Options{
 		Observers: observers,
 		Setups:    setups,
 		Streams:   s.streams,

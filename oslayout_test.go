@@ -154,7 +154,7 @@ func TestEvaluateSplitAndReserved(t *testing.T) {
 	_, plan := mustBuild(t, st, "opts", 4<<10)
 	evalOne := func(cfg CacheConfig, setup CacheSetup) *Result {
 		t.Helper()
-		ress, err := st.EvaluateMany(1, plan.Layout, nil, []CacheConfig{cfg}, nil, []CacheSetup{setup})
+		ress, err := st.EvaluateMany(1, []Group{{OS: plan.Layout, Configs: []CacheConfig{cfg}}}, nil, []CacheSetup{setup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,13 +249,14 @@ func TestWarmReplayAllocation(t *testing.T) {
 	}
 	const reps = 5
 	for i := range st.Data {
-		if _, err := st.EvaluateMany(i, osL, nil, cfgs, nil, nil); err != nil { // compiles the streams
+		groups := []Group{{OS: osL, Configs: cfgs}}
+		if _, err := st.EvaluateMany(i, groups, nil, nil); err != nil { // compiles the streams
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for r := 0; r < reps; r++ {
-			if _, err := st.EvaluateMany(i, osL, nil, cfgs, nil, nil); err != nil {
+			if _, err := st.EvaluateMany(i, groups, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
