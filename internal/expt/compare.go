@@ -261,12 +261,11 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 		c.PartSplit = alloc3[cache.Partition](ns, nw, nk)
 	}
 
-	// Multi-CPU grids share one merged trace per workload across the
-	// strategy tasks; materialised or header-only per the study's pipeline
-	// mode, built serially (application image construction), replayed
-	// read-only in parallel below. Private grids keep the per-CPU sources
-	// separate instead; each CPU's trace is generated by the one task that
-	// replays it.
+	// Shared-cache grids build one merged trace per workload, materialised
+	// or header-only per the study's pipeline mode, serially (application
+	// image construction); the workload's one task replays it below.
+	// Private grids keep the per-CPU sources separate instead; each CPU's
+	// trace is generated by the one task that replays it.
 	var mtrs []*trace.MultiTrace
 	var appLs []*layout.Layout
 	var srcs []*workload.MultiSource
@@ -332,11 +331,10 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 			plan = append(plan, group{k, []int{si}})
 		}
 	}
-	// One task per trace: a workload's trace, or one CPU's trace of a
-	// private grid, replays under every group of the plan in one pass, so a
-	// streamed study regenerates it once. Shared-cache grids replay each
-	// group of the merged trace on its own (RunShared takes one layout
-	// pair).
+	// One task per trace: a workload's trace (merged, on a shared-cache
+	// grid), or one CPU's trace of a private grid, replays under every
+	// group of the plan in one pass, so a streamed study regenerates it
+	// once.
 	type task struct {
 		wi, cpu int // cpu is -1 outside private mode
 		groups  []group
@@ -346,19 +344,14 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 		if !wsel[wi] {
 			continue
 		}
-		switch {
-		case opt.Private:
-			for cpu := 0; cpu < cpus; cpu++ {
-				if csel[cpu] {
-					tasks = append(tasks, task{wi, cpu, plan})
-				}
-			}
-		case cpus > 1:
-			for _, g := range plan {
-				tasks = append(tasks, task{wi, -1, []group{g}})
-			}
-		default:
+		if !opt.Private {
 			tasks = append(tasks, task{wi, -1, plan})
+			continue
+		}
+		for cpu := 0; cpu < cpus; cpu++ {
+			if csel[cpu] {
+				tasks = append(tasks, task{wi, cpu, plan})
+			}
 		}
 	}
 	// cell locates one replayed configuration: its group in the task and
@@ -436,14 +429,13 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 			}
 			return nil
 		case cpus > 1:
-			g := groups[0]
 			start := time.Now()
-			shared, err := simulate.RunShared(mtrs[tk.wi], g.OS, g.App, g.Configs,
-				simulate.SharedOptions{Observers: observers, Setups: setups, Workers: e.par})
+			shared, err := simulate.RunShared(mtrs[tk.wi], groups,
+				simulate.Options{Observers: observers, Setups: setups, Workers: e.par})
 			if err != nil {
 				return err
 			}
-			e.recordReplay(mtrs[tk.wi].Trace, 1, start, shared[0].Result)
+			e.recordReplay(mtrs[tk.wi].Trace, len(groups), start, shared[0].Result)
 			ress = make([]*simulate.Result, len(shared))
 			for i, cl := range cells {
 				ress[i] = shared[i].Result

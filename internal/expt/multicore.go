@@ -110,10 +110,11 @@ type Figure19 struct {
 	SharedOSHits [][][]uint64
 }
 
-// RunFigure19 evaluates the multiprocessor sweep. The shared scenarios of
-// one (workload, layout) pair replay from one compiled merged stream
-// (RunShared batches them); the private baseline replays each CPU's own
-// trace through the single-CPU engine on a capacity-equal slice.
+// RunFigure19 evaluates the multiprocessor sweep. Each workload's merged
+// trace replays once, under both layouts and every shared scenario
+// (RunShared groups them); the private baseline replays each CPU's own
+// trace once, under both layouts, through the single-CPU engine on a
+// capacity-equal slice.
 func (e *Env) RunFigure19() (*Figure19, error) {
 	cpus := e.cpus
 	sharedCfg := cache.Config{Size: cpus * (8 << 10), Line: 32, Assoc: 2 * cpus}
@@ -187,12 +188,16 @@ func (e *Env) RunFigure19() (*Figure19, error) {
 		if err != nil {
 			return err
 		}
+		// Shared scenarios: one replay of the merged stream, with a group
+		// of the shared rows per layout. Config j is row j%nsr of layout
+		// j/nsr.
+		nsr := len(fig19SharedRows)
+		groups := make([]simulate.Group, nl)
+		observers := make([]obs.Observer, nl*nsr)
+		setups := make([]simulate.CacheSetup, nl*nsr)
+		ctrls := make([]*partition.Controller, nl*nsr)
 		for l, osL := range osLayouts {
-			// Shared scenarios: one batched replay of the merged stream.
-			cfgs := make([]cache.Config, len(fig19SharedRows))
-			observers := make([]obs.Observer, len(fig19SharedRows))
-			setups := make([]simulate.CacheSetup, len(fig19SharedRows))
-			ctrls := make([]*partition.Controller, len(fig19SharedRows))
+			cfgs := make([]cache.Config, nsr)
 			for r, row := range fig19SharedRows {
 				cfgs[r] = sharedCfg
 				if row.Spec == "" {
@@ -200,59 +205,67 @@ func (e *Env) RunFigure19() (*Figure19, error) {
 				}
 				cfgs[r].Part = specs[r].Initial()
 				k := partition.NewController(specs[r], fig19Windows, nil)
-				ctrls[r] = k
-				observers[r] = k
-				setups[r] = k.Bind
+				j := l*nsr + r
+				ctrls[j], observers[j], setups[j] = k, k, k.Bind
 			}
-			start := time.Now()
-			ress, err := simulate.RunShared(mt, osL, appL, cfgs,
-				simulate.SharedOptions{Observers: observers, Setups: setups, Workers: e.par})
+			groups[l] = simulate.Group{OS: osL, App: appL, Configs: cfgs}
+		}
+		start := time.Now()
+		ress, err := simulate.RunShared(mt, groups,
+			simulate.Options{Observers: observers, Setups: setups, Workers: e.par})
+		if err != nil {
+			return err
+		}
+		e.recordReplay(mt.Trace, nl, start, ress[0].Result)
+		for j, res := range ress {
+			l, r := j/nsr, j%nsr
+			if k := ctrls[j]; k != nil {
+				if err := k.Err(); err != nil {
+					return err
+				}
+			}
+			// The attribution invariant: the (installer, evictor) matrix
+			// must cover every eviction exactly once.
+			if got := res.CPU.EvictionTotal(); got != res.Evictions {
+				return fmt.Errorf("fig19: %s/%s/%s eviction attribution sums to %d of %d evictions",
+					f.Workloads[i], fig19Layouts[l], fig19SharedRows[r].Label, got, res.Evictions)
+			}
+			rr := r + 1 // row 0 is private
+			f.Rate[i][l][rr] = res.Stats.MissRate()
+			for c := 0; c < cpus; c++ {
+				f.PerCPU[i][l][rr][c] = res.CPU.MissRate(c)
+			}
+			f.Evictions[i][l][rr] = res.Evictions
+			f.CrossEvict[i][l][rr] = res.CPU.CrossEvictions()
+			f.SharedOSHits[i][l][rr] = res.CPU.SharedHitTotal(trace.DomainOS)
+		}
+		// Private baseline: each CPU's own trace, generated once, through
+		// the single-CPU engine on its capacity slice under both layouts.
+		private := make([]simulate.Group, nl)
+		for l, osL := range osLayouts {
+			private[l] = simulate.Group{OS: osL, App: appL, Configs: []cache.Config{privateCfg}}
+		}
+		refs := make([]uint64, nl)
+		misses := make([]uint64, nl)
+		for c := 0; c < cpus; c++ {
+			tr, err := e.cpuTrace(ms, c)
 			if err != nil {
 				return err
 			}
-			e.recordReplay(mt.Trace, 1, start, ress[0].Result)
-			for r := range fig19SharedRows {
-				if k := ctrls[r]; k != nil {
-					if err := k.Err(); err != nil {
-						return err
-					}
-				}
-				res := ress[r]
-				// The attribution invariant: the (installer, evictor)
-				// matrix must cover every eviction exactly once.
-				if got := res.CPU.EvictionTotal(); got != res.Evictions {
-					return fmt.Errorf("fig19: %s/%s/%s eviction attribution sums to %d of %d evictions",
-						f.Workloads[i], fig19Layouts[l], fig19SharedRows[r].Label, got, res.Evictions)
-				}
-				rr := r + 1 // row 0 is private
-				f.Rate[i][l][rr] = res.Stats.MissRate()
-				for c := 0; c < cpus; c++ {
-					f.PerCPU[i][l][rr][c] = res.CPU.MissRate(c)
-				}
-				f.Evictions[i][l][rr] = res.Evictions
-				f.CrossEvict[i][l][rr] = res.CPU.CrossEvictions()
-				f.SharedOSHits[i][l][rr] = res.CPU.SharedHitTotal(trace.DomainOS)
+			start := time.Now()
+			ress, err := simulate.RunGroups(tr, private, simulate.Options{Workers: e.par})
+			if err != nil {
+				return err
 			}
-			// Private baseline: each CPU's own trace through the single-CPU
-			// engine on its capacity slice.
-			var refs, misses uint64
-			for c := 0; c < cpus; c++ {
-				tr, err := e.cpuTrace(ms, c)
-				if err != nil {
-					return err
-				}
-				start := time.Now()
-				ress, err := simulate.RunManyOpt(tr, osL, appL,
-					[]cache.Config{privateCfg}, simulate.Options{Workers: e.par})
-				if err != nil {
-					return err
-				}
-				e.recordReplay(tr, 1, start, ress...)
-				f.PerCPU[i][l][0][c] = ress[0].Stats.MissRate()
-				refs += ress[0].Stats.TotalRefs()
-				misses += ress[0].Stats.TotalMisses()
+			e.recordReplay(tr, nl, start, ress...)
+			for l, res := range ress {
+				f.PerCPU[i][l][0][c] = res.Stats.MissRate()
+				refs[l] += res.Stats.TotalRefs()
+				misses[l] += res.Stats.TotalMisses()
 			}
-			f.Rate[i][l][0] = ratio(misses, refs)
+		}
+		for l := range osLayouts {
+			f.Rate[i][l][0] = ratio(misses[l], refs[l])
 		}
 		return nil
 	})

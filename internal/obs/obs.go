@@ -13,7 +13,8 @@
 //     conflicting line pairs. Attached at unit-setup time by
 //     simulate.RunGroups; a nil observer costs nothing (the replay
 //     engine keeps its unobserved fast paths). BlockMisses is the
-//     per-block miss attribution observer.
+//     per-block miss attribution observer; CPUStats holds the per-CPU
+//     books of a shared-cache replay.
 //   - Recorder: scoped spans and counters timing study build, trace
 //     generation, per-strategy layout construction and replay throughput.
 //     All methods are nil-receiver safe so call sites need no branches.
@@ -33,9 +34,10 @@ import (
 // Observer receives replay events for one cache configuration. The driver
 // guarantees the call order Begin, then per trace event one Event call
 // followed by the Evict/Miss calls that event caused (an Evict always
-// precedes the Miss that triggered it). Hits elided by the engine's
-// fast paths (same-line repeats, inclusion-chain skips) are never reported:
-// they change no cache state, so every miss-derived metric is exact.
+// precedes the Miss that triggered it). Hits are not reported to an
+// Observer (see HitObserver): they change no cache state, so every
+// miss-derived metric is exact without them, and the engine keeps its
+// hit-eliding fast paths (same-line repeats, inclusion-chain skips).
 type Observer interface {
 	// Begin announces the configuration and the number of block events the
 	// replay will process.
@@ -49,6 +51,20 @@ type Observer interface {
 	// Evict reports that victimLine was displaced from the given set by a
 	// fetch from the evictor domain.
 	Evict(victimLine uint64, set int, evictor trace.Domain)
+}
+
+// HitObserver is an Observer that is also told of hits: after the Event
+// that caused them, every hit of the replay's compiled line stream is
+// reported, interleaved in replay order with that event's misses. Hits on
+// same-line repeats, elided when the stream is compiled, are still never
+// reported; but a direct-mapped cache watched by a HitObserver leaves the
+// inclusion chain, so none of its hits is skipped at drive time. The
+// shared-cache replay's per-CPU books are the one user: they count hits on
+// lines a sibling CPU installed.
+type HitObserver interface {
+	Observer
+	// Hit reports a hit on the given line by the current event.
+	Hit(line uint64, d trace.Domain)
 }
 
 // Window is one bucket of the miss-rate time series: the references issued

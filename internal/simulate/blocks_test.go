@@ -94,7 +94,7 @@ func TestBlockMissesMatchesOracle(t *testing.T) {
 	}
 	t.Run("shared", func(t *testing.T) {
 		observers, got := attach()
-		if _, err := RunShared(asMulti(tr, 1), osL, appL, equivalenceGrid, SharedOptions{Observers: observers, Workers: 1}); err != nil {
+		if _, err := RunShared(asMulti(tr, 1), []Group{{OS: osL, App: appL, Configs: equivalenceGrid}}, Options{Observers: observers, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		check(t, got)

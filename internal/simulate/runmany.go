@@ -14,12 +14,14 @@ import (
 
 // runner is one cache's hoisted access function. probe is set on chain
 // members only, which test it inline and call access only on a miss. obs is
-// non-nil only on the observed drive path; the unobserved drive loops never
-// read it.
+// non-nil only on the observed drive path, and hit only when obs is also a
+// HitObserver (never on a chain member); the unobserved drive loops read
+// neither.
 type runner struct {
 	access func(uint64, trace.Domain) cache.MissClass
 	probe  cache.DMProbe
 	obs    obs.Observer
+	hit    obs.HitObserver
 }
 
 // CacheSetup configures one freshly built cache before its replay starts —
@@ -211,15 +213,16 @@ func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 // inclusion chain when ordered by ascending set count: a hit in a smaller
 // member guarantees a hit in every larger one (set-refinement), and a
 // direct-mapped hit is a no-op, so the larger members can be skipped
-// outright. The chain is therefore one sequential unit; every other
-// geometry is independent and becomes its own unit. With workers <= 1 each
-// stream's caches are one unit, driven in a single pass.
+// outright. A cache watched by a HitObserver must see every hit, so it
+// stays out of the chain. The chain is therefore one sequential unit; every
+// other cache is independent and becomes its own unit. With workers <= 1
+// each stream's caches are one unit, driven in a single pass.
 func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Observer, workers int) []driveUnit {
 	var units []driveUnit
 	for s, idx := range members {
 		var chainIdx, restIdx []int
 		for _, i := range idx {
-			if caches[i].DirectMappedPow2() {
+			if _, hits := obsAt(i).(obs.HitObserver); caches[i].DirectMappedPow2() && !hits {
 				chainIdx = append(chainIdx, i)
 			} else {
 				restIdx = append(restIdx, i)
@@ -232,7 +235,9 @@ func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Obse
 			rs := make([]runner, len(idx))
 			for k, i := range idx {
 				probe, _ := caches[i].Probe() // the zero probe of a rest cache is never read
-				rs[k] = runner{caches[i].AccessFunc(), probe, obsAt(i)}
+				o := obsAt(i)
+				h, _ := o.(obs.HitObserver)
+				rs[k] = runner{caches[i].AccessFunc(), probe, o, h}
 			}
 			return rs
 		}
@@ -378,11 +383,12 @@ func driveWindow(accs []uint32, chain, rest []runner) {
 // every watcher of the unit in exact replay order, and each miss is
 // forwarded to its runner's observer with the block of the event that
 // caused it (evictions reach observers through the cache-side hook
-// installed at setup). The cache-visible access sequence is exactly
-// driveWindow's, so results stay bit-identical to the unobserved path; and
-// because every observer belongs to exactly one unit, the per-observer
-// event/miss sequence is identical whether units run sequentially or in
-// parallel, and whether windows arrive whole or chunked.
+// installed at setup). A rest runner's HitObserver also hears of each of
+// its hits; chain members never carry one. The cache-visible access
+// sequence is exactly driveWindow's, so results stay bit-identical to the
+// unobserved path; and because every observer belongs to exactly one unit,
+// the per-observer event/miss sequence is identical whether units run
+// sequentially or in parallel, and whether windows arrive whole or chunked.
 func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint32,
 	refsTab [trace.NumDomains][]uint64, chain, rest []runner, watchers []obs.Observer) {
 
@@ -409,7 +415,12 @@ func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint32,
 			}
 			for k := range rest {
 				r := &rest[k]
-				if cl := r.access(line, d); cl != cache.Hit && r.obs != nil {
+				switch cl := r.access(line, d); {
+				case cl == cache.Hit:
+					if r.hit != nil {
+						r.hit.Hit(line, d)
+					}
+				case r.obs != nil:
 					r.obs.Miss(line, d, cl, b)
 				}
 			}

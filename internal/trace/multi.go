@@ -7,21 +7,25 @@ import "fmt"
 // double the footprint of every single-CPU trace to serve a feature most
 // replays never use. CPU identity therefore travels *beside* the merged
 // event stream as a run-length schedule: the interleaver emits whole
-// per-CPU segments, so the schedule is a short list of (cpu, events) runs —
-// thousands of entries against millions of events — and the shared-cache
-// drive re-expands it with a cursor while walking the stream.
+// per-CPU segments, so the schedule is a short list of (cpu, events,
+// blocks) runs — thousands of entries against millions of events. The
+// shared-cache replay (simulate.RunShared) re-expands it in block events:
+// markers never reach the replay engine, so its per-CPU books advance a
+// cursor on each block event they are shown.
 
 // CPURun is one contiguous slice of a merged multi-CPU event stream: the
-// next Events raw events (markers included) were issued by CPU.
+// next Events raw events (markers included), Blocks of them block events,
+// were issued by CPU.
 type CPURun struct {
 	CPU    int `json:"cpu"`
 	Events int `json:"events"`
+	Blocks int `json:"blocks"`
 }
 
 // MultiTrace is a merged multi-CPU trace: one event stream (materialised or
 // header-only, exactly like Trace) plus the run-length CPU schedule aligned
 // with it. The embedded Trace replays through every existing single-trace
-// path; multi-CPU-aware drives (simulate.RunShared) additionally follow
+// path; the shared-cache replay (simulate.RunShared) additionally follows
 // Runs.
 type MultiTrace struct {
 	*Trace
@@ -33,8 +37,10 @@ type MultiTrace struct {
 	Runs []CPURun
 }
 
-// CheckRuns validates that the schedule covers the event stream exactly and
-// names only CPUs in range.
+// CheckRuns validates that the schedule covers the event stream exactly,
+// names only CPUs in range and counts no more block events in a run than
+// the run holds events. (Whether the block counts cover the stream's block
+// events is RunShared's check: a materialised trace needs a scan for it.)
 func (mt *MultiTrace) CheckRuns() error {
 	if mt.CPUs < 1 {
 		return fmt.Errorf("trace: multi-trace with %d CPUs", mt.CPUs)
@@ -46,6 +52,9 @@ func (mt *MultiTrace) CheckRuns() error {
 		}
 		if r.Events <= 0 {
 			return fmt.Errorf("trace: run with %d events", r.Events)
+		}
+		if r.Blocks < 0 || r.Blocks > r.Events {
+			return fmt.Errorf("trace: run with %d block events of %d", r.Blocks, r.Events)
 		}
 		total += r.Events
 	}

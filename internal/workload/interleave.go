@@ -116,21 +116,21 @@ func (ms *MultiSource) Options() InterleaveOptions { return ms.iopt }
 
 // interleaver merges the per-CPU generators. onRun, when non-nil, observes
 // each closed run: a maximal turn's worth of consecutive events from one
-// CPU (zero-event turns are skipped).
+// CPU, with its block events counted (zero-event turns are skipped).
 type interleaver struct {
 	gens []*generator
 	rng  *rand.Rand
 	gran int
 	// cur is the CPU whose turn is running; left the segments remaining in
-	// the turn; runEvents the events the turn has emitted so far.
-	cur       int
-	left      int
-	runEvents int
-	onRun     func(cpu, events int)
-	done      bool
+	// the turn; run the turn's events and block events so far.
+	cur   int
+	left  int
+	run   trace.CPURun
+	onRun func(trace.CPURun)
+	done  bool
 }
 
-func (ms *MultiSource) interleaver(onRun func(cpu, events int)) *interleaver {
+func (ms *MultiSource) interleaver(onRun func(trace.CPURun)) *interleaver {
 	il := &interleaver{
 		rng:   rand.New(rand.NewSource(ms.iopt.Seed)),
 		gran:  ms.iopt.Granularity,
@@ -153,10 +153,11 @@ func (il *interleaver) turnLen() int { return 1 + il.rng.Intn(2*il.gran-1) }
 // surviving CPU keeps running). When every generator is done, so is the
 // interleaver.
 func (il *interleaver) rotate() {
-	if il.runEvents > 0 && il.onRun != nil {
-		il.onRun(il.cur, il.runEvents)
+	if il.run.Events > 0 && il.onRun != nil {
+		il.run.CPU = il.cur
+		il.onRun(il.run)
 	}
-	il.runEvents = 0
+	il.run = trace.CPURun{}
 	n := len(il.gens)
 	for i := 1; i <= n; i++ {
 		c := (il.cur + i) % n
@@ -185,7 +186,14 @@ func (il *interleaver) step(events []trace.Event) ([]trace.Event, error) {
 		}
 		il.left--
 		if n := len(events) - start; n > 0 {
-			il.runEvents += n
+			il.run.Events += n
+			if il.onRun != nil {
+				for _, e := range events[start:] {
+					if e.IsBlock() {
+						il.run.Blocks++
+					}
+				}
+			}
 			return events, nil
 		}
 		// The generator reached its reference target without emitting: it
@@ -239,9 +247,7 @@ func (ms *MultiSource) newTrace() *trace.Trace {
 // plus its CPU run schedule.
 func (ms *MultiSource) Generate() (*trace.MultiTrace, error) {
 	mt := &trace.MultiTrace{Trace: ms.newTrace(), CPUs: len(ms.srcs)}
-	il := ms.interleaver(func(cpu, events int) {
-		mt.Runs = append(mt.Runs, trace.CPURun{CPU: cpu, Events: events})
-	})
+	il := ms.interleaver(func(r trace.CPURun) { mt.Runs = append(mt.Runs, r) })
 	var err error
 	for !il.done {
 		if mt.Trace.Events, err = il.step(mt.Trace.Events); err != nil {
@@ -260,9 +266,7 @@ func (ms *MultiSource) Generate() (*trace.MultiTrace, error) {
 // the event stream itself is never retained.
 func (ms *MultiSource) Trace() (*trace.MultiTrace, error) {
 	mt := &trace.MultiTrace{Trace: ms.newTrace(), CPUs: len(ms.srcs)}
-	il := ms.interleaver(func(cpu, events int) {
-		mt.Runs = append(mt.Runs, trace.CPURun{CPU: cpu, Events: events})
-	})
+	il := ms.interleaver(func(r trace.CPURun) { mt.Runs = append(mt.Runs, r) })
 	tot := &trace.Totals{}
 	var buf []trace.Event
 	for !il.done {

@@ -128,7 +128,8 @@ func TestInterleavePreservesPerCPUSubsequences(t *testing.T) {
 
 // TestInterleaveBoundaries checks that the merge respects OS-invocation
 // boundaries: within every run, Begin/End markers nest properly, so a CPU
-// switch never lands inside an invocation.
+// switch never lands inside an invocation. It also checks each run's block
+// count against the block events of its raw slice.
 func TestInterleaveBoundaries(t *testing.T) {
 	k := testKernel(t)
 	mt, _, err := GenerateMulti(k, Paper()[3], Options{Seed: 21, OSRefs: 60_000}, multiOpt)
@@ -137,13 +138,15 @@ func TestInterleaveBoundaries(t *testing.T) {
 	}
 	pos := 0
 	for ri, run := range mt.Runs {
-		depth := 0
+		depth, blocks := 0, 0
 		for _, e := range mt.Events[pos : pos+run.Events] {
 			switch {
 			case e.IsBegin():
 				depth++
 			case e.IsEnd():
 				depth--
+			case e.IsBlock():
+				blocks++
 			}
 			if depth < 0 {
 				t.Fatalf("run %d: End without Begin", ri)
@@ -151,6 +154,9 @@ func TestInterleaveBoundaries(t *testing.T) {
 		}
 		if depth != 0 {
 			t.Fatalf("run %d (cpu %d): CPU switch inside an OS invocation (depth %d)", ri, run.CPU, depth)
+		}
+		if blocks != run.Blocks {
+			t.Fatalf("run %d (cpu %d): %d block events, schedule counts %d", ri, run.CPU, blocks, run.Blocks)
 		}
 		pos += run.Events
 	}
