@@ -382,67 +382,54 @@ func (s *Server) archiveJob(j *Job, results map[string]JobResult, cells []runsto
 	}
 }
 
-// execute runs the job's work and returns the rendered results, plus the
-// grid cells and windowed miss-rate series the archive record keeps. A
-// coordinator executes nothing locally: the job fans out over the fleet.
-func (s *Server) execute(j *Job) (map[string]JobResult, []runstore.Cell, []obs.WindowFlush, error) {
-	if s.fleet != nil {
-		return s.executeDistributed(j)
-	}
-	par := j.Spec.Par
+// jobEnv builds the environment a local job or a shard runs in. Par
+// defaults to the daemon's -drivepar, and onWindow, when non-nil, is the
+// live-progress hook. Compare specs share pooled studies: layout builds
+// serialise under the strategy-cache lock and evaluation is read-only, so
+// concurrent compare runs over one study are safe — and repeat runs replay
+// from its memoized compiled streams. Experiment specs keep a private study
+// (several experiments re-apply kernel profiles in place, which must not
+// race across jobs). The returned release flushes the environment's layout
+// and stream cache counters and the recorder's replay counters into the
+// daemon's; call it once the run is over.
+func (s *Server) jobEnv(spec *JobSpec, rec *obs.Recorder, onWindow func(obs.WindowFlush)) (*expt.Env, func(), error) {
+	par := spec.Par
 	if par == 0 {
 		par = s.drivePar
 	}
-	stream, err := j.Spec.streamMode()
+	stream, err := spec.streamMode()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	// Windows accumulate for the archive record; OnWindow fires from the
-	// replay drive pool's goroutines, so appends are locked.
-	var winMu sync.Mutex
-	var windows []obs.WindowFlush
 	opts := expt.Options{
-		OSRefs:            j.Spec.Refs,
-		KernelSeed:        j.Spec.Seed,
-		Recorder:          j.rec,
+		OSRefs:            spec.Refs,
+		KernelSeed:        spec.Seed,
+		Recorder:          rec,
 		Par:               par,
-		CPUs:              j.Spec.Cpus,
+		CPUs:              spec.Cpus,
 		Stream:            stream,
-		ChunkEvents:       j.Spec.Chunk,
+		ChunkEvents:       spec.Chunk,
 		StreamBudgetBytes: s.budget,
-		OnWindow: func(f obs.WindowFlush) {
-			s.windowFlushes.Inc()
-			fl := f
-			winMu.Lock()
-			windows = append(windows, fl)
-			winMu.Unlock()
-			j.events.publish(Event{Type: "window", Window: &fl})
-		},
+		OnWindow:          onWindow,
 	}
-	// Compare jobs share pooled studies: layout builds serialise under the
-	// strategy-cache lock and evaluation is read-only, so concurrent
-	// compare jobs over one study are safe — and repeat jobs replay from
-	// its memoized compiled streams. Experiment jobs keep a private study
-	// (several experiments re-apply kernel profiles in place, which must
-	// not race across jobs).
 	var pooled *studyEntry
-	if j.Spec.Compare != nil {
-		done := j.rec.Span("study.build")
-		entry, err := s.studies.get(studyKey{refs: j.Spec.Refs, seed: j.Spec.Seed, stream: stream, chunk: j.Spec.Chunk}, func() (*oslayout.Study, error) {
+	if spec.Compare != nil {
+		done := rec.Span("study.build")
+		entry, err := s.studies.get(studyKey{refs: spec.Refs, seed: spec.Seed, stream: stream, chunk: spec.Chunk}, func() (*oslayout.Study, error) {
 			return expt.BuildStudy(opts)
 		})
 		done()
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("building study: %w", err)
+			return nil, nil, fmt.Errorf("building study: %w", err)
 		}
 		pooled = entry
 		opts.Study = entry.st
 	}
 	env, err := expt.NewEnv(opts)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("building study: %w", err)
+		return nil, nil, fmt.Errorf("building study: %w", err)
 	}
-	defer func() {
+	release := func() {
 		if pooled != nil {
 			pooled.flush(s.cacheHits, s.cacheMisses, s.streamHits, s.streamMisses)
 		} else {
@@ -453,10 +440,36 @@ func (s *Server) execute(j *Job) (map[string]JobResult, []runstore.Cell, []obs.W
 			s.streamHits.Add(sh)
 			s.streamMisses.Add(sm)
 		}
-		counters := j.rec.Counters()
+		counters := rec.Counters()
 		s.eventsReplay.Add(counters["replay.events"])
 		s.refsReplayed.Add(counters["replay.refs"])
-	}()
+	}
+	return env, release, nil
+}
+
+// execute runs the job's work and returns the rendered results, plus the
+// grid cells and windowed miss-rate series the archive record keeps. A
+// coordinator executes nothing locally: the job fans out over the fleet.
+func (s *Server) execute(j *Job) (map[string]JobResult, []runstore.Cell, []obs.WindowFlush, error) {
+	if s.fleet != nil {
+		return s.executeDistributed(j)
+	}
+	// Windows accumulate for the archive record; OnWindow fires from the
+	// replay drive pool's goroutines, so appends are locked.
+	var winMu sync.Mutex
+	var windows []obs.WindowFlush
+	env, release, err := s.jobEnv(&j.Spec, j.rec, func(f obs.WindowFlush) {
+		s.windowFlushes.Inc()
+		fl := f
+		winMu.Lock()
+		windows = append(windows, fl)
+		winMu.Unlock()
+		j.events.publish(Event{Type: "window", Window: &fl})
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer release()
 
 	results := make(map[string]JobResult)
 	if c := j.Spec.Compare; c != nil {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"time"
 
-	"oslayout"
 	"oslayout/internal/expt"
 	"oslayout/internal/obs"
 )
@@ -57,53 +56,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 func (s *Server) executeShard(spec *ShardSpec) (*ShardResult, error) {
 	start := time.Now()
 	rec := obs.NewRecorder()
-	par := spec.Job.Par
-	if par == 0 {
-		par = s.drivePar
-	}
-	stream, err := spec.Job.streamMode()
+	env, release, err := s.jobEnv(&spec.Job, rec, nil)
 	if err != nil {
 		return nil, err
 	}
-	opts := expt.Options{
-		OSRefs:            spec.Job.Refs,
-		KernelSeed:        spec.Job.Seed,
-		Recorder:          rec,
-		Par:               par,
-		CPUs:              spec.Job.Cpus,
-		Stream:            stream,
-		ChunkEvents:       spec.Job.Chunk,
-		StreamBudgetBytes: s.budget,
-	}
+	defer release()
 	res := &ShardResult{Index: spec.Index, Host: hostID()}
-
-	var pooled *studyEntry
-	if c := spec.Job.Compare; c != nil {
-		entry, err := s.studies.get(studyKey{refs: spec.Job.Refs, seed: spec.Job.Seed, stream: stream, chunk: spec.Job.Chunk}, func() (*oslayout.Study, error) {
-			return expt.BuildStudy(opts)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("building study: %w", err)
-		}
-		pooled = entry
-		opts.Study = entry.st
-	}
-	env, err := expt.NewEnv(opts)
-	if err != nil {
-		return nil, fmt.Errorf("building study: %w", err)
-	}
-	defer func() {
-		if pooled != nil {
-			pooled.flush(s.cacheHits, s.cacheMisses, s.streamHits, s.streamMisses)
-		} else {
-			hits, misses := env.LayoutCacheStats()
-			s.cacheHits.Add(hits)
-			s.cacheMisses.Add(misses)
-			sh, sm := env.StreamCacheStats()
-			s.streamHits.Add(sh)
-			s.streamMisses.Add(sm)
-		}
-	}()
 
 	if c := spec.Job.Compare; c != nil {
 		sizes, err := ParseSizes(c.Sizes)
@@ -133,8 +91,6 @@ func (s *Server) executeShard(spec *ShardSpec) (*ShardResult, error) {
 	res.Refs = counters["replay.refs"]
 	res.Events = counters["replay.events"]
 	res.Millis = float64(time.Since(start).Microseconds()) / 1e3
-	s.refsReplayed.Add(res.Refs)
-	s.eventsReplay.Add(res.Events)
 	s.shardsExecuted.Inc()
 	return res, nil
 }
