@@ -57,16 +57,12 @@ type groupRun struct {
 	ctrls []*partition.Controller
 }
 
-// TestRunGroupsMatchesPerGroupRuns is the grouped engine's contract: one
-// replay under several layout pairs equals one RunManyOpt per group — the
-// same Results and, for every observed configuration, the same Begin/
-// Event/Miss/Evict sequence. The groups are the equivalence grid under two
-// layout pairs plus static and dynamic way partitions (controllers bound
-// as setups) under a third; the grouped replay runs materialised and
-// streamed at chunk sizes that split unevenly across the three groups (and
-// one smaller than the group count), at workers 1 and 8.
-func TestRunGroupsMatchesPerGroupRuns(t *testing.T) {
-	tr, osL, appL := mixedTrace(12_000, 42)
+// layoutGroups returns the grouped-replay tests' groups over the mixed
+// trace's layouts: the equivalence grid under the trace's own layout pair
+// and under the reversed pair, then static and dynamic way partitions
+// under a third pair. sp is the dynamic partitions' spec.
+func layoutGroups(t *testing.T, osL, appL *layout.Layout) ([]Group, partition.Spec) {
+	t.Helper()
 	osR, appR := reversed(osL), reversed(appL)
 	sp, err := partition.Parse("interval,every=2,grain=1")
 	if err != nil {
@@ -75,7 +71,7 @@ func TestRunGroupsMatchesPerGroupRuns(t *testing.T) {
 	if sp, err = sp.WithDefaults(8); err != nil {
 		t.Fatal(err)
 	}
-	groups := []Group{
+	return []Group{
 		{OS: osL, App: appL, Configs: equivalenceGrid},
 		{OS: osR, App: appR, Configs: equivalenceGrid},
 		{OS: osR, App: appL, Configs: []cache.Config{
@@ -83,33 +79,72 @@ func TestRunGroupsMatchesPerGroupRuns(t *testing.T) {
 			{Size: 2 << 10, Line: 32, Assoc: 2, Part: cache.Partition{OSWays: 1, AppWays: 1}},
 			{Size: 1 << 10, Line: 32, Assoc: 1},
 		}},
-	}
-	// attach gives every config with lines of at most 32 B a digesting
-	// observer, so the wider-line streams run unobserved, and every
-	// dynamically partitioned config a repartitioning controller as well.
-	attach := func(cfgs []cache.Config) ([]obs.Observer, []CacheSetup, groupRun) {
-		observers := make([]obs.Observer, len(cfgs))
-		setups := make([]CacheSetup, len(cfgs))
-		run := groupRun{seqs: make([]*seqObserver, len(cfgs)), ctrls: make([]*partition.Controller, len(cfgs))}
-		for i, cfg := range cfgs {
-			if cfg.Line > 32 {
-				continue
-			}
-			run.seqs[i] = &seqObserver{}
-			observers[i] = run.seqs[i]
-			if cfg.Part == sp.Initial() {
-				k := partition.NewController(sp, 16, nil)
-				run.ctrls[i] = k
-				observers[i] = teeObserver{k, run.seqs[i]}
-				setups[i] = k.Bind
-			}
+	}, sp
+}
+
+// attachObservers gives every config with lines of at most 32 B a
+// digesting observer, so the wider-line streams run unobserved, and every
+// config partitioned by sp's initial split a repartitioning controller as
+// well, bound as its setup.
+func attachObservers(sp partition.Spec, cfgs []cache.Config) ([]obs.Observer, []CacheSetup, groupRun) {
+	observers := make([]obs.Observer, len(cfgs))
+	setups := make([]CacheSetup, len(cfgs))
+	run := groupRun{seqs: make([]*seqObserver, len(cfgs)), ctrls: make([]*partition.Controller, len(cfgs))}
+	for i, cfg := range cfgs {
+		if cfg.Line > 32 {
+			continue
 		}
-		return observers, setups, run
+		run.seqs[i] = &seqObserver{}
+		observers[i] = run.seqs[i]
+		if cfg.Part == sp.Initial() {
+			k := partition.NewController(sp, 16, nil)
+			run.ctrls[i] = k
+			observers[i] = teeObserver{k, run.seqs[i]}
+			setups[i] = k.Bind
+		}
 	}
+	return observers, setups, run
+}
+
+// checkObserved compares one config's observer digest and controller state
+// against the reference run's.
+func checkObserved(t *testing.T, i int, cfg cache.Config, want, got groupRun) {
+	t.Helper()
+	if w, g := want.seqs[i], got.seqs[i]; w != nil && (w.n != g.n || w.digest != g.digest || w.n == 0) {
+		t.Errorf("config %d %v: observer saw %d calls (digest %#x), want %d (%#x)",
+			i, cfg, g.n, g.digest, w.n, w.digest)
+	}
+	if w, g := want.ctrls[i], got.ctrls[i]; w != nil &&
+		(g.Err() != nil || w.Final() != g.Final() || w.Events() != g.Events() || !reflect.DeepEqual(w.Windows, g.Windows)) {
+		t.Errorf("config %d %v: controller state differs (final %v vs %v, events %+v vs %+v, err %v)",
+			i, cfg, g.Final(), w.Final(), g.Events(), w.Events(), g.Err())
+	}
+}
+
+// repartitioned reports whether any controller of the run moved a way.
+func repartitioned(run groupRun) bool {
+	for _, k := range run.ctrls {
+		if k != nil && k.Events().Events > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRunGroupsMatchesPerGroupRuns is the grouped engine's contract: one
+// replay under several layout pairs equals one RunManyOpt per group — the
+// same Results and, for every observed configuration, the same Begin/
+// Event/Miss/Evict sequence. The groups are layoutGroups' (controllers
+// bound as setups); the grouped replay runs materialised and streamed at
+// chunk sizes that split unevenly across the three groups (and one smaller
+// than the group count), at workers 1 and 8.
+func TestRunGroupsMatchesPerGroupRuns(t *testing.T) {
+	tr, osL, appL := mixedTrace(12_000, 42)
+	groups, sp := layoutGroups(t, osL, appL)
 
 	var want groupRun
 	for _, g := range groups {
-		observers, setups, run := attach(g.Configs)
+		observers, setups, run := attachObservers(sp, g.Configs)
 		res, err := RunManyOpt(tr, g.OS, g.App, g.Configs, Options{Observers: observers, Setups: setups})
 		if err != nil {
 			t.Fatal(err)
@@ -122,11 +157,7 @@ func TestRunGroupsMatchesPerGroupRuns(t *testing.T) {
 	for _, g := range groups {
 		all = append(all, g.Configs...)
 	}
-	moved := false
-	for _, k := range want.ctrls {
-		moved = moved || (k != nil && k.Events().Events > 0)
-	}
-	if !moved {
+	if !repartitioned(want) {
 		t.Fatal("no controller repartitioned; the dynamic group exercises nothing")
 	}
 
@@ -137,7 +168,7 @@ func TestRunGroupsMatchesPerGroupRuns(t *testing.T) {
 				if chunk > 0 {
 					src = tr.ChunkView(chunk)
 				}
-				observers, setups, got := attach(all)
+				observers, setups, got := attachObservers(sp, all)
 				res, err := RunGroups(src, groups, Options{Observers: observers, Setups: setups, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
@@ -147,15 +178,7 @@ func TestRunGroupsMatchesPerGroupRuns(t *testing.T) {
 						t.Errorf("config %d %v: grouped result differs from its group's RunManyOpt\n  want: %+v\n  got:  %+v",
 							i, cfg, want.res[i], res[i])
 					}
-					if w, g := want.seqs[i], got.seqs[i]; w != nil && (w.n != g.n || w.digest != g.digest || w.n == 0) {
-						t.Errorf("config %d %v: observer saw %d calls (digest %#x), want %d (%#x)",
-							i, cfg, g.n, g.digest, w.n, w.digest)
-					}
-					if w, g := want.ctrls[i], got.ctrls[i]; w != nil &&
-						(g.Err() != nil || w.Final() != g.Final() || w.Events() != g.Events() || !reflect.DeepEqual(w.Windows, g.Windows)) {
-						t.Errorf("config %d %v: controller state differs (final %v vs %v, events %+v vs %+v, err %v)",
-							i, cfg, g.Final(), w.Final(), g.Events(), w.Events(), g.Err())
-					}
+					checkObserved(t, i, cfg, want, got)
 				}
 			})
 		}
