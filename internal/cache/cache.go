@@ -77,6 +77,9 @@ func (c Config) Validate() error {
 	case c.Line < trace.WordSize:
 		// Also what keeps every line address below emptyTag.
 		return fmt.Errorf("cache: line %d narrower than one %d-byte instruction word", c.Line, trace.WordSize)
+	case c.Assoc > c.Size/c.Line:
+		// Also what keeps line*assoc below from overflowing.
+		return fmt.Errorf("cache: %d ways of %dB lines exceed size %d", c.Assoc, c.Line, c.Size)
 	case c.Size%(c.Line*c.Assoc) != 0:
 		return fmt.Errorf("cache: size %d not divisible by line*assoc %d", c.Size, c.Line*c.Assoc)
 	}

@@ -30,6 +30,11 @@ func TestConfigValidate(t *testing.T) {
 		{Size: 8 << 10, Line: 32, Assoc: 17}, // not divisible
 		{Size: 8 << 10, Line: 1, Assoc: 1},   // narrower than a word
 		{Size: 8 << 10, Line: 2, Assoc: 1},   // narrower than a word
+		// Line*assoc wraps to 0 in int arithmetic.
+		{Size: 8 << 10, Line: 32, Assoc: 1 << 59},
+		{Size: 8 << 10, Line: 1 << 62, Assoc: 4},
+		// The way counts' sum wraps negative in int arithmetic.
+		{Size: 8 << 10, Line: 32, Assoc: 4, Part: Partition{OSWays: 1 << 62, AppWays: 1 << 62, ResvWays: 1 << 62}},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -99,11 +99,16 @@ func (p Partition) Check(assoc int) error {
 	if p.OSWays < 0 || p.AppWays < 0 || p.ResvWays < 0 {
 		return fmt.Errorf("cache: negative way count in partition %s", p)
 	}
-	ded := p.OSWays + p.AppWays + p.ResvWays
-	if ded > assoc {
-		return fmt.Errorf("cache: partition %s over-commits the ways: %d dedicated exceeds associativity %d", p, ded, assoc)
+	// Take the regions off the ways one at a time: the remainder stays in
+	// [0, assoc], so no way count, however large, can overflow a sum.
+	shared := assoc
+	for _, n := range []int{p.OSWays, p.AppWays, p.ResvWays} {
+		if n > shared {
+			return fmt.Errorf("cache: partition %s over-commits the ways: it dedicates more than associativity %d", p, assoc)
+		}
+		shared -= n
 	}
-	if ded == assoc {
+	if shared == 0 {
 		if p.OSWays == 0 {
 			return fmt.Errorf("cache: partition %s leaves OS fetches nowhere to allocate (no shared ways and no OS ways)", p)
 		}

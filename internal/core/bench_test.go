@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"oslayout/internal/cfa"
 	"oslayout/internal/kernelgen"
 )
 
@@ -21,10 +22,11 @@ func BenchmarkBuildSequences(b *testing.B) {
 
 // BenchmarkOptimize times one layout build per strategy variant on the
 // default kernel at 8 KB, with the parameters the strategy registry uses.
+// The loop analysis is made once, as the strategy cache makes it.
 func BenchmarkOptimize(b *testing.B) {
 	f := newProfiledFixture(b, kernelgen.DefaultConfig().Seed)
 	p := f.use(b, 0)
-	entries := SeedEntries(p)
+	entries, loops := SeedEntries(p), cfa.AllLoops(p)
 	for _, v := range []struct {
 		name           string
 		loops, callOpt bool
@@ -34,7 +36,7 @@ func BenchmarkOptimize(b *testing.B) {
 			params.LoopExtract, params.CallOpt = v.loops, v.callOpt
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Optimize(p, entries, 0, params); err != nil {
+				if _, err := Optimize(p, loops, entries, 0, params); err != nil {
 					b.Fatal(err)
 				}
 			}

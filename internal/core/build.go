@@ -114,14 +114,19 @@ type Plan struct {
 	LoopArea []program.BlockID
 	// Classes classifies every block for the Figure 13 breakdown.
 	Classes []BlockClass
-	// Loops are the program's natural loops (shared analysis result).
+	// Loops are the program's natural loops: the caller's analysis, shared
+	// with every plan built from it, so it is read-only.
 	Loops []cfa.Loop
 }
 
 // Optimize runs the paper's algorithm over a profiled program and returns
-// the plan. Entries gives the seed entry blocks (SeedEntries for kernels,
-// MainEntries for applications).
-func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockID, base uint64, params Params) (*Plan, error) {
+// the plan. Loops are the program's natural loops (cfa.AllLoops): they
+// depend on the control-flow graph alone, never on the profile, so a caller
+// building many plans of one program analyses it once and passes the same
+// slice to every build, which reads it and never modifies it. Entries gives
+// the seed entry blocks (SeedEntries for kernels, MainEntries for
+// applications).
+func Optimize(p *program.Program, loops []cfa.Loop, entries [program.NumSeedClasses]program.BlockID, base uint64, params Params) (*Plan, error) {
 	if params.CacheSize <= 0 {
 		return nil, fmt.Errorf("core: non-positive cache size %d", params.CacheSize)
 	}
@@ -141,9 +146,8 @@ func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockI
 		return nil, fmt.Errorf("core: program %q has no profile weights", p.Name)
 	}
 
-	plan := &Plan{Params: params}
+	plan := &Plan{Params: params, Loops: loops}
 	plan.Sequences, _ = BuildSequencesCapped(p, entries, params.Schedule, params.MaxSeqBytes)
-	plan.Loops = cfa.AllLoops(p)
 
 	adjusted := AdjustedWeights(p, plan.Loops)
 	var scfBytes int64

@@ -110,13 +110,13 @@ func TestQualifyingLoops(t *testing.T) {
 func TestOptimizeRejectsBadInputs(t *testing.T) {
 	f := progtest.Figure9()
 	f.Prog.Seeds[program.SeedInterrupt] = f.Push
-	if _, err := Optimize(f.Prog, SeedEntries(f.Prog), 0, Params{CacheSize: 0}); err == nil {
+	if _, err := Optimize(f.Prog, cfa.AllLoops(f.Prog), SeedEntries(f.Prog), 0, Params{CacheSize: 0}); err == nil {
 		t.Fatal("zero cache size accepted")
 	}
 	unprofiled := program.New("empty")
 	r := unprofiled.AddRoutine("r")
 	unprofiled.AddBlock(r, 8)
-	if _, err := Optimize(unprofiled, SeedEntries(f.Prog), 0, DefaultParams(8<<10)); err == nil {
+	if _, err := Optimize(unprofiled, cfa.AllLoops(unprofiled), SeedEntries(f.Prog), 0, DefaultParams(8<<10)); err == nil {
 		t.Fatal("unprofiled program accepted")
 	}
 }
@@ -167,7 +167,7 @@ func layoutInvariants(t *testing.T, k *kernelgen.Kernel, plan *Plan) {
 
 func TestOptSPlanInvariants(t *testing.T) {
 	k := profiledKernel(t)
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), 0, DefaultParams(8<<10))
+	plan, err := Optimize(k.Prog, cfa.AllLoops(k.Prog), SeedEntries(k.Prog), 0, DefaultParams(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestOptLExtractsLoopBlocks(t *testing.T) {
 	params := DefaultParams(8 << 10)
 	params.Name = "OptL"
 	params.LoopExtract = true
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, cfa.AllLoops(k.Prog), SeedEntries(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCallOptPlacesLoopsInPrivateLogicalCaches(t *testing.T) {
 	params.Name = "Call"
 	params.LoopExtract = true
 	params.CallOpt = true
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, cfa.AllLoops(k.Prog), SeedEntries(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestNoSCFWindowsVariant(t *testing.T) {
 	k := profiledKernel(t)
 	params := DefaultParams(7 << 10)
 	params.NoSCFWindows = true
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, cfa.AllLoops(k.Prog), SeedEntries(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestClassification(t *testing.T) {
 	k := profiledKernel(t)
 	params := DefaultParams(8 << 10)
 	params.LoopExtract = true
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, cfa.AllLoops(k.Prog), SeedEntries(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +315,11 @@ func TestBlockClassString(t *testing.T) {
 // deterministic for a fixed profile.
 func TestOptimizeDeterministic(t *testing.T) {
 	k := profiledKernel(t)
-	a, err := Optimize(k.Prog, SeedEntries(k.Prog), 0, DefaultParams(8<<10))
+	a, err := Optimize(k.Prog, cfa.AllLoops(k.Prog), SeedEntries(k.Prog), 0, DefaultParams(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(k.Prog, SeedEntries(k.Prog), 0, DefaultParams(8<<10))
+	b, err := Optimize(k.Prog, cfa.AllLoops(k.Prog), SeedEntries(k.Prog), 0, DefaultParams(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestSelfConfFreeCappedAtHalfCache(t *testing.T) {
 	// An absurdly low cutoff would select tens of kilobytes of blocks; the
 	// area must be capped at half the cache so sequences still fit.
 	params.SelfConfFreeCutoff = 1e-9
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, cfa.AllLoops(k.Prog), SeedEntries(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestOptimizeApplicationWithMains(t *testing.T) {
 		LoopExtract:  true,
 		LoopMinTrips: 6,
 	}
-	plan, err := Optimize(app.Prog, MainEntries(app.Prog, app.Mains), 1<<24, params)
+	plan, err := Optimize(app.Prog, cfa.AllLoops(app.Prog), MainEntries(app.Prog, app.Mains), 1<<24, params)
 	if err != nil {
 		t.Fatal(err)
 	}

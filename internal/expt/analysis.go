@@ -289,7 +289,7 @@ func (e *Env) RunTable3() (*Table3, error) {
 		if err := e.St.UseWorkloadProfile(i); err != nil {
 			return nil, err
 		}
-		loops := allLoops(e)
+		loops := e.layouts.Loops()
 		t.Rows = append(t.Rows, metrics.CallFreeLoopFractions(k, loops))
 	}
 	return t, nil
@@ -320,7 +320,7 @@ func (e *Env) RunFigure45() (*Figure45, error) {
 	if err := e.St.UseAverageProfile(); err != nil {
 		return nil, err
 	}
-	loops := allLoops(e)
+	loops := e.layouts.Loops()
 	f := &Figure45{}
 	f.CallFree, f.WithCalls = metrics.LoopBehaviors(e.St.Kernel.Prog, loops)
 	return f, nil
@@ -460,7 +460,7 @@ func (e *Env) RunFigure8() (*Figure8, error) {
 	if err := e.St.UseAverageProfile(); err != nil {
 		return nil, err
 	}
-	return &Figure8{Skew: metrics.BlockInvocationSkew(e.St.Kernel.Prog)}, nil
+	return &Figure8{Skew: metrics.BlockInvocationSkew(e.St.Kernel.Prog, e.layouts.Loops())}, nil
 }
 
 // Render summarises the skew.

@@ -11,7 +11,6 @@ import (
 
 	"oslayout"
 	"oslayout/internal/cache"
-	"oslayout/internal/cfa"
 	"oslayout/internal/layout"
 	"oslayout/internal/obs"
 	"oslayout/internal/simulate"
@@ -87,7 +86,6 @@ type Env struct {
 	onWindow func(obs.WindowFlush)
 	par      int
 	cpus     int
-	loops    []cfa.Loop
 	// results memoizes experiment outputs by registry memo key, so
 	// experiments sharing a runner (fig4/fig5) compute once per run.
 	results map[string]Renderer
@@ -347,12 +345,3 @@ func ratio(a, b uint64) float64 {
 
 // pct formats a fraction as a percentage string.
 func pct(f float64) string { return fmt.Sprintf("%.2f%%", 100*f) }
-
-// allLoops returns the kernel's natural loops (structural analysis,
-// profile-independent), cached on the environment.
-func allLoops(e *Env) []cfa.Loop {
-	if e.loops == nil {
-		e.loops = cfa.AllLoops(e.St.Kernel.Prog)
-	}
-	return e.loops
-}

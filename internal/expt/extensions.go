@@ -13,6 +13,7 @@ import (
 
 	"oslayout"
 	"oslayout/internal/cache"
+	"oslayout/internal/cfa"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
 	"oslayout/internal/obs"
@@ -207,7 +208,7 @@ func (e *Env) RunAblation() (*Ablation, error) {
 	// Variants build through the strategy cache, under the lock that
 	// serialises every profile application and layout build on the study.
 	mk := func(name string, mutate func(*core.Params), entries func() [program.NumSeedClasses]program.BlockID) (*oslayout.Plan, error) {
-		b, err := e.layouts.Custom("ablation:"+name, func(strategy.Study) (*layout.Layout, *core.Plan, error) {
+		b, err := e.layouts.Custom("ablation:"+name, func(_ strategy.Study, loops []cfa.Loop) (*layout.Layout, *core.Plan, error) {
 			if err := e.St.UseAverageProfile(); err != nil {
 				return nil, nil, err
 			}
@@ -220,7 +221,7 @@ func (e *Env) RunAblation() (*Ablation, error) {
 			if entries != nil {
 				ent = entries()
 			}
-			plan, err := core.Optimize(e.St.Kernel.Prog, ent, 0, params)
+			plan, err := core.Optimize(e.St.Kernel.Prog, loops, ent, 0, params)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -115,8 +115,12 @@ func (e *Env) RunFigure18X() (*Figure18X, error) {
 			cfgs[r].Part = specs[r].Initial()
 			k := partition.NewController(specs[r], fig18xWindows, resvLines)
 			ctrls[r] = k
-			observers[r] = k
 			setups[r] = k.Bind
+			// Static and reserved splits are setups only: nothing reads
+			// their observations, and they install no window hook.
+			if specs[r].Dynamic() {
+				observers[r] = k
+			}
 		}
 		ress, err := e.EvalMany(i, []simulate.Group{{OS: plan.Layout, App: appOpts[i], Configs: cfgs}}, observers, setups)
 		if err != nil {

@@ -102,9 +102,9 @@ type BlockSkew struct {
 	Over3Pct, Over1Pct, UnderPt01Pct int
 }
 
-// BlockInvocationSkew computes Figure 8 from a profiled program.
-func BlockInvocationSkew(p *program.Program) BlockSkew {
-	loops := cfa.AllLoops(p)
+// BlockInvocationSkew computes Figure 8 from a profiled program and its
+// natural loops.
+func BlockInvocationSkew(p *program.Program, loops []cfa.Loop) BlockSkew {
 	adj := core.AdjustedWeights(p, loops)
 	var sk BlockSkew
 	var total float64

@@ -61,7 +61,7 @@ func TestInvocationSkew(t *testing.T) {
 
 func TestBlockInvocationSkew(t *testing.T) {
 	f := progtest.Figure9()
-	sk := BlockInvocationSkew(f.Prog)
+	sk := BlockInvocationSkew(f.Prog, cfa.AllLoops(f.Prog))
 	if sk.Executed == 0 || len(sk.Shares) != sk.Executed {
 		t.Fatal("no executed blocks counted")
 	}

@@ -30,6 +30,10 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// overflowSpec's way counts sum past the int range; a sum that wraps
+// negative once let it through as a valid split.
+const overflowSpec = "static,os=4611686018427387904,app=4611686018427387904,resv=4611686018427387904"
+
 func TestWithDefaults(t *testing.T) {
 	cases := []struct {
 		in    string
@@ -66,6 +70,7 @@ func TestWithDefaults(t *testing.T) {
 		{"interval", 1},    // no way per domain possible
 		{"static,os=9", 8}, // over-commit
 		{"missdriven,os=8,app=1", 8},
+		{overflowSpec, 4}, // way counts whose int sum wraps negative
 	} {
 		sp, err := Parse(bad.in)
 		if err != nil {
@@ -246,4 +251,43 @@ func TestControllerInstallsReservedLines(t *testing.T) {
 	if got := c.AccessLine(1, trace.DomainOS); got != cache.Hit {
 		t.Fatalf("reserved line = %v, want hit", got)
 	}
+}
+
+// FuzzPartitionSpec feeds arbitrary spec text through the path a CLI flag
+// or a job spec takes: Parse, WithDefaults at every associativity up to
+// 16, then cache construction. Nothing may panic, an accepted spec must
+// build its cache, and its String must parse back to the same split.
+func FuzzPartitionSpec(f *testing.F) {
+	for _, s := range []string{
+		overflowSpec,
+		"static",
+		"reserved,resv=1",
+		"interval,every=4,grain=1,os=3,app=5,invalidate",
+		"missdriven,os=0,app=0,resv=16",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := Parse(s)
+		if err != nil {
+			return
+		}
+		for assoc := 1; assoc <= 16; assoc++ {
+			got, err := sp.WithDefaults(assoc)
+			if err != nil {
+				continue
+			}
+			cfg := cache.Config{Size: assoc * 32 * 4, Line: 32, Assoc: assoc, Part: got.Initial()}
+			if _, err := cache.New(cfg); err != nil {
+				t.Fatalf("%q at %d ways: accepted spec %s does not build: %v", s, assoc, got, err)
+			}
+			back, err := Parse(got.String())
+			if err != nil {
+				t.Fatalf("%q at %d ways: String %q does not parse: %v", s, assoc, got, err)
+			}
+			if back.Initial() != got.Initial() {
+				t.Fatalf("%q at %d ways: String %q parses to %s, want %s", s, assoc, got, back.Initial(), got.Initial())
+			}
+		}
+	})
 }

@@ -416,11 +416,13 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`not json`,
 		// Partition specs are checked at admission: unknown policy, the
 		// reserved policy (needs SelfConfFree; compare has none), a split
-		// the default direct-mapped cache cannot hold, an over-commit.
+		// the default direct-mapped cache cannot hold, an over-commit, and
+		// way counts whose int sum wraps negative.
 		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":8,"partition":"bogus"}}`,
 		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":8,"partition":"reserved"}}`,
 		`{"compare":{"strategies":["base"],"sizes":["8k"],"partition":"static"}}`,
 		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4,"partition":"static,os=9"}}`,
+		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4,"partition":"static,os=4611686018427387904,app=4611686018427387904,resv=4611686018427387904"}}`,
 		// CPU counts outside 0..16 are refused at admission.
 		`{"compare":{"strategies":["base"],"sizes":["8k"]},"cpus":99}`,
 		`{"experiments":["cpus"],"cpus":-1}`,

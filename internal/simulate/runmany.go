@@ -38,9 +38,10 @@ type Options struct {
 	Observers []obs.Observer
 	// Setups, when non-nil, must match the configurations in length;
 	// Setups[i] (which may be nil) runs on config i's cache after
-	// construction and before any access. A partitioned cache is always one
-	// drive unit of its own (it is never direct-mapped), so mid-replay
-	// repartitioning installed here stays bit-identical at any worker count.
+	// construction and before any access. A partitioned cache is never
+	// direct-mapped, so it never joins an inclusion chain, and the
+	// repartitioning installed here touches only its own cache: it stays
+	// bit-identical at any worker count.
 	Setups []CacheSetup
 	// Streams supplies compiled line streams; nil compiles directly,
 	// sharing one trace decode across the call's streams. A memoizing
@@ -49,12 +50,13 @@ type Options struct {
 	Streams StreamSource
 	// Workers bounds the drive worker pool. Values <= 1 select the
 	// sequential path: one pass per compiled stream driving every cache
-	// that reads it. Higher values fan independent cache units — each
-	// direct-mapped inclusion chain is one unit, every other cache its own
-	// unit — across min(Workers, units) goroutines over the shared
-	// read-only streams. Results are bit-identical either way: the units
-	// are independent (no cache reads another's state), and each cache sees
-	// the exact access sequence of the sequential interleaving.
+	// that reads it. Higher values split each stream's caches into up to
+	// ⌈Workers/streams⌉ units — a direct-mapped inclusion chain always
+	// whole, the other caches dealt round-robin — and fan the units across
+	// min(Workers, units) goroutines over the shared read-only streams.
+	// Results are bit-identical either way: the units are independent (no
+	// cache reads another's state), and each cache sees the exact access
+	// sequence of the sequential interleaving.
 	Workers int
 }
 
@@ -214,10 +216,19 @@ func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 // member guarantees a hit in every larger one (set-refinement), and a
 // direct-mapped hit is a no-op, so the larger members can be skipped
 // outright. A cache watched by a HitObserver must see every hit, so it
-// stays out of the chain. The chain is therefore one sequential unit; every
-// other cache is independent and becomes its own unit. With workers <= 1
-// each stream's caches are one unit, driven in a single pass.
+// stays out of the chain. The chain is therefore one item that must stay
+// whole; every other cache is an item of its own.
+//
+// Every unit walks every access of its stream's windows (and, observed,
+// every event), so each unit costs a walk: a stream's items are dealt
+// round-robin into min(items, ⌈workers/streams⌉) units, enough to occupy
+// the workers and no more. With workers <= 1 each stream's caches are one
+// unit, driven in a single pass.
 func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Observer, workers int) []driveUnit {
+	perStream := 1
+	if workers > 1 {
+		perStream = (workers + len(members) - 1) / len(members)
+	}
 	var units []driveUnit
 	for s, idx := range members {
 		var chainIdx, restIdx []int
@@ -241,19 +252,26 @@ func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Obse
 			}
 			return rs
 		}
-		if workers <= 1 {
-			units = append(units, newDriveUnit(s, mkRunners(chainIdx), mkRunners(restIdx)))
-			continue
-		}
-		// Parallel: the chain is one unit, each rest cache its own. A unit
-		// owns its caches and observers exclusively, so units touch
+		// The chain, when there is one, is item 0 and lands in unit 0. A
+		// unit owns its caches and observers exclusively, so units touch
 		// disjoint state and may drive concurrently over the shared
 		// read-only stream.
+		first := 0
 		if len(chainIdx) > 0 {
-			units = append(units, newDriveUnit(s, mkRunners(chainIdx), nil))
+			first = 1
 		}
-		for _, i := range restIdx {
-			units = append(units, newDriveUnit(s, nil, mkRunners([]int{i})))
+		k := min(first+len(restIdx), perStream)
+		dealt := make([][]int, k)
+		for j, i := range restIdx {
+			u := (first + j) % k
+			dealt[u] = append(dealt[u], i)
+		}
+		for u, rest := range dealt {
+			var chain []runner
+			if u == 0 {
+				chain = mkRunners(chainIdx)
+			}
+			units = append(units, newDriveUnit(s, chain, mkRunners(rest)))
 		}
 	}
 	return units

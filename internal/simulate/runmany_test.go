@@ -3,10 +3,12 @@ package simulate
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
+	"oslayout/internal/obs"
 	"oslayout/internal/program"
 	"oslayout/internal/trace"
 )
@@ -138,5 +140,91 @@ func TestRunManyValidation(t *testing.T) {
 	res, err := RunManyOpt(tr, osL, nil, nil, Options{})
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty config list: res=%v err=%v", res, err)
+	}
+}
+
+// TestBuildUnitsDealsItems checks the drive's unit rule: a stream's
+// inclusion chain is one item, each other cache another, and the items are
+// dealt round-robin into min(items, ⌈workers/streams⌉) units. Whatever the
+// split, every config lands in exactly one unit, and a chain stays whole,
+// in ascending set order, in its stream's first unit.
+func TestBuildUnitsDealsItems(t *testing.T) {
+	rest := cache.Config{Size: 8 << 10, Line: 32, Assoc: 8}
+	chain := []cache.Config{
+		{Size: 4 << 10, Line: 32, Assoc: 1},
+		{Size: 1 << 10, Line: 32, Assoc: 1},
+		{Size: 2 << 10, Line: 32, Assoc: 1},
+	}
+	repeat := func(c cache.Config, n int) []cache.Config {
+		out := make([]cache.Config, n)
+		for i := range out {
+			out[i] = c
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		streams [][]cache.Config
+		workers int
+		sizes   []int // configs per unit, in unit order
+	}{
+		{"two streams x three rest", [][]cache.Config{repeat(rest, 3), repeat(rest, 3)}, 2, []int{3, 3}},
+		{"one stream x eight rest", [][]cache.Config{repeat(rest, 8)}, 2, []int{4, 4}},
+		{"chain plus one rest", [][]cache.Config{append(append([]cache.Config{}, chain...), rest)}, 2, []int{3, 1}},
+		{"chain plus three rest", [][]cache.Config{append(append([]cache.Config{}, chain...), rest, rest, rest)}, 2, []int{4, 2}},
+		{"chain only, workers 2", [][]cache.Config{chain, chain}, 2, []int{3, 3}},
+		{"chain only, workers 64", [][]cache.Config{chain, chain}, 64, []int{3, 3}},
+		{"workers 1", [][]cache.Config{append(append([]cache.Config{}, chain...), rest, rest), repeat(rest, 4)}, 1, []int{5, 4}},
+		{"more workers than caches", [][]cache.Config{repeat(rest, 3)}, 8, []int{1, 1, 1}},
+	}
+	for _, c := range cases {
+		var caches []*cache.Cache
+		var members [][]int
+		var observers []obs.Observer
+		owner := map[obs.Observer]int{}
+		for _, cfgs := range c.streams {
+			var idx []int
+			for _, cfg := range cfgs {
+				o := &seqObserver{}
+				owner[o] = len(caches)
+				idx = append(idx, len(caches))
+				caches = append(caches, cache.MustNew(cfg))
+				observers = append(observers, o)
+			}
+			members = append(members, idx)
+		}
+		units := buildUnits(members, caches, func(i int) obs.Observer { return observers[i] }, c.workers)
+		if len(units) != len(c.sizes) {
+			t.Errorf("%s: %d units, want %d", c.name, len(units), len(c.sizes))
+			continue
+		}
+		seen := make([]int, len(caches))
+		for u, unit := range units {
+			if n := len(unit.chain) + len(unit.rest); n != c.sizes[u] {
+				t.Errorf("%s: unit %d holds %d configs, want %d", c.name, u, n, c.sizes[u])
+			}
+			sets := 0
+			for _, r := range unit.chain {
+				i := owner[r.obs]
+				if !caches[i].DirectMappedPow2() || caches[i].Sets() <= sets {
+					t.Errorf("%s: unit %d chain out of ascending set order", c.name, u)
+				}
+				sets = caches[i].Sets()
+			}
+			for _, rs := range [][]runner{unit.chain, unit.rest} {
+				for _, r := range rs {
+					i := owner[r.obs]
+					seen[i]++
+					if !slices.Contains(members[unit.stream], i) {
+						t.Errorf("%s: config %d driven from stream %d", c.name, i, unit.stream)
+					}
+				}
+			}
+		}
+		for i, n := range seen {
+			if n != 1 {
+				t.Errorf("%s: config %d is in %d units", c.name, i, n)
+			}
+		}
 	}
 }

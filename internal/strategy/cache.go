@@ -3,6 +3,7 @@ package strategy
 import (
 	"sync"
 
+	"oslayout/internal/cfa"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
 	"oslayout/internal/obs"
@@ -32,14 +33,20 @@ type cacheKey struct {
 // every field, including the recorder and the hit/miss statistics, is
 // accessed under mu. Evaluation of the returned layouts is read-only and
 // needs no coordination.
+//
+// The kernel program's natural loops depend on its control-flow graph
+// alone, never on the applied profile, so the cache analyses them once, on
+// first need, and every build shares that one read-only slice.
 type Cache struct {
 	st Study
 
-	mu    sync.Mutex
-	rec   *obs.Recorder
-	built map[cacheKey]*Built
-	hits  uint64
-	miss  uint64
+	mu       sync.Mutex
+	rec      *obs.Recorder
+	built    map[cacheKey]*Built
+	hits     uint64
+	miss     uint64
+	loops    []cfa.Loop
+	analysed bool
 }
 
 // NewCache returns an empty cache over the study.
@@ -65,6 +72,24 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	return c.hits, c.miss
 }
 
+// Loops returns the kernel program's natural loops, analysed once per
+// cache. The slice is shared with every plan built here: callers must not
+// modify it. It must not be called from a Custom build, which receives the
+// loops instead.
+func (c *Cache) Loops() []cfa.Loop {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.loopsLocked()
+}
+
+// loopsLocked is Loops for a caller holding mu.
+func (c *Cache) loopsLocked() []cfa.Loop {
+	if !c.analysed {
+		c.loops, c.analysed = cfa.AllLoops(c.st.KernelProgram()), true
+	}
+	return c.loops
+}
+
 // Build returns the memoized product of the named strategy, building it on
 // first use. Errors are not cached.
 func (c *Cache) Build(name string, p Params) (*Built, error) {
@@ -84,6 +109,7 @@ func (c *Cache) Build(name string, p Params) (*Built, error) {
 	}
 	c.miss++
 	done := c.rec.Span("layout." + name)
+	p.loops = c.loopsLocked
 	l, plan, err := s.Build(c.st, p)
 	done()
 	if err != nil {
@@ -97,9 +123,10 @@ func (c *Cache) Build(name string, p Params) (*Built, error) {
 // Custom memoizes a caller-supplied build under an opaque key, for
 // parameter variants outside the registry (Study.Optimize keys its full
 // placement parameters here). Keys live in a separate namespace from
-// registered strategy names. build runs under the cache lock, so it must
-// not call back into the cache.
-func (c *Cache) Custom(key string, build func(Study) (*layout.Layout, *core.Plan, error)) (*Built, error) {
+// registered strategy names. build receives the kernel program's shared,
+// read-only loop analysis (see Loops). It runs under the cache lock, so it
+// must not call back into the cache.
+func (c *Cache) Custom(key string, build func(st Study, loops []cfa.Loop) (*layout.Layout, *core.Plan, error)) (*Built, error) {
 	k := cacheKey{name: "custom:" + key}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -108,7 +135,7 @@ func (c *Cache) Custom(key string, build func(Study) (*layout.Layout, *core.Plan
 		return b, nil
 	}
 	c.miss++
-	l, plan, err := build(c.st)
+	l, plan, err := build(c.st, c.loopsLocked())
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,8 @@ import (
 // same key with distinct keys (different strategies, sizes and custom
 // builds). Run under -race: layout construction mutates the kernel
 // program's weight fields, so every build must serialise under the cache
-// lock, and SetRecorder must be safe against in-flight builds.
+// lock, and SetRecorder and Loops must be safe against in-flight builds.
+// Every plan must share the cache's one loop analysis.
 func TestCacheConcurrentBuilds(t *testing.T) {
 	st := testStudy(t)
 	c := strategy.NewCache(st)
@@ -31,6 +32,10 @@ func TestCacheConcurrentBuilds(t *testing.T) {
 				c.SetRecorder(rec)
 			}
 			for i := 0; i < 6; i++ {
+				if (g+i)%3 == 0 && len(c.Loops()) == 0 {
+					t.Error("the kernel has no loops")
+					return
+				}
 				name := names[(g+i)%len(names)]
 				size := sizes[i%len(sizes)]
 				b, err := c.Build(name, strategy.Params{CacheSize: size})
@@ -69,6 +74,15 @@ func TestCacheConcurrentBuilds(t *testing.T) {
 	}
 	if a != b {
 		t.Error("repeated Build returned distinct products")
+	}
+	for _, size := range sizes {
+		b, err := c.Build("opts", strategy.Params{CacheSize: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loops := c.Loops(); &b.Plan.Loops[0] != &loops[0] || len(b.Plan.Loops) != len(loops) {
+			t.Errorf("opts/%d: plan does not share the cache's loop analysis", size)
+		}
 	}
 }
 

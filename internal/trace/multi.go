@@ -63,3 +63,36 @@ func (mt *MultiTrace) CheckRuns() error {
 	}
 	return nil
 }
+
+// CPUTrace cuts CPU cpu's own trace out of a materialised merged trace by
+// following the run schedule. Interleaving reorders events across CPUs,
+// never within one, so the result holds exactly the events the CPU's own
+// trace source generates, in order. A header-only merged trace holds no
+// events to cut, and a schedule that does not cover the events cannot be
+// followed; both are refused.
+func (mt *MultiTrace) CPUTrace(cpu int) (*Trace, error) {
+	if mt.Streaming() {
+		return nil, fmt.Errorf("trace: cannot cut CPU %d out of header-only multi-trace %q", cpu, mt.Name)
+	}
+	if err := mt.CheckRuns(); err != nil {
+		return nil, err
+	}
+	if cpu < 0 || cpu >= mt.CPUs {
+		return nil, fmt.Errorf("trace: no CPU %d in a %d-CPU multi-trace", cpu, mt.CPUs)
+	}
+	n := 0
+	for _, r := range mt.Runs {
+		if r.CPU == cpu {
+			n += r.Events
+		}
+	}
+	t := &Trace{Name: mt.Name, OS: mt.OS, App: mt.App, Events: make([]Event, 0, n)}
+	pos := 0
+	for _, r := range mt.Runs {
+		if r.CPU == cpu {
+			t.Events = append(t.Events, mt.Events[pos:pos+r.Events]...)
+		}
+		pos += r.Events
+	}
+	return t, nil
+}

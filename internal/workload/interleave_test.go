@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"oslayout/internal/trace"
-)
+import "testing"
 
 // multiOpt is the test grid's interleaving shape: small enough that every
 // workload's merged stream builds in milliseconds, jittered (granularity 3)
@@ -100,29 +96,42 @@ func TestInterleavePreservesPerCPUSubsequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split := make([][]trace.Event, mt.CPUs)
-	pos := 0
-	for _, run := range mt.Runs {
-		split[run.CPU] = append(split[run.CPU], mt.Events[pos:pos+run.Events]...)
-		pos += run.Events
-	}
 	ms, err := NewMultiSource(k, w, Options{Seed: 21, OSRefs: 60_000}, multiOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cpu := 0; cpu < mt.CPUs; cpu++ {
+		split, err := mt.CPUTrace(cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
 		own, err := ms.Source(cpu).Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(split[cpu]) != len(own.Events) {
-			t.Fatalf("cpu %d: %d merged events, want %d", cpu, len(split[cpu]), len(own.Events))
+		if len(split.Events) != len(own.Events) {
+			t.Fatalf("cpu %d: %d merged events, want %d", cpu, len(split.Events), len(own.Events))
 		}
 		for i := range own.Events {
-			if split[cpu][i] != own.Events[i] {
+			if split.Events[i] != own.Events[i] {
 				t.Fatalf("cpu %d: event %d differs from the CPU's own trace", cpu, i)
 			}
 		}
+	}
+
+	// The split follows a schedule over held events: a header-only merged
+	// trace, or a schedule short of the events, is refused.
+	ht, err := ms.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ht.CPUTrace(0); err == nil {
+		t.Error("CPUTrace split a header-only merged trace")
+	}
+	short := *mt
+	short.Runs = mt.Runs[:len(mt.Runs)-1]
+	if _, err := short.CPUTrace(0); err == nil {
+		t.Error("CPUTrace followed a schedule short of the events")
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 
 	"oslayout/internal/appgen"
 	"oslayout/internal/cache"
+	"oslayout/internal/cfa"
 	"oslayout/internal/core"
 	"oslayout/internal/kernelgen"
 	"oslayout/internal/layout"
@@ -431,11 +432,11 @@ func (s *Study) StrategyCache() *strategy.Cache { return s.layouts }
 // parameter value: repeated calls with equal parameters share one Plan.
 func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
 	// %#v, unlike %v, tells a nil Schedule from an empty one.
-	b, err := s.layouts.Custom(fmt.Sprintf("optimize:%#v", params), func(strategy.Study) (*Layout, *Plan, error) {
+	b, err := s.layouts.Custom(fmt.Sprintf("optimize:%#v", params), func(_ strategy.Study, loops []cfa.Loop) (*Layout, *Plan, error) {
 		if err := s.UseAverageProfile(); err != nil {
 			return nil, nil, err
 		}
-		plan, err := core.Optimize(s.Kernel.Prog, core.SeedEntries(s.Kernel.Prog), 0, params)
+		plan, err := core.Optimize(s.Kernel.Prog, loops, core.SeedEntries(s.Kernel.Prog), 0, params)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -452,7 +453,7 @@ func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
 // UseWorkloadProfile, UseAverageProfile, or a custom Profile.Apply) — for
 // cross-profile robustness experiments.
 func (s *Study) OptimizeWithCurrentProfile(params PlacementParams) (*Plan, error) {
-	return core.Optimize(s.Kernel.Prog, core.SeedEntries(s.Kernel.Prog), 0, params)
+	return core.Optimize(s.Kernel.Prog, s.layouts.Loops(), core.SeedEntries(s.Kernel.Prog), 0, params)
 }
 
 // AverageProfiles combines several profiles of the same program into one,
@@ -502,7 +503,7 @@ func (s *Study) AppOptLayout(i, cacheSize int, osHotBytes int64) (*Plan, error) 
 	// base fixes the cache offset directly.
 	offset := uint64(osHotBytes) % uint64(cacheSize)
 	base := uint64(simulate.AppBase) + offset
-	return core.Optimize(d.App.Prog, core.MainEntries(d.App.Prog, d.App.Mains), base, params)
+	return core.Optimize(d.App.Prog, cfa.AllLoops(d.App.Prog), core.MainEntries(d.App.Prog, d.App.Mains), base, params)
 }
 
 // OSHotBytes reports the extent of the hot OS area for OptA alignment: the
