@@ -245,12 +245,14 @@ type Step struct {
 	Moved    bool
 }
 
-// Controller wires a Spec to one cache replay. It is both the observer
-// (embedding obs.SimStats, whose OnWindowFlush hook drives the repartition
-// decisions) and the cache setup (Bind installs reserved lines and captures
-// the cache handle). One controller serves one cache for one replay; the
-// partitioned cache is always a single drive unit, so the hook runs on that
-// unit's goroutine and never races.
+// Controller wires a Spec to one cache replay. It is always the cache setup
+// (Bind installs reserved lines and captures the cache handle); for a
+// dynamic spec it is also the observer (embedding obs.SimStats, whose
+// OnWindowFlush hook drives the repartition decisions). A static or
+// reserved controller installs no hook, so it need not observe. One
+// controller serves one cache for one replay; the hook touches only that
+// cache and runs on the goroutine of whichever drive unit owns it, so it
+// never races.
 type Controller struct {
 	*obs.SimStats
 	spec     Spec

@@ -30,8 +30,9 @@ func partitionedGrid() []cache.Config {
 // TestPartitionNeutralityAndWorkers drives the equivalence grid plus
 // partitioned configs through every engine mode (materialised and streamed,
 // workers 1/2/8) and checks all runs are bit-identical to the sequential
-// materialised reference — partitioned caches are single drive units, so
-// parallel fan-out must not perturb them, and unpartitioned configs must be
+// materialised reference — a partitioned cache's repartitioning touches
+// only its own cache, whichever drive unit it shares, so parallel fan-out
+// must not perturb it, and unpartitioned configs must be
 // byte-for-byte what they were before the partition refactor (they share
 // the batch with partitioned ones here).
 func TestPartitionNeutralityAndWorkers(t *testing.T) {
