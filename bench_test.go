@@ -161,10 +161,7 @@ var runManyGrid = []cache.Config{
 // sweep simulate optimised candidate layouts).
 func runManyLayout(b *testing.B, env *expt.Env) *layout.Layout {
 	b.Helper()
-	if err := env.St.UseAverageProfile(); err != nil {
-		b.Fatal(err)
-	}
-	plan, err := env.St.OptimizeWithCurrentProfile(oslayout.DefaultPlacementParams(8 << 10))
+	plan, err := env.St.OptimizeFrom(env.St.AvgOS, oslayout.DefaultPlacementParams(8<<10))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -270,31 +267,38 @@ func BenchmarkCompareGrid(b *testing.B) {
 // builders would time a map lookup on every iteration after the first.
 func BenchmarkOptSConstruction(b *testing.B) {
 	env := sharedEnv(b)
-	if err := env.St.UseAverageProfile(); err != nil {
-		b.Fatal(err)
-	}
-	prog := env.St.Kernel.Prog
 	params := oslayout.DefaultPlacementParams(8 << 10)
 	loops := env.St.StrategyCache().Loops()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(prog, loops, core.SeedEntries(prog), 0, params); err != nil {
-			b.Fatal(err)
+	benchWithAverage(b, env, func(prog *oslayout.Program) error {
+		_, err := core.Optimize(prog, loops, core.SeedEntries(prog), 0, params)
+		return err
+	})
+}
+
+// benchWithAverage times build on the kernel with the averaged profile
+// applied, holding the study's strategy-cache lock for the whole loop.
+func benchWithAverage(b *testing.B, env *expt.Env, build func(prog *oslayout.Program) error) {
+	b.Helper()
+	if err := env.St.WithProfile(env.St.AvgOS, func(prog *oslayout.Program) error {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := build(prog); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
 	}
 }
 
 // BenchmarkCHConstruction measures the Chang-Hwu baseline construction,
 // calling chlayout.New directly for the same reason.
 func BenchmarkCHConstruction(b *testing.B) {
-	env := sharedEnv(b)
-	if err := env.St.UseAverageProfile(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chlayout.New(env.St.Kernel.Prog, 0)
-	}
+	benchWithAverage(b, sharedEnv(b), func(prog *oslayout.Program) error {
+		chlayout.New(prog, 0)
+		return nil
+	})
 }
 
 // --- extension experiment benchmarks ---
@@ -329,14 +333,10 @@ func BenchmarkTraceSerialization(b *testing.B) {
 
 // BenchmarkMcFConstruction measures the McFarling-style baseline.
 func BenchmarkMcFConstruction(b *testing.B) {
-	env := sharedEnv(b)
-	if err := env.St.UseAverageProfile(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mcflayout.New(env.St.Kernel.Prog, 0)
-	}
+	benchWithAverage(b, sharedEnv(b), func(prog *oslayout.Program) error {
+		mcflayout.New(prog, 0)
+		return nil
+	})
 }
 
 func BenchmarkExtOverhead(b *testing.B) { benchExperiment(b, "overhead") }

@@ -23,17 +23,23 @@ func TestCalibrationReport(t *testing.T) {
 	t.Logf("kernel: %d routines, %d blocks, %d KB code",
 		k.NumRoutines(), k.NumBlocks(), k.CodeSize()>>10)
 
-	for i, d := range st.Data {
-		if err := st.UseWorkloadProfile(i); err != nil {
+	// withProfile runs f on the kernel with prof's weights applied.
+	withProfile := func(prof *Profile, f func()) {
+		t.Helper()
+		if err := st.WithProfile(prof, func(*Program) error { f(); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		execBytes := k.ExecutedCodeSize()
-		execBB := k.ExecutedBlocks()
-		t.Logf("%-11s executed: %6d bytes (%.1f%%), %5d BBs (%.1f%%), %4d routines; invocations I/P/S/O = %v",
-			d.Workload.Name, execBytes,
-			100*float64(execBytes)/float64(k.CodeSize()),
-			execBB, 100*float64(execBB)/float64(k.NumBlocks()),
-			k.ExecutedRoutines(), d.OSProfile.ClassInv)
+	}
+	for _, d := range st.Data {
+		withProfile(d.OSProfile, func() {
+			execBytes := k.ExecutedCodeSize()
+			execBB := k.ExecutedBlocks()
+			t.Logf("%-11s executed: %6d bytes (%.1f%%), %5d BBs (%.1f%%), %4d routines; invocations I/P/S/O = %v",
+				d.Workload.Name, execBytes,
+				100*float64(execBytes)/float64(k.CodeSize()),
+				execBB, 100*float64(execBB)/float64(k.NumBlocks()),
+				k.ExecutedRoutines(), d.OSProfile.ClassInv)
+		})
 		osRefs, appRefs := d.Trace.Refs()
 		t.Logf("%-11s refs: OS %d, app %d (OS share %.2f)",
 			d.Workload.Name, osRefs, appRefs, float64(osRefs)/float64(osRefs+appRefs))
@@ -41,12 +47,11 @@ func TestCalibrationReport(t *testing.T) {
 
 	// Union executed footprint across workloads (paper: 18% of code, 26%
 	// of routines).
-	if err := st.UseAverageProfile(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("union executed: %d bytes (%.1f%%), %d routines (%.1f%%)",
-		k.ExecutedCodeSize(), 100*float64(k.ExecutedCodeSize())/float64(k.CodeSize()),
-		k.ExecutedRoutines(), 100*float64(k.ExecutedRoutines())/float64(k.NumRoutines()))
+	withProfile(st.AvgOS, func() {
+		t.Logf("union executed: %d bytes (%.1f%%), %d routines (%.1f%%)",
+			k.ExecutedCodeSize(), 100*float64(k.ExecutedCodeSize())/float64(k.CodeSize()),
+			k.ExecutedRoutines(), 100*float64(k.ExecutedRoutines())/float64(k.NumRoutines()))
+	})
 
 	cfg := cache.Config{Size: 8 << 10, Line: 32, Assoc: 1}
 	base, _ := mustBuild(t, st, "base", 0)
@@ -63,17 +68,14 @@ func TestCalibrationReport(t *testing.T) {
 	}
 	// Block-invocation skew (Figure 8 targets: top ~5%%, 22 blocks >3%%,
 	// 157 blocks >1%%).
-	if err := st.UseAverageProfile(); err != nil {
-		t.Fatal(err)
-	}
 	var totW float64
-	for i := range k.Blocks {
-		totW += float64(k.Blocks[i].Weight)
+	for _, w := range st.AvgOS.Block {
+		totW += float64(w)
 	}
 	var n3, n1, n01 int
 	var top float64
-	for i := range k.Blocks {
-		sh := float64(k.Blocks[i].Weight) / totW
+	for _, w := range st.AvgOS.Block {
+		sh := float64(w) / totW
 		if sh > top {
 			top = sh
 		}

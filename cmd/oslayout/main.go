@@ -455,30 +455,29 @@ func writeJSON(dir, name string, r expt.Renderer) error {
 }
 
 // printStats summarises the study: the kernel image and each workload's
-// trace and profile.
+// trace and profile. Each workload's executed-code figures read its own
+// profile's weights, applied under the study's strategy-cache lock.
 func printStats(env *expt.Env, w io.Writer) {
 	k := env.St.Kernel.Prog
-	// Walking the workloads applies each per-workload profile to the kernel's
-	// weight fields in turn; snapshot the active weights first and restore
-	// them after, so a stats run leaves the study's profile state untouched
-	// and experiments rendered alongside stats see the same weights they
-	// would alone.
-	snap := env.St.CaptureKernelProfile()
-	defer snap.Apply(k)
 	fmt.Fprintf(w, "==== stats ====\n")
 	fmt.Fprintf(w, "kernel: %d routines, %d basic blocks, %d KB code, %d dispatch points\n",
 		k.NumRoutines(), k.NumBlocks(), k.CodeSize()>>10, k.NumDispatch)
-	for i, d := range env.St.Data {
+	for _, d := range env.St.Data {
 		osRefs, appRefs := d.Trace.Refs()
-		if err := env.St.UseWorkloadProfile(i); err != nil {
+		var execBytes int64
+		var execRoutines int
+		if err := env.St.WithProfile(d.OSProfile, func(k *oslayout.Program) error {
+			execBytes, execRoutines = k.ExecutedCodeSize(), k.ExecutedRoutines()
+			return nil
+		}); err != nil {
 			fmt.Fprintf(w, "%s: profile error: %v\n", d.Workload.Name, err)
 			continue
 		}
 		fmt.Fprintf(w, "%-12s %9d events, OS refs %9d, app refs %9d, invocations %6d, executed %6d B (%.1f%%), %3d routines\n",
 			d.Workload.Name, d.Trace.NumEvents(), osRefs, appRefs,
 			d.OSProfile.TotalInvocations(),
-			k.ExecutedCodeSize(), 100*float64(k.ExecutedCodeSize())/float64(k.CodeSize()),
-			k.ExecutedRoutines())
+			execBytes, 100*float64(execBytes)/float64(k.CodeSize()),
+			execRoutines)
 	}
 	fmt.Fprintln(w)
 }

@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,27 +78,42 @@ func TestStatsDoesNotPerturbExperiments(t *testing.T) {
 	}
 }
 
-// TestPrintStatsRestoresProfile checks the mechanism directly: the kernel's
-// weight fields are bit-identical before and after printStats.
-func TestPrintStatsRestoresProfile(t *testing.T) {
+// TestPrintStatsReadsWorkloadProfiles checks the mechanism directly: each
+// workload's stats line reports the executed code of that workload's own
+// profile, whatever an earlier build left in the kernel's weight fields.
+func TestPrintStatsReadsWorkloadProfiles(t *testing.T) {
 	env, err := expt.NewEnv(expt.Options{OSRefs: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := env.St.UseAverageProfile(); err != nil {
+	// An OptS build leaves the averaged profile applied.
+	if _, err := env.Plan("opts", 8<<10); err != nil {
 		t.Fatal(err)
 	}
+	var out bytes.Buffer
+	printStats(env, &out)
 	k := env.St.Kernel.Prog
-	before := make([]uint64, k.NumBlocks())
-	for i := range k.Blocks {
-		before[i] = k.Blocks[i].Weight
-	}
-	printStats(env, io.Discard)
-	for i := range k.Blocks {
-		if k.Blocks[i].Weight != before[i] {
-			t.Fatalf("block %d weight changed from %d to %d across printStats",
-				i, before[i], k.Blocks[i].Weight)
+	seen := map[int64]bool{}
+	for _, d := range env.St.Data {
+		var want int64
+		for b, n := range d.OSProfile.Block {
+			if n > 0 {
+				want += int64(k.Blocks[b].Size)
+			}
 		}
+		seen[want] = true
+		found := false
+		for _, line := range strings.Split(out.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == d.Workload.Name {
+				found = strings.Contains(line, fmt.Sprintf("executed %6d B", want))
+			}
+		}
+		if !found {
+			t.Errorf("%s: stats do not report the profile's %d executed bytes:\n%s", d.Workload.Name, want, out.String())
+		}
+	}
+	if len(seen) < 2 {
+		t.Fatal("every workload executes the same bytes; the check cannot tell profiles apart")
 	}
 }
 

@@ -45,12 +45,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := avg.Apply(st.Kernel.Prog); err != nil {
-		log.Fatal(err)
-	}
 	params := oslayout.DefaultPlacementParams(8 << 10)
 	params.Name = "OptS-paper-profile"
-	plan, err := st.OptimizeWithCurrentProfile(params)
+	plan, err := st.OptimizeFrom(avg, params)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,11 +72,8 @@ func main() {
 		100*(1-float64(ro.Stats.TotalMisses())/float64(rb.Stats.TotalMisses())))
 
 	// And the upper bound: a layout that did see OLTP's own profile.
-	if err := st.UseWorkloadProfile(oltpIdx); err != nil {
-		log.Fatal(err)
-	}
 	params.Name = "OptS-own-profile"
-	own, err := st.OptimizeWithCurrentProfile(params)
+	own, err := st.OptimizeFrom(st.Data[oltpIdx].OSProfile, params)
 	if err != nil {
 		log.Fatal(err)
 	}

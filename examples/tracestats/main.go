@@ -42,18 +42,22 @@ func main() {
 	}
 	d := st.Data[idx]
 	k := st.Kernel.Prog
-	if err := st.UseWorkloadProfile(idx); err != nil {
-		log.Fatal(err)
-	}
 
 	fmt.Printf("=== %s ===\n\n", d.Workload.Name)
 	osRefs, appRefs := d.Trace.Refs()
 	fmt.Printf("references: OS %d (%.0f%%), application %d\n",
 		osRefs, 100*float64(osRefs)/float64(osRefs+appRefs), appRefs)
 
-	fmt.Printf("executed OS code: %d bytes (%.1f%% of the kernel), %d of %d routines\n",
-		k.ExecutedCodeSize(), 100*float64(k.ExecutedCodeSize())/float64(k.CodeSize()),
-		k.ExecutedRoutines(), k.NumRoutines())
+	// Executed code is read off the kernel with this workload's profile
+	// applied to its weight fields.
+	if err := st.WithProfile(d.OSProfile, func(k *oslayout.Program) error {
+		fmt.Printf("executed OS code: %d bytes (%.1f%% of the kernel), %d of %d routines\n",
+			k.ExecutedCodeSize(), 100*float64(k.ExecutedCodeSize())/float64(k.CodeSize()),
+			k.ExecutedRoutines(), k.NumRoutines())
+		return nil
+	}); err != nil {
+		log.Fatal(err)
+	}
 
 	total := float64(d.OSProfile.TotalInvocations())
 	fmt.Println("\nOS invocations by class (the paper's Table 1 row):")
@@ -69,8 +73,8 @@ func main() {
 	}
 	var rs []ri
 	var invTotal float64
-	for r := range k.Routines {
-		if inv := k.Routines[r].Invocations; inv > 0 {
+	for r, inv := range d.OSProfile.RoutineInv {
+		if inv > 0 {
 			rs = append(rs, ri{k.Routines[r].Name, inv})
 			invTotal += float64(inv)
 		}

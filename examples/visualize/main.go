@@ -28,9 +28,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := st.UseAverageProfile(); err != nil {
-		log.Fatal(err)
-	}
 	k := st.Kernel
 
 	// The paper's Figure 9 example routines.
@@ -44,19 +41,31 @@ func main() {
 		routines = append(routines, r)
 	}
 
+	opts, _, err := st.BuildStrategy("opts", 8<<10)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Everything printed reads the averaged profile's weights (which blocks
+	// executed, how often), so it runs with that profile applied.
+	if err := st.WithProfile(st.AvgOS, func(*oslayout.Program) error {
+		return report(k, routines, names, opts)
+	}); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// report writes the flow graph to stdout and the OptS placement of the
+// routines to stderr.
+func report(k *oslayout.Kernel, routines []program.RoutineID, names []string, opts *oslayout.Layout) error {
 	// stdout: the flow graph (executed blocks only, like the paper's chart).
 	if err := k.Prog.WriteDot(os.Stdout, program.DotOptions{
 		Routines:       routines,
 		HideUnexecuted: true,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// stderr: where OptS placed these routines' blocks.
-	opts, _, err := st.BuildStrategy("opts", 8<<10)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Fprintln(os.Stderr, "\nOptS placement of the timer subsystem (address order):")
 	type placed struct {
 		addr    uint64
@@ -100,4 +109,5 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "\n(the interleaving IS the paper's cross-routine sequence: caller blocks,")
 	fmt.Fprintln(os.Stderr, " inlined callee hot blocks, then the caller's continuation)")
+	return nil
 }

@@ -30,18 +30,17 @@ type Table1Row struct {
 
 // RunTable1 computes Table 1.
 func (e *Env) RunTable1() (*Table1, error) {
-	k := e.St.Kernel.Prog
 	t := &Table1{}
-	for i, d := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
+	for _, d := range e.St.Data {
+		row := Table1Row{Workload: d.Workload.Name}
+		if err := e.St.WithProfile(d.OSProfile, func(k *program.Program) error {
+			row.ExecBytes = k.ExecutedCodeSize()
+			row.ExecBytesPct = 100 * float64(k.ExecutedCodeSize()) / float64(k.CodeSize())
+			row.ExecBBPct = 100 * float64(k.ExecutedBlocks()) / float64(k.NumBlocks())
+			row.ExecRoutines = k.ExecutedRoutines()
+			return nil
+		}); err != nil {
 			return nil, err
-		}
-		row := Table1Row{
-			Workload:     d.Workload.Name,
-			ExecBytes:    k.ExecutedCodeSize(),
-			ExecBytesPct: 100 * float64(k.ExecutedCodeSize()) / float64(k.CodeSize()),
-			ExecBBPct:    100 * float64(k.ExecutedBlocks()) / float64(k.NumBlocks()),
-			ExecRoutines: k.ExecutedRoutines(),
 		}
 		total := float64(d.OSProfile.TotalInvocations())
 		for c := 0; c < program.NumSeedClasses; c++ {
@@ -102,15 +101,16 @@ type Figure1 struct {
 func (e *Env) RunFigure1() (*Figure1, error) {
 	const workloadIdx = 1 // TRFD+Make
 	cfg := cache.Config{Size: 16 << 10, Line: 32, Assoc: 1}
-	_, blocks, err := e.EvalBlocks(workloadIdx, e.Base(), nil, cfg)
+	base := e.Base()
+	_, blocks, err := e.EvalBlocks(workloadIdx, base, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
 	bucket := uint64(1 << 10)
 	f := &Figure1{Workload: e.Workloads()[workloadIdx]}
-	f.Total = simulate.HistogramOf(blocks.Misses[trace.DomainOS], e.Base(), bucket)
-	f.Self = simulate.HistogramOf(blocks.Self[trace.DomainOS], e.Base(), bucket)
-	f.Cross = simulate.HistogramOf(blocks.Cross[trace.DomainOS], e.Base(), bucket)
+	f.Total = simulate.HistogramOf(blocks.Misses[trace.DomainOS], base, bucket)
+	f.Self = simulate.HistogramOf(blocks.Self[trace.DomainOS], base, bucket)
+	f.Cross = simulate.HistogramOf(blocks.Cross[trace.DomainOS], base, bucket)
 	var self, total uint64
 	for _, v := range blocks.Self[trace.DomainOS] {
 		self += v
@@ -122,14 +122,15 @@ func (e *Env) RunFigure1() (*Figure1, error) {
 
 	// Attribute the peaks: rank the routine pairs sharing cache sets under
 	// the Base layout, weighted by this workload's profile.
-	if err := e.St.UseWorkloadProfile(workloadIdx); err != nil {
+	if err := e.St.WithProfile(e.St.Data[workloadIdx].OSProfile, func(k *program.Program) error {
+		for _, pr := range metrics.ConflictPairs(k, base, cfg, 5) {
+			f.TopConflicts = append(f.TopConflicts,
+				fmt.Sprintf("%s <-> %s (weight %d)",
+					k.Routine(pr.A).Name, k.Routine(pr.B).Name, pr.Weight))
+		}
+		return nil
+	}); err != nil {
 		return nil, err
-	}
-	k := e.St.Kernel.Prog
-	for _, pr := range metrics.ConflictPairs(k, e.Base(), cfg, 5) {
-		f.TopConflicts = append(f.TopConflicts,
-			fmt.Sprintf("%s <-> %s (weight %d)",
-				k.Routine(pr.A).Name, k.Routine(pr.B).Name, pr.Weight))
 	}
 	return f, nil
 }
@@ -160,11 +161,14 @@ type Figure2 struct {
 // RunFigure2 computes Figure 2.
 func (e *Env) RunFigure2() (*Figure2, error) {
 	f := &Figure2{Workloads: e.Workloads()}
-	for i := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
+	base := e.Base()
+	for _, d := range e.St.Data {
+		if err := e.St.WithProfile(d.OSProfile, func(k *program.Program) error {
+			f.Hists = append(f.Hists, simulate.RefHistogram(k, base, 1<<10))
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		f.Hists = append(f.Hists, simulate.RefHistogram(e.St.Kernel.Prog, e.Base(), 1<<10))
 	}
 	return f, nil
 }
@@ -186,10 +190,14 @@ type Figure3 struct {
 
 // RunFigure3 computes Figure 3 over the union of the workload profiles.
 func (e *Env) RunFigure3() (*Figure3, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
+	f := &Figure3{}
+	if err := e.St.WithProfile(e.St.AvgOS, func(k *program.Program) error {
+		f.Stats = metrics.ArcProbabilities(k)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return &Figure3{Stats: metrics.ArcProbabilities(e.St.Kernel.Prog)}, nil
+	return f, nil
 }
 
 // Render draws the histogram and headline fractions.
@@ -239,17 +247,23 @@ func (e *Env) RunTable2() (*Table2, error) {
 	t.Regular.NumBlocks, t.Regular.NumRoutines, t.Regular.Bytes = regSet.NumBlocks, regSet.NumRoutines, regSet.Bytes
 
 	cfg := cache.Config{Size: 16 << 10, Line: 32, Assoc: 1}
-	for i := range e.St.Data {
-		_, blocks, err := e.EvalBlocks(i, e.Base(), nil, cfg)
+	base := e.Base()
+	for i, d := range e.St.Data {
+		_, blocks, err := e.EvalBlocks(i, base, nil, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := e.St.UseWorkloadProfile(i); err != nil {
+		osMisses := blocks.Misses[trace.DomainOS]
+		coreRow, regRow := metrics.Transitions(d.Trace, coreSet), metrics.Transitions(d.Trace, regSet)
+		if err := e.St.WithProfile(d.OSProfile, func(k *program.Program) error {
+			coreRow.AddShares(k, coreSet, osMisses)
+			regRow.AddShares(k, regSet, osMisses)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		osMisses := blocks.Misses[trace.DomainOS]
-		t.CoreRows = append(t.CoreRows, metrics.Characterize(e.St.Data[i].Trace, coreSet, osMisses))
-		t.RegRows = append(t.RegRows, metrics.Characterize(e.St.Data[i].Trace, regSet, osMisses))
+		t.CoreRows = append(t.CoreRows, coreRow)
+		t.RegRows = append(t.RegRows, regRow)
 	}
 	return t, nil
 }
@@ -284,13 +298,14 @@ type Table3 struct {
 // RunTable3 computes Table 3.
 func (e *Env) RunTable3() (*Table3, error) {
 	t := &Table3{Workloads: e.Workloads()}
-	k := e.St.Kernel.Prog
-	for i := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
+	loops := e.layouts.Loops()
+	for _, d := range e.St.Data {
+		if err := e.St.WithProfile(d.OSProfile, func(k *program.Program) error {
+			t.Rows = append(t.Rows, metrics.CallFreeLoopFractions(k, loops))
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		loops := e.layouts.Loops()
-		t.Rows = append(t.Rows, metrics.CallFreeLoopFractions(k, loops))
 	}
 	return t, nil
 }
@@ -317,12 +332,14 @@ type Figure45 struct {
 
 // RunFigure45 computes Figures 4 and 5 over the averaged profile.
 func (e *Env) RunFigure45() (*Figure45, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
-		return nil, err
-	}
 	loops := e.layouts.Loops()
 	f := &Figure45{}
-	f.CallFree, f.WithCalls = metrics.LoopBehaviors(e.St.Kernel.Prog, loops)
+	if err := e.St.WithProfile(e.St.AvgOS, func(k *program.Program) error {
+		f.CallFree, f.WithCalls = metrics.LoopBehaviors(k, loops)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
@@ -380,11 +397,14 @@ type Figure6 struct {
 // RunFigure6 computes Figure 6.
 func (e *Env) RunFigure6() (*Figure6, error) {
 	f := &Figure6{Workloads: e.Workloads()}
-	for i := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
+	for _, d := range e.St.Data {
+		var skew []float64
+		if err := e.St.WithProfile(d.OSProfile, func(k *program.Program) error {
+			skew = metrics.InvocationSkew(k)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		skew := metrics.InvocationSkew(e.St.Kernel.Prog)
 		f.Executed = append(f.Executed, len(skew))
 		if len(skew) > 15 {
 			skew = skew[:15]
@@ -418,10 +438,13 @@ type Figure7 struct {
 
 // RunFigure7 computes Figure 7.
 func (e *Env) RunFigure7() (*Figure7, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
+	var top []program.RoutineID
+	if err := e.St.WithProfile(e.St.AvgOS, func(k *program.Program) error {
+		top = metrics.TopRoutines(k, 10)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	top := metrics.TopRoutines(e.St.Kernel.Prog, 10)
 	var rs []metrics.ReuseStats
 	for i := range e.St.Data {
 		rs = append(rs, metrics.TemporalReuse(e.St.Data[i].Trace, top))
@@ -457,10 +480,15 @@ type Figure8 struct {
 
 // RunFigure8 computes Figure 8 over the averaged (union) profile.
 func (e *Env) RunFigure8() (*Figure8, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
+	loops := e.layouts.Loops()
+	f := &Figure8{}
+	if err := e.St.WithProfile(e.St.AvgOS, func(k *program.Program) error {
+		f.Skew = metrics.BlockInvocationSkew(k, loops)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return &Figure8{Skew: metrics.BlockInvocationSkew(e.St.Kernel.Prog, e.layouts.Loops())}, nil
+	return f, nil
 }
 
 // Render summarises the skew.

@@ -152,10 +152,11 @@ func selection(idx []int, n int, what string) ([]bool, error) {
 
 // RunCompareOpts builds each strategy (once for size-independent
 // strategies, per size otherwise) and evaluates the full grid. Layout
-// construction is serial (profile application mutates kernel weights);
-// evaluation replays each trace once through the single-pass engine, under
-// one group per (strategy, layout) that batches the cache sizes sharing the
-// layout, and runs the traces' replays in parallel.
+// construction serialises under the strategy-cache lock, which owns the
+// kernel weights; evaluation replays each trace once through the
+// single-pass engine, under one group per (strategy, layout) that batches
+// the cache sizes sharing the layout, and runs the traces' replays in
+// parallel.
 func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, opt CompareOptions) (*Compare, error) {
 	if len(strategies) == 0 {
 		return nil, fmt.Errorf("expt: compare needs at least one strategy")

@@ -65,11 +65,11 @@ type Options struct {
 	// of building one: the environment then shares its traces, its
 	// layout-strategy cache and its compiled-stream cache with every other
 	// environment over the same study (the serve daemon pools studies
-	// across compare jobs this way). OSRefs and KernelSeed are ignored —
-	// the caller keys the pool by them. Layout evaluation is read-only and
-	// concurrency-safe, but experiments that re-apply kernel profiles
-	// in place (the analysis extensions) must not run concurrently on one
-	// shared study.
+	// across jobs this way). OSRefs and KernelSeed are ignored — the
+	// caller keys the pool by them. Any experiments may run concurrently
+	// on one shared study: every profile application and weight read
+	// happens under the study's strategy-cache lock, and evaluation is
+	// read-only.
 	Study *oslayout.Study
 }
 

@@ -64,13 +64,10 @@ func (e *Env) RunCrossProfile() (*CrossProfile, error) {
 		return row, nil
 	}
 
-	for i := 0; i < n; i++ {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
+	for i, d := range e.St.Data {
 		params := oslayout.DefaultPlacementParams(cfg.Size)
 		params.Name = fmt.Sprintf("OptS-from-%s", x.Workloads[i])
-		plan, err := e.St.OptimizeWithCurrentProfile(params)
+		plan, err := e.St.OptimizeFrom(d.OSProfile, params)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +206,7 @@ func (e *Env) RunAblation() (*Ablation, error) {
 	// serialises every profile application and layout build on the study.
 	mk := func(name string, mutate func(*core.Params), entries func() [program.NumSeedClasses]program.BlockID) (*oslayout.Plan, error) {
 		b, err := e.layouts.Custom("ablation:"+name, func(_ strategy.Study, loops []cfa.Loop) (*layout.Layout, *core.Plan, error) {
-			if err := e.St.UseAverageProfile(); err != nil {
+			if err := e.St.AvgOS.Apply(e.St.Kernel.Prog); err != nil {
 				return nil, nil, err
 			}
 			params := oslayout.DefaultPlacementParams(cfg.Size)

@@ -13,6 +13,7 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
 	"oslayout/internal/metrics"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/simulate"
 )
@@ -51,14 +52,16 @@ func (e *Env) RunOverhead() (*Overhead, error) {
 		Layouts:   []string{"C-H", "OptS", "OptL"},
 	}
 	layouts := []*layout.Layout{ch, opts.Layout, optl.Layout}
-	k := e.St.Kernel.Prog
-	for i := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
+	base := e.Base()
+	for _, d := range e.St.Data {
 		var row []float64
-		for _, l := range layouts {
-			row = append(row, metrics.DynamicOverheadPct(k, e.Base(), l))
+		if err := e.St.WithProfile(d.OSProfile, func(k *program.Program) error {
+			for _, l := range layouts {
+				row = append(row, metrics.DynamicOverheadPct(k, base, l))
+			}
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 		o.Pct = append(o.Pct, row)
 	}
@@ -176,7 +179,6 @@ func (e *Env) RunNoise() (*Noise, error) {
 		Levels:    []float64{0, 0.25, 0.5, 0.9},
 		Workloads: e.Workloads(),
 	}
-	k := e.St.Kernel.Prog
 
 	baseTotals := make([]uint64, len(e.St.Data))
 	for i := range e.St.Data {
@@ -188,15 +190,13 @@ func (e *Env) RunNoise() (*Noise, error) {
 	}
 
 	for li, level := range n.Levels {
-		if err := e.St.UseAverageProfile(); err != nil {
-			return nil, err
-		}
+		prof := e.St.AvgOS
 		if level > 0 {
-			perturbWeights(k, level, int64(4243+li))
+			prof = perturbed(prof, level, int64(4243+li))
 		}
 		params := oslayout.DefaultPlacementParams(cfg.Size)
 		params.Name = fmt.Sprintf("OptS-noise%.2f", level)
-		plan, err := e.St.OptimizeWithCurrentProfile(params)
+		plan, err := e.St.OptimizeFrom(prof, params)
 		if err != nil {
 			return nil, err
 		}
@@ -213,9 +213,12 @@ func (e *Env) RunNoise() (*Noise, error) {
 	return n, nil
 }
 
-// perturbWeights scales every nonzero block and arc weight by a random
-// factor in [1-level, 1+level], keeping executed blocks executed.
-func perturbWeights(p *program.Program, level float64, seed int64) {
+// perturbed returns a copy of pr with every nonzero count a program's
+// weight fields take from it — block, arc, call and routine invocation —
+// scaled by a random factor in [1-level, 1+level], keeping executed blocks
+// executed. The counts are drawn in block order (each block, then its arcs,
+// then its call count), then routine order, so a seed fixes the noise.
+func perturbed(pr *profile.Profile, level float64, seed int64) *profile.Profile {
 	rng := rand.New(rand.NewSource(seed))
 	scale := func(w uint64) uint64 {
 		if w == 0 {
@@ -228,17 +231,27 @@ func perturbWeights(p *program.Program, level float64, seed int64) {
 		}
 		return v
 	}
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		b.Weight = scale(b.Weight)
-		for j := range b.Out {
-			b.Out[j].Weight = scale(b.Out[j].Weight)
+	out := &profile.Profile{
+		Block:      make([]uint64, len(pr.Block)),
+		Arc:        make([][]uint64, len(pr.Arc)),
+		Call:       make([]uint64, len(pr.Call)),
+		RoutineInv: make([]uint64, len(pr.RoutineInv)),
+		ClassInv:   pr.ClassInv,
+	}
+	for i, w := range pr.Block {
+		out.Block[i] = scale(w)
+		if pr.Arc[i] != nil {
+			out.Arc[i] = make([]uint64, len(pr.Arc[i]))
 		}
-		b.Call.Count = scale(b.Call.Count)
+		for j, a := range pr.Arc[i] {
+			out.Arc[i][j] = scale(a)
+		}
+		out.Call[i] = scale(pr.Call[i])
 	}
-	for r := range p.Routines {
-		p.Routines[r].Invocations = scale(p.Routines[r].Invocations)
+	for r, w := range pr.RoutineInv {
+		out.RoutineInv[r] = scale(w)
 	}
+	return out
 }
 
 // Render formats the noise sweep.
@@ -281,9 +294,6 @@ type Fragmentation struct {
 
 // RunFragmentation computes the statistics under the averaged profile.
 func (e *Env) RunFragmentation() (*Fragmentation, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
-		return nil, err
-	}
 	ch, err := e.Layout("ch", 0)
 	if err != nil {
 		return nil, err
@@ -293,8 +303,18 @@ func (e *Env) RunFragmentation() (*Fragmentation, error) {
 		return nil, err
 	}
 	fr := &Fragmentation{Layouts: []string{"Base", "C-H", "OptS"}}
-	for _, l := range []*layout.Layout{e.Base(), ch, plan.Layout} {
-		frags := l.Fragments(true)
+	layouts := []*layout.Layout{e.Base(), ch, plan.Layout}
+	perLayout := make([]map[program.RoutineID]int, len(layouts))
+	// Fragments counts executed blocks only: it reads the averaged weights.
+	if err := e.St.WithProfile(e.St.AvgOS, func(*program.Program) error {
+		for i, l := range layouts {
+			perLayout[i] = l.Fragments(true)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for _, frags := range perLayout {
 		var sum, split, n float64
 		max := 0
 		for _, f := range frags {

@@ -56,7 +56,11 @@ var compareGoldenModes = []struct {
 // match the SHA-256 digests recorded in testdata/outputs.golden. Each
 // compare mode runs three ways — materialised at Par 1, materialised at
 // Par 4 and streamed at a small chunk — and all three must agree before
-// their digest is checked.
+// their digest is checked. A second environment on the default kernel's
+// study (Options.Study, as the serve daemon pools studies) runs the
+// registry in reverse, concurrently with the forward pass, and must match
+// the same golden lines: no experiment may see weights another left
+// applied.
 func TestOutputsGolden(t *testing.T) {
 	var keys []string
 	got := map[string]string{}
@@ -64,7 +68,7 @@ func TestOutputsGolden(t *testing.T) {
 		keys = append(keys, key)
 		got[key] = sum
 	}
-	// Every pass below runs on an Env of its own, so the five passes run
+	// Every pass below runs on an Env of its own, so the six passes run
 	// concurrently.
 	var wg sync.WaitGroup
 	start := func(what string, opt Options, pass func(e *Env) ([]string, error), out *[]string) {
@@ -82,18 +86,33 @@ func TestOutputsGolden(t *testing.T) {
 		}()
 	}
 	names := Names()
+	// runNames renders the registry in order, or in reverse, and returns
+	// the digests in registry order.
+	runNames := func(e *Env, reverse bool) ([]string, error) {
+		sums := make([]string, len(names))
+		for k := range names {
+			j := k
+			if reverse {
+				j = len(names) - 1 - k
+			}
+			r, err := Run(e, names[j])
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", names[j], err)
+			}
+			sums[j] = obs.Digest(r.Render())
+		}
+		return sums, nil
+	}
 	exptSums := make([][]string, len(outputsGoldenSeeds))
+	var sharedSums []string
 	for k, seed := range outputsGoldenSeeds {
 		start(fmt.Sprintf("seed=%d", seed), Options{KernelSeed: seed}, func(e *Env) ([]string, error) {
-			var sums []string
-			for _, name := range names {
-				r, err := Run(e, name)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-				sums = append(sums, obs.Digest(r.Render()))
+			if k == 0 {
+				start("shared study, reversed", Options{Study: e.St}, func(e *Env) ([]string, error) {
+					return runNames(e, true)
+				}, &sharedSums)
 			}
-			return sums, nil
+			return runNames(e, false)
 		}, &exptSums[k])
 	}
 	runs := []struct {
@@ -156,6 +175,12 @@ func TestOutputsGolden(t *testing.T) {
 	}
 
 	want := readOutputsGolden(t)
+	for j, name := range names {
+		key := fmt.Sprintf("seed=%d/%s", outputsGoldenSeeds[0], name)
+		if w := want[key]; sharedSums[j] != w {
+			t.Errorf("%s on a shared study, run in reverse: digest %s, golden %s", key, sharedSums[j], w)
+		}
+	}
 	for _, k := range keys {
 		switch w, ok := want[k]; {
 		case !ok:

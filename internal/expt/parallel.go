@@ -26,9 +26,14 @@ func (e *Env) parEach(n int, f func(i int) error) error {
 // failing sweep reports deterministically regardless of worker scheduling.
 // Cache simulations are pure (each run builds its own cache and only reads
 // the shared trace, layout and program), so the sweep experiments fan their
-// grid points out across cores. Plan and layout CONSTRUCTION is not
-// parallel-safe — it mutates the kernel program's weight fields — so
-// callers build all layouts first, then evaluate in parallel.
+// grid points out across cores. Layout builds are safe from any goroutine
+// but serialise under the strategy-cache lock (which owns the kernel
+// weights), so callers build all layouts first, then evaluate in parallel.
+//
+// A panic in f stops the hand-out and is re-raised in the caller's
+// goroutine once every worker has returned, as a sequential loop would
+// raise it, so a recover up the caller's stack (the serve daemon's per-job
+// one) sees it instead of the process dying.
 func parEachN(workers, n int, f func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -45,11 +50,12 @@ func parEachN(workers, n int, f func(i int) error) error {
 		return nil
 	}
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		first   error
-		failIdx int = n
-		next    int
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		first    error
+		failIdx  int = n
+		next     int
+		panicked any
 	)
 	// Tasks are handed out in index order and hand-out stops at the lowest
 	// failing index seen so far, so every index below the globally lowest
@@ -77,6 +83,16 @@ func parEachN(workers, n int, f func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = p
+					}
+					failIdx = -1 // hand out nothing more
+					mu.Unlock()
+				}
+			}()
 			for {
 				i, ok := grab()
 				if !ok {
@@ -89,5 +105,8 @@ func parEachN(workers, n int, f func(i int) error) error {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	return first
 }

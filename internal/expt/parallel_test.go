@@ -124,3 +124,30 @@ func TestBatchedSweepParallelDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestParEachHandsPanicToCaller: a panic in one task of a parallel parEachN
+// is re-raised in the caller's goroutine once the workers are done, where a
+// recover (the serve daemon's per-job one) catches it.
+func TestParEachHandsPanicToCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int32
+		func() {
+			defer func() {
+				if p := recover(); p != "task fault" {
+					t.Errorf("workers=%d: recovered %v, want %q", workers, p, "task fault")
+				}
+			}()
+			parEachN(workers, 64, func(i int) error {
+				ran.Add(1)
+				if i == 5 {
+					panic("task fault")
+				}
+				return nil
+			})
+			t.Errorf("workers=%d: parEachN returned instead of panicking", workers)
+		}()
+		if n := ran.Load(); n < 6 {
+			t.Errorf("workers=%d: %d tasks ran, want the failing one and those below it", workers, n)
+		}
+	}
+}

@@ -90,9 +90,9 @@ func (e *Env) RunFigure18X() (*Figure18X, error) {
 	f.Final = make([][]string, nw)
 	f.Traj = make([][]string, nw)
 
-	// Build the application layouts serially before the parallel
-	// evaluation (layout construction mutates weights). A workload without
-	// an application keeps nil.
+	// Build the application layouts before the parallel evaluation (builds
+	// serialise under the strategy-cache lock). A workload without an
+	// application keeps nil.
 	appOpts := make([]*oslayout.Layout, nw)
 	for i := 0; i < nw; i++ {
 		appOpt, err := e.AppOpt(i, cfg.Size, plan)

@@ -6,6 +6,7 @@ import (
 
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
+	"oslayout/internal/program"
 	"oslayout/internal/simulate"
 	"oslayout/internal/textplot"
 	"oslayout/internal/trace"
@@ -205,22 +206,23 @@ func (e *Env) RunFigure13() (*Figure13, error) {
 		Layouts:   []string{"Base", "C-H", "OptS", "OptL"},
 	}
 	layouts := []*layout.Layout{e.Base(), ch, opts.Layout, plan.Layout}
-	k := e.St.Kernel.Prog
-	for i := range e.St.Data {
+	for i, d := range e.St.Data {
 		// Reference shares from the workload profile.
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
 		var refs [4]float64
 		var total float64
-		for b := range k.Blocks {
-			blk := &k.Blocks[b]
-			if blk.Weight == 0 {
-				continue
+		if err := e.St.WithProfile(d.OSProfile, func(k *program.Program) error {
+			for b := range k.Blocks {
+				blk := &k.Blocks[b]
+				if blk.Weight == 0 {
+					continue
+				}
+				r := float64(blk.Weight) * float64(trace.RefsOf(blk.Size))
+				refs[figure13Class(classes[b])] += r
+				total += r
 			}
-			r := float64(blk.Weight) * float64(trace.RefsOf(blk.Size))
-			refs[figure13Class(classes[b])] += r
-			total += r
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 		for c := range refs {
 			refs[c] = 100 * refs[c] / total

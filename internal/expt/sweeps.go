@@ -38,8 +38,9 @@ func (e *Env) RunFigure15() (*Figure15, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Build every layout serially (plan construction mutates kernel
-	// weights), then evaluate the whole grid in parallel.
+	// Build every layout first (builds serialise under the strategy-cache
+	// lock, which owns the kernel weights), then evaluate the whole grid in
+	// parallel.
 	base := e.Base()
 	layoutsBySize := make([][3]*layout.Layout, len(f.Sizes))
 	for si, size := range f.Sizes {

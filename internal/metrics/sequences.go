@@ -66,10 +66,10 @@ type SeqCharacterization struct {
 	MissPct float64
 }
 
-// Characterize computes Table 2 for one workload: transition probabilities
-// come from the trace, the miss share from the per-block OS misses of a
-// Base-layout simulation (an obs.BlockMisses OS slice).
-func Characterize(t *trace.Trace, set *SeqSet, osMisses []uint64) SeqCharacterization {
+// Transitions computes the transition half of a workload's Table 2 row,
+// ProbAnyInSeq and ProbNextInSeq, from its trace. It reads no profile
+// weights; AddShares fills in the rest of the row.
+func Transitions(t *trace.Trace, set *SeqSet) SeqCharacterization {
 	var c SeqCharacterization
 
 	// Transition probabilities over consecutive OS block events, walked in
@@ -106,9 +106,14 @@ func Characterize(t *trace.Trace, set *SeqSet, osMisses []uint64) SeqCharacteriz
 		c.ProbAnyInSeq = toMember / fromMember
 		c.ProbNextInSeq = toNext / fromMember
 	}
+	return c
+}
 
-	// Static, reference and miss shares.
-	p := t.OS
+// AddShares fills in the static, reference and miss shares of a Table 2
+// row: the first two from the workload profile applied to the kernel p, the
+// miss share from the per-block OS misses of a Base-layout simulation (an
+// obs.BlockMisses OS slice).
+func (c *SeqCharacterization) AddShares(p *program.Program, set *SeqSet, osMisses []uint64) {
 	var execBlocks, memberBlocks float64
 	var refsAll, refsMember float64
 	for i := range p.Blocks {
@@ -140,5 +145,4 @@ func Characterize(t *trace.Trace, set *SeqSet, osMisses []uint64) SeqCharacteriz
 	if missAll > 0 {
 		c.MissPct = 100 * missMember / missAll
 	}
-	return c
 }

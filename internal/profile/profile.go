@@ -213,26 +213,6 @@ func (pr *Profile) Apply(p *program.Program) error {
 	return nil
 }
 
-// Capture snapshots the program's current weight fields into a Profile —
-// the inverse of Apply. Callers that apply other profiles temporarily (the
-// CLI's stats summary walks every workload profile) capture first and
-// re-apply the snapshot after, so the active profile state never leaks.
-func Capture(p *program.Program) *Profile {
-	pr := New(p)
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		pr.Block[i] = b.Weight
-		for j := range b.Out {
-			pr.Arc[i][j] = b.Out[j].Weight
-		}
-		pr.Call[i] = b.Call.Count
-	}
-	for r := range p.Routines {
-		pr.RoutineInv[r] = p.Routines[r].Invocations
-	}
-	return pr
-}
-
 // Average combines several profiles of the same program into one, first
 // normalising each to the same total block-execution mass so that a longer
 // trace does not dominate — this mirrors the paper's "average of the

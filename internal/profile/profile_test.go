@@ -103,33 +103,6 @@ func TestApplyAndShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestCaptureRoundTrip(t *testing.T) {
-	p, _ := progtest.Linear(3, 8)
-	pr := New(p)
-	pr.Block[0], pr.Block[1], pr.Block[2] = 3, 7, 11
-	pr.Arc[0][0], pr.Arc[1][0] = 5, 9
-	pr.Call[2] = 1
-	pr.RoutineInv[0] = 4
-	if err := pr.Apply(p); err != nil {
-		t.Fatal(err)
-	}
-	snap := Capture(p)
-	// Clobber the program's weights, then restore from the snapshot.
-	other := New(p)
-	other.Block[0] = 999
-	if err := other.Apply(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.Apply(p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Blocks[0].Weight != 3 || p.Blocks[1].Weight != 7 ||
-		p.Blocks[0].Out[0].Weight != 5 || p.Blocks[2].Call.Count != 1 ||
-		p.Routines[0].Invocations != 4 {
-		t.Fatal("Capture/Apply round trip did not restore weights")
-	}
-}
-
 func TestAverageNormalises(t *testing.T) {
 	p, _ := progtest.Linear(2, 8)
 	a := New(p)

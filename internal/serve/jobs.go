@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"oslayout"
+	"oslayout/internal/cache"
 	"oslayout/internal/expt"
 	"oslayout/internal/obs"
 	"oslayout/internal/partition"
@@ -111,7 +112,8 @@ func (s *JobSpec) validate(budget int64) error {
 		if len(c.Sizes) == 0 {
 			return fmt.Errorf("compare spec names no cache sizes")
 		}
-		if _, err := ParseSizes(c.Sizes); err != nil {
+		sizes, err := ParseSizes(c.Sizes)
+		if err != nil {
 			return err
 		}
 		if c.Line == 0 {
@@ -131,6 +133,7 @@ func (s *JobSpec) validate(budget int64) error {
 				return fmt.Errorf("way partitioning is not available with private per-CPU caches")
 			}
 		}
+		var part cache.Partition
 		if c.Partition != "" {
 			sp, err := partition.Parse(c.Partition)
 			if err != nil {
@@ -139,7 +142,15 @@ func (s *JobSpec) validate(budget int64) error {
 			if sp.Policy == "reserved" {
 				return fmt.Errorf("the reserved policy needs a SelfConfFree block set and is not available on the compare grid (run the fig18x experiment)")
 			}
-			if _, err := sp.WithDefaults(c.Assoc); err != nil {
+			if sp, err = sp.WithDefaults(c.Assoc); err != nil {
+				return err
+			}
+			part = sp.Initial()
+		}
+		// Every cache of the grid must be buildable; a geometry cache.New
+		// refuses would otherwise fail the job at run time.
+		for _, size := range sizes {
+			if err := (cache.Config{Size: size, Line: c.Line, Assoc: c.Assoc, Part: part}).Validate(); err != nil {
 				return err
 			}
 		}
@@ -254,8 +265,13 @@ func (j *Job) setRunning() {
 	j.events.publish(Event{Type: "state", State: string(StateRunning)})
 }
 
+// finish ends the job, done or failed, once; later calls are no-ops.
 func (j *Job) finish(results map[string]JobResult, err error) {
 	j.mu.Lock()
+	if j.state == StateDone || j.state == StateFailed {
+		j.mu.Unlock()
+		return
+	}
 	j.finished = time.Now()
 	if err != nil {
 		j.state = StateFailed
@@ -324,11 +340,25 @@ func newManager(workers, maxJobs int, budget int64, run func(*Job)) *Manager {
 			defer m.wg.Done()
 			for j := range m.queue {
 				j.setRunning()
-				m.run(j)
+				m.runJob(j)
 			}
 		}()
 	}
 	return m
+}
+
+// runJob runs one job, ending it failed with the panic message if the run
+// panics, so one job's fault never takes the worker — or the daemon and
+// every other job — down with it. Weights a panicking build left half
+// applied do no harm: every reader applies its own profile under the
+// strategy-cache lock before it reads.
+func (m *Manager) runJob(j *Job) {
+	defer func() {
+		if p := recover(); p != nil {
+			j.finish(nil, fmt.Errorf("job panicked: %v", p))
+		}
+	}()
+	m.run(j)
 }
 
 // Submit validates the spec, assigns an ID and enqueues the job.

@@ -55,10 +55,10 @@ type Config struct {
 	// concurrency (Workers) multiplies with this, so hosts running many
 	// concurrent jobs may want DrivePar lowered.
 	DrivePar int
-	// StudyCache bounds how many studies the server pools across compare
-	// jobs (default 2). Jobs agreeing on (refs, seed) share one study —
-	// and with it the layout-strategy and compiled-stream caches, so a
-	// repeated or concurrent compare grid replays from memoized streams
+	// StudyCache bounds how many studies the server pools across jobs
+	// (default 2). Jobs agreeing on (refs, seed) share one study — and
+	// with it the layout-strategy and compiled-stream caches, so a
+	// repeated or concurrent job replays from memoized layouts and streams
 	// instead of regenerating and recompiling everything.
 	StudyCache int
 	// StreamBudgetBytes is the daemon's retained-trace memory budget:
@@ -327,7 +327,16 @@ func (s *Server) runJob(j *Job) {
 		j.events.publish(Event{Type: "phase", Phase: &ph})
 	})
 
+	// A panic out of execute still counts the job failed; the Manager
+	// ends it.
+	panicked := true
+	defer func() {
+		if panicked {
+			s.jobsFailed.Inc()
+		}
+	}()
 	results, cells, windows, err := s.execute(j)
+	panicked = false
 	if err != nil {
 		s.jobsFailed.Inc()
 	} else {
@@ -384,14 +393,13 @@ func (s *Server) archiveJob(j *Job, results map[string]JobResult, cells []runsto
 
 // jobEnv builds the environment a local job or a shard runs in. Par
 // defaults to the daemon's -drivepar, and onWindow, when non-nil, is the
-// live-progress hook. Compare specs share pooled studies: layout builds
-// serialise under the strategy-cache lock and evaluation is read-only, so
-// concurrent compare runs over one study are safe — and repeat runs replay
-// from its memoized compiled streams. Experiment specs keep a private study
-// (several experiments re-apply kernel profiles in place, which must not
-// race across jobs). The returned release flushes the environment's layout
-// and stream cache counters and the recorder's replay counters into the
-// daemon's; call it once the run is over.
+// live-progress hook. Every job runs on a pooled study keyed by its trace
+// inputs: the study's strategy cache owns the kernel weights (each profile
+// application and weight read happens under its lock) and evaluation is
+// read-only, so concurrent jobs over one study are safe, and repeat runs
+// reuse its memoized layouts and compiled streams. The returned release
+// flushes the study's layout and stream cache counters and the recorder's
+// replay counters into the daemon's; call it once the run is over.
 func (s *Server) jobEnv(spec *JobSpec, rec *obs.Recorder, onWindow func(obs.WindowFlush)) (*expt.Env, func(), error) {
 	par := spec.Par
 	if par == 0 {
@@ -412,34 +420,21 @@ func (s *Server) jobEnv(spec *JobSpec, rec *obs.Recorder, onWindow func(obs.Wind
 		StreamBudgetBytes: s.budget,
 		OnWindow:          onWindow,
 	}
-	var pooled *studyEntry
-	if spec.Compare != nil {
-		done := rec.Span("study.build")
-		entry, err := s.studies.get(studyKey{refs: spec.Refs, seed: spec.Seed, stream: stream, chunk: spec.Chunk}, func() (*oslayout.Study, error) {
-			return expt.BuildStudy(opts)
-		})
-		done()
-		if err != nil {
-			return nil, nil, fmt.Errorf("building study: %w", err)
-		}
-		pooled = entry
-		opts.Study = entry.st
+	done := rec.Span("study.build")
+	entry, err := s.studies.get(studyKey{refs: spec.Refs, seed: spec.Seed, stream: stream, chunk: spec.Chunk}, func() (*oslayout.Study, error) {
+		return expt.BuildStudy(opts)
+	})
+	done()
+	if err != nil {
+		return nil, nil, fmt.Errorf("building study: %w", err)
 	}
+	opts.Study = entry.st
 	env, err := expt.NewEnv(opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("building study: %w", err)
 	}
 	release := func() {
-		if pooled != nil {
-			pooled.flush(s.cacheHits, s.cacheMisses, s.streamHits, s.streamMisses)
-		} else {
-			hits, misses := env.LayoutCacheStats()
-			s.cacheHits.Add(hits)
-			s.cacheMisses.Add(misses)
-			sh, sm := env.StreamCacheStats()
-			s.streamHits.Add(sh)
-			s.streamMisses.Add(sm)
-		}
+		entry.flush(s.cacheHits, s.cacheMisses, s.streamHits, s.streamMisses)
 		counters := rec.Counters()
 		s.eventsReplay.Add(counters["replay.events"])
 		s.refsReplayed.Add(counters["replay.refs"])

@@ -423,6 +423,10 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"compare":{"strategies":["base"],"sizes":["8k"],"partition":"static"}}`,
 		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4,"partition":"static,os=9"}}`,
 		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4,"partition":"static,os=4611686018427387904,app=4611686018427387904,resv=4611686018427387904"}}`,
+		// Cache geometry is checked at admission: an associativity whose
+		// ways overflow the cache size cannot be built.
+		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4611686018427387904},"refs":20000}`,
+		`{"compare":{"strategies":["base"],"sizes":["8k"],"line":24}}`,
 		// CPU counts outside 0..16 are refused at admission.
 		`{"compare":{"strategies":["base"],"sizes":["8k"]},"cpus":99}`,
 		`{"experiments":["cpus"],"cpus":-1}`,
@@ -616,6 +620,87 @@ func TestStreamedJobMatchesMaterialised(t *testing.T) {
 	if mat.Results["table2"].Digest != str.Results["table2"].Digest {
 		t.Errorf("streamed job digest %s != materialised %s",
 			str.Results["table2"].Digest, mat.Results["table2"].Digest)
+	}
+}
+
+// TestExperimentJobSharesPooledStudy: experiment jobs take pooled studies
+// like compare jobs. A table2 job after a compare job with the same (refs,
+// seed) runs on the compare job's study — one pool entry — and builds no
+// layout: its Base and 8 KB OptS come from the study's strategy cache. Its
+// rendering matches table2 on an environment of its own.
+func TestExperimentJobSharesPooledStudy(t *testing.T) {
+	s, ts := newTestServer(t)
+	cmp := await(t, ts, submit(t, ts, fmt.Sprintf(`{"compare":{"strategies":["base","opts"],"sizes":["8k"]},"refs":%d}`, testRefs)).ID)
+	if cmp.State != StateDone {
+		t.Fatalf("compare job ended %s: %s", cmp.State, cmp.Error)
+	}
+	builds := func() float64 {
+		return scrape(t, ts)["oslayout_layout_cache_misses_total"].Samples["oslayout_layout_cache_misses_total"]
+	}
+	build0 := builds()
+	tab := await(t, ts, submit(t, ts, fmt.Sprintf(`{"experiments":["table2"],"refs":%d}`, testRefs)).ID)
+	if tab.State != StateDone {
+		t.Fatalf("table2 job ended %s: %s", tab.State, tab.Error)
+	}
+	if build1 := builds(); build1 != build0 {
+		t.Errorf("table2 job built %v layouts, want none on the pooled study", build1-build0)
+	}
+	s.studies.mu.Lock()
+	pooled := len(s.studies.entries)
+	s.studies.mu.Unlock()
+	if pooled != 1 {
+		t.Errorf("%d pooled studies, want the compare job's one", pooled)
+	}
+
+	env, err := expt.NewEnv(expt.Options{OSRefs: testRefs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := expt.Run(env, "table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := obs.Digest(r.Render()); tab.Results["table2"].Digest != want {
+		t.Errorf("pooled table2 digest %s, own environment %s", tab.Results["table2"].Digest, want)
+	}
+}
+
+// TestManagerSurvivesPanickingJob: a job whose run panics ends failed with
+// the panic message, and the worker goes on to run the next job.
+func TestManagerSurvivesPanickingJob(t *testing.T) {
+	m := newManager(1, 8, 0, func(j *Job) {
+		if j.Spec.Refs == 1 {
+			panic("run fault")
+		}
+		j.finish(map[string]JobResult{"table1": {Digest: "d"}}, nil)
+	})
+	defer m.Close()
+	var jobs []*Job
+	for _, refs := range []uint64{1, 2} {
+		j, err := m.Submit(JobSpec{Experiments: []string{"table1"}, Refs: refs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, j := range jobs {
+		for {
+			state, _, _, _, _ := j.snapshot()
+			if state == StateDone || state == StateFailed {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s stuck in %s", j.ID, state)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if state, _, _, errMsg, _ := jobs[0].snapshot(); state != StateFailed || !strings.Contains(errMsg, "run fault") {
+		t.Errorf("panicking job ended %s (%q), want failed with the panic message", state, errMsg)
+	}
+	if state, _, _, errMsg, _ := jobs[1].snapshot(); state != StateDone {
+		t.Errorf("the job after the panic ended %s (%q), want done", state, errMsg)
 	}
 }
 

@@ -281,3 +281,61 @@ func TestStreamedGroupsWindowBytes(t *testing.T) {
 		t.Errorf("live heap grew by %d B replaying four groups, %d B replaying one: window buffers grow with the group count", four, one)
 	}
 }
+
+// panicReader yields its first window and panics on the next Read, a fault
+// inside the streamed replay's producer goroutine.
+type panicReader struct {
+	r     trace.Reader
+	reads int
+}
+
+func (p *panicReader) Read() ([]trace.Event, error) {
+	if p.reads++; p.reads > 1 {
+		panic("source fault")
+	}
+	return p.r.Read()
+}
+
+// TestRunGroupsHandsPanicToCaller: a panic inside a replay goroutine — a
+// cache setup's eviction hook in a parallel drive unit, or the streamed
+// producer's trace source — must reach the RunGroups caller as a panic in
+// its own goroutine, where a recover can catch it, instead of ending the
+// process.
+func TestRunGroupsHandsPanicToCaller(t *testing.T) {
+	tr, osL, appL := mixedTrace(12_000, 42)
+	cfgs := []cache.Config{
+		{Size: 4 << 10, Line: 32, Assoc: 1},
+		{Size: 8 << 10, Line: 32, Assoc: 1},
+		{Size: 512, Line: 32, Assoc: 2},
+		{Size: 16 << 10, Line: 32, Assoc: 4},
+	}
+	hookFault := make([]CacheSetup, len(cfgs))
+	hookFault[2] = func(c *cache.Cache) error {
+		c.SetEvictionHook(func(uint64, int, trace.Domain) { panic("hook fault") })
+		return nil
+	}
+	sourceFault := tr.ChunkView(333)
+	source := sourceFault.Source
+	sourceFault.Source = func() trace.Reader { return &panicReader{r: source()} }
+
+	for _, tc := range []struct {
+		name   string
+		src    *trace.Trace
+		setups []CacheSetup
+		want   string
+	}{
+		{"materialised/hook", tr, hookFault, "hook fault"},
+		{"chunked/hook", tr.ChunkView(333), hookFault, "hook fault"},
+		{"chunked/source", sourceFault, nil, "source fault"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != tc.want {
+					t.Errorf("recovered %v, want %q", p, tc.want)
+				}
+			}()
+			RunGroups(tc.src, []Group{{OS: osL, App: appL, Configs: cfgs}}, Options{Setups: tc.setups, Workers: 4})
+			t.Error("RunGroups returned instead of panicking")
+		})
+	}
+}

@@ -173,8 +173,9 @@ func runManyStreamed(t *trace.Trace, keys []streamKey, parts int,
 	// by the compiler's exact count) and reused thereafter — the O(chunk)
 	// bound.
 	type item struct {
-		d   *unitData
-		err error
+		d        *unitData
+		err      error
+		panicked any
 	}
 	free := make(chan *unitData, 2)
 	for i := 0; i < 2; i++ {
@@ -183,6 +184,11 @@ func runManyStreamed(t *trace.Trace, keys []streamKey, parts int,
 	work := make(chan item, 2)
 	go func() {
 		defer close(work)
+		defer func() {
+			if p := recover(); p != nil {
+				work <- item{panicked: p}
+			}
+		}()
 		r := t.Chunks()
 		for {
 			batch, err := r.Read()
@@ -217,16 +223,25 @@ func runManyStreamed(t *trace.Trace, keys []streamKey, parts int,
 		}
 	}()
 
+	// A panic on either side stops the driving but not the draining, so
+	// the producer never blocks forever; it is re-raised here afterwards.
 	var firstErr error
+	var panicked any
 	for it := range work {
-		if it.err != nil {
+		switch {
+		case it.panicked != nil:
+			panicked = it.panicked
+			continue
+		case it.err != nil:
 			firstErr = it.err
 			continue
-		}
-		if firstErr == nil {
-			driveUnits(units, it.d, opt.Workers)
+		case firstErr == nil && panicked == nil:
+			panicked = driveRecovering(units, it.d, opt.Workers)
 		}
 		free <- it.d
+	}
+	if panicked != nil {
+		panic(panicked)
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -237,4 +252,11 @@ func runManyStreamed(t *trace.Trace, keys []streamKey, parts int,
 		results[i].Stats = caches[i].Stats
 	}
 	return results, nil
+}
+
+// driveRecovering is driveUnits returning a panic instead of raising it.
+func driveRecovering(units []driveUnit, d *unitData, workers int) (panicked any) {
+	defer func() { panicked = recover() }()
+	driveUnits(units, d, workers)
+	return nil
 }

@@ -341,7 +341,10 @@ func (u *driveUnit) drive(d *unitData) {
 // Unit order is irrelevant to the results — units are mutually independent —
 // so the fan-out is deterministic by construction, not by scheduling. In
 // chunked replay this is called once per window: the return is the barrier
-// that keeps every unit's access order sequential across windows.
+// that keeps every unit's access order sequential across windows. A panic in
+// a unit (a cache setup's hook, say) is re-raised here once every worker
+// has returned, so it reaches the caller's goroutine as in a sequential
+// drive.
 func driveUnits(units []driveUnit, d *unitData, workers int) {
 	if workers > len(units) {
 		workers = len(units)
@@ -354,10 +357,21 @@ func driveUnits(units []driveUnit, d *unitData, workers int) {
 	}
 	var next atomic.Int32
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var panicked any
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = p
+					}
+					mu.Unlock()
+				}
+			}()
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(units) {
@@ -368,6 +382,9 @@ func driveUnits(units []driveUnit, d *unitData, workers int) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // driveWindow replays one window of compiled accesses through the unit's

@@ -19,7 +19,7 @@ type builtin struct {
 	name     string
 	describe string
 	sized    bool
-	// profiled strategies apply Params.Profile before building.
+	// profiled strategies apply the averaged profile before building.
 	profiled bool
 	build    func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error)
 }
@@ -30,7 +30,7 @@ func (b *builtin) SizeDependent() bool { return b.sized }
 
 func (b *builtin) Build(st Study, params Params) (*layout.Layout, *core.Plan, error) {
 	if b.profiled {
-		if err := st.ApplyProfile(params.profile()); err != nil {
+		if err := st.ApplyProfile(AvgProfile); err != nil {
 			return nil, nil, err
 		}
 	}

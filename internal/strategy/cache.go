@@ -17,22 +17,25 @@ type Built struct {
 	Plan *core.Plan
 }
 
-// cacheKey identifies one build: (strategy name, active profile, cache
-// size). Size-independent strategies normalise the size to 0 so requests at
+// cacheKey identifies one build: (strategy name, cache size).
+// Size-independent strategies normalise the size to 0 so requests at
 // different cache sizes share one entry.
 type cacheKey struct {
-	name    string
-	profile string
-	size    int
+	name string
+	size int
 }
 
-// Cache memoizes strategy builds for one study. Building mutates the kernel
-// program's weight fields (profiles are applied in place), so the cache
-// serialises builds under one lock — which also makes it the safe entry
-// point for concurrent builds (the serve daemon runs jobs in parallel):
-// every field, including the recorder and the hit/miss statistics, is
-// accessed under mu. Evaluation of the returned layouts is read-only and
-// needs no coordination.
+// Cache memoizes strategy builds for one study, and it is the one owner of
+// the study's weight fields. A profile is applied to a program only under
+// the cache lock, by the caller about to read it: each builtin strategy
+// applies the averaged profile at the start of its build, and every other
+// weight reader runs inside Exclusive and applies its own profile first.
+// No reader therefore depends on what an earlier lock holder left applied,
+// and the cache is the safe entry point for concurrent builds and weight
+// reads (the serve daemon runs jobs in parallel over one study). Every
+// field, including the recorder and the hit/miss statistics, is accessed
+// under mu. Evaluation of the returned layouts is read-only and needs no
+// coordination.
 //
 // The kernel program's natural loops depend on its control-flow graph
 // alone, never on the applied profile, so the cache analyses them once, on
@@ -74,8 +77,8 @@ func (c *Cache) Stats() (hits, misses uint64) {
 
 // Loops returns the kernel program's natural loops, analysed once per
 // cache. The slice is shared with every plan built here: callers must not
-// modify it. It must not be called from a Custom build, which receives the
-// loops instead.
+// modify it. It must not be called from a Custom build or an Exclusive
+// function, which receive the loops instead.
 func (c *Cache) Loops() []cfa.Loop {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -97,7 +100,7 @@ func (c *Cache) Build(name string, p Params) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey{name: name, profile: p.profile(), size: p.CacheSize}
+	key := cacheKey{name: name, size: p.CacheSize}
 	if !s.SizeDependent() {
 		key.size = 0
 	}
@@ -120,26 +123,37 @@ func (c *Cache) Build(name string, p Params) (*Built, error) {
 	return b, nil
 }
 
+// Exclusive runs f under the cache lock, with the kernel program's shared,
+// read-only loop analysis (see Loops): the one way to apply a profile to a
+// program and read the weights it wrote without racing another build. f
+// must apply the profile it reads before reading it, and must not call back
+// into the cache (the lock is not reentrant). Nothing is memoized.
+func (c *Cache) Exclusive(f func(st Study, loops []cfa.Loop) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return f(c.st, c.loopsLocked())
+}
+
 // Custom memoizes a caller-supplied build under an opaque key, for
 // parameter variants outside the registry (Study.Optimize keys its full
 // placement parameters here). Keys live in a separate namespace from
-// registered strategy names. build receives the kernel program's shared,
-// read-only loop analysis (see Loops). It runs under the cache lock, so it
-// must not call back into the cache.
+// registered strategy names. build runs under Exclusive, so it applies the
+// profile it builds from itself and must not call back into the cache.
 func (c *Cache) Custom(key string, build func(st Study, loops []cfa.Loop) (*layout.Layout, *core.Plan, error)) (*Built, error) {
 	k := cacheKey{name: "custom:" + key}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.built[k]; ok {
-		c.hits++
-		return b, nil
-	}
-	c.miss++
-	l, plan, err := build(c.st, c.loopsLocked())
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Layout: l, Plan: plan}
-	c.built[k] = b
-	return b, nil
+	var b *Built
+	err := c.Exclusive(func(st Study, loops []cfa.Loop) error {
+		if b = c.built[k]; b != nil {
+			c.hits++
+			return nil
+		}
+		c.miss++
+		l, plan, err := build(st, loops)
+		if err == nil {
+			b = &Built{Layout: l, Plan: plan}
+			c.built[k] = b
+		}
+		return err
+	})
+	return b, err
 }

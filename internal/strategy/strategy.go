@@ -8,9 +8,10 @@
 // API and the CLI can request layouts uniformly and new placement
 // algorithms (Codestitcher, ext-TSP, ...) are one-file additions.
 //
-// Builds are pure functions of (strategy, applied profile, cache size), so
-// the Cache memoizes them under exactly that key; it replaces the ad-hoc
-// layout caches the experiment environment used to carry.
+// Every builtin strategy builds from the averaged profile, so builds are
+// pure functions of (strategy, cache size) and the Cache memoizes them
+// under exactly that key; it replaces the ad-hoc layout caches the
+// experiment environment used to carry.
 package strategy
 
 import (
@@ -23,7 +24,7 @@ import (
 	"oslayout/internal/program"
 )
 
-// AvgProfile names the averaged-over-workloads profile, the default every
+// AvgProfile names the averaged-over-workloads profile, the one every
 // builtin strategy builds from (the paper: "the layouts are created after
 // taking the average of the profiles of all the workloads").
 const AvgProfile = "avg"
@@ -34,8 +35,9 @@ const AvgProfile = "avg"
 type Study interface {
 	// KernelProgram returns the kernel's control-flow graph.
 	KernelProgram() *program.Program
-	// ApplyProfile applies the named profile ("avg" or "w<i>" for workload
-	// i) to the kernel program's weight fields.
+	// ApplyProfile applies the named profile to the kernel program's weight
+	// fields. Strategies ask for AvgProfile ("" names it too), from inside
+	// a Cache build, under the cache lock.
 	ApplyProfile(name string) error
 }
 
@@ -44,21 +46,10 @@ type Params struct {
 	// CacheSize is the target cache size in bytes; strategies for which
 	// SizeDependent() is false ignore it.
 	CacheSize int
-	// Profile names the profile the strategy builds from; empty selects
-	// AvgProfile. Profile-reading strategies apply it before building.
-	Profile string
 	// loops, set by Cache for the build it runs under its lock, returns
 	// the cache's one analysis of the kernel program's natural loops.
 	// Strategy.Build is only called through Cache, so it is always set.
 	loops func() []cfa.Loop
-}
-
-// profile returns the effective profile name.
-func (p Params) profile() string {
-	if p.Profile == "" {
-		return AvgProfile
-	}
-	return p.Profile
 }
 
 // Strategy is one code-placement algorithm.

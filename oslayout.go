@@ -23,8 +23,6 @@ package oslayout
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"oslayout/internal/appgen"
@@ -197,12 +195,6 @@ type StudyOptions struct {
 	// goroutines (results stay bit-identical to sequential); 0 or 1 keeps
 	// the sequential drive. Single-config Evaluate is always sequential.
 	DrivePar int
-	// StreamCacheBytes bounds the estimated memory of the study's
-	// compiled-stream cache; non-positive selects the package default
-	// (streamcache.DefaultMaxBytes). Size it to the largest sweep's
-	// working set: an LRU smaller than a repeating replay pattern evicts
-	// every stream just before its reuse.
-	StreamCacheBytes int64
 	// Stream selects the trace pipeline: materialise-then-drive (fast on
 	// repeat grids, memory linear in refs) or chunked generate-as-you-drive
 	// (memory bounded by the chunk size, bit-identical results). StreamAuto
@@ -236,14 +228,14 @@ type Study struct {
 	Data      []*WorkloadData
 	AvgOS     *Profile
 	traceOpts TraceOptions
-	// layouts memoizes registered-strategy builds for this study and
-	// serialises them under one lock (building applies profiles in place,
-	// mutating kernel weights — see internal/strategy.Cache).
+	// layouts memoizes layout builds for this study and owns the weight
+	// fields of its programs: profiles are applied, and weights read, only
+	// under its lock (see internal/strategy.Cache).
 	layouts *strategy.Cache
 	// streams memoizes compiled line streams across EvaluateMany calls; its
-	// identity-based keys work because every layout this study replays is
-	// itself memoized (strategy cache, appBase below), so equal layouts are
-	// equal pointers.
+	// identity-based keys work because the layouts this study replays are
+	// themselves memoized (strategy cache, appBase below), so equal layouts
+	// are equal pointers.
 	streams *streamcache.Cache
 	// drivePar bounds the per-replay drive worker pool (StudyOptions.DrivePar).
 	drivePar int
@@ -329,50 +321,42 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 	st.AvgOS = avg
 	st.layouts = strategy.NewCache(st)
 	st.layouts.SetRecorder(rec)
-	st.streams = streamcache.New(opts.StreamCacheBytes)
+	st.streams = streamcache.New(0)
 	st.drivePar = opts.DrivePar
 	st.appBase = make([]*Layout, len(st.Data))
 	st.appBaseOnce = make([]sync.Once, len(st.Data))
 	return st, nil
 }
 
-// CaptureKernelProfile snapshots the kernel program's currently applied
-// weight fields as a Profile, so callers that temporarily apply other
-// profiles can restore the active state afterwards via Apply.
-func (s *Study) CaptureKernelProfile() *Profile {
-	return profile.Capture(s.Kernel.Prog)
-}
-
-// UseAverageProfile applies the averaged kernel profile to the kernel
-// program's weight fields (the state layout builders read).
-func (s *Study) UseAverageProfile() error { return s.AvgOS.Apply(s.Kernel.Prog) }
-
-// UseWorkloadProfile applies workload i's kernel profile instead, for
-// cross-profile robustness experiments.
-func (s *Study) UseWorkloadProfile(i int) error {
-	return s.Data[i].OSProfile.Apply(s.Kernel.Prog)
-}
-
 // KernelProgram returns the kernel's control-flow graph (the program layout
 // strategies place).
 func (s *Study) KernelProgram() *Program { return s.Kernel.Prog }
 
-// ApplyProfile applies the named kernel profile to the kernel program's
-// weight fields: "avg" (or "") selects the averaged profile, "w<i>"
-// workload i's own profile. Layout strategies call this before building.
+// ApplyProfile applies the averaged kernel profile to the kernel program's
+// weight fields; "avg" (strategy.AvgProfile) and "" name it, and no other
+// name is accepted. It implements strategy.Study: layout strategies call it
+// from the builds the strategy cache runs under its lock. Any other reader
+// of kernel weights goes through WithProfile.
 func (s *Study) ApplyProfile(name string) error {
-	switch {
-	case name == "" || name == strategy.AvgProfile:
-		return s.UseAverageProfile()
-	case strings.HasPrefix(name, "w"):
-		i, err := strconv.Atoi(name[1:])
-		if err != nil || i < 0 || i >= len(s.Data) {
-			return fmt.Errorf("oslayout: unknown profile %q", name)
-		}
-		return s.UseWorkloadProfile(i)
-	default:
+	if name != "" && name != strategy.AvgProfile {
 		return fmt.Errorf("oslayout: unknown profile %q", name)
 	}
+	return s.AvgOS.Apply(s.Kernel.Prog)
+}
+
+// WithProfile applies prof (typically AvgOS or a workload's OSProfile) to
+// the kernel program's weight fields and runs f on the kernel, both under
+// the study's strategy-cache lock, so no concurrent build or weight reader
+// on this study can change the weights f reads. Keep f to weight reads: the
+// lock is not reentrant, so fetch layouts, plans and loops before the call,
+// and walk traces or replay outside it, where they block no other job.
+func (s *Study) WithProfile(prof *Profile, f func(k *Program) error) error {
+	return s.layouts.Exclusive(func(strategy.Study, []cfa.Loop) error {
+		if err := prof.Apply(s.Kernel.Prog); err != nil {
+			return err
+		}
+		return f(s.Kernel.Prog)
+	})
 }
 
 // StrategyInfo describes one registered layout strategy.
@@ -407,8 +391,8 @@ func Strategies() []StrategyInfo {
 //
 // Builds go through the study's memoized strategy cache: repeated requests
 // for the same (strategy, size) share one product, and concurrent calls
-// are safe — layout construction mutates the kernel program's weight
-// fields, so the cache serialises builds under one lock.
+// are safe — the cache builds under the lock that guards the kernel
+// program's weight fields.
 func (s *Study) BuildStrategy(name string, cacheSize int) (*Layout, *Plan, error) {
 	b, err := s.layouts.Build(name, strategy.Params{CacheSize: cacheSize})
 	if err != nil {
@@ -418,10 +402,10 @@ func (s *Study) BuildStrategy(name string, cacheSize int) (*Layout, *Plan, error
 }
 
 // StrategyCache returns the study's memoized strategy-build cache, the
-// serialisation point for all layout construction on this study. The
-// experiment environment builds through it (rather than a cache of its
-// own) so in-process builds and BuildStrategy calls share one lock and
-// one memo map.
+// owner of the kernel's weight fields and the serialisation point for all
+// layout construction on this study. The experiment environment builds
+// through it (rather than a cache of its own) so in-process builds and
+// BuildStrategy calls share one lock and one memo map.
 func (s *Study) StrategyCache() *strategy.Cache { return s.layouts }
 
 // Optimize runs the paper's placement algorithm on the kernel with the given
@@ -433,10 +417,7 @@ func (s *Study) StrategyCache() *strategy.Cache { return s.layouts }
 func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
 	// %#v, unlike %v, tells a nil Schedule from an empty one.
 	b, err := s.layouts.Custom(fmt.Sprintf("optimize:%#v", params), func(_ strategy.Study, loops []cfa.Loop) (*Layout, *Plan, error) {
-		if err := s.UseAverageProfile(); err != nil {
-			return nil, nil, err
-		}
-		plan, err := core.Optimize(s.Kernel.Prog, loops, core.SeedEntries(s.Kernel.Prog), 0, params)
+		plan, err := s.optimizeLocked(s.AvgOS, loops, params)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -448,12 +429,26 @@ func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
 	return b.Plan, nil
 }
 
-// OptimizeWithCurrentProfile runs the placement algorithm against whatever
-// profile is currently applied to the kernel program (set via
-// UseWorkloadProfile, UseAverageProfile, or a custom Profile.Apply) — for
-// cross-profile robustness experiments.
-func (s *Study) OptimizeWithCurrentProfile(params PlacementParams) (*Plan, error) {
-	return core.Optimize(s.Kernel.Prog, s.layouts.Loops(), core.SeedEntries(s.Kernel.Prog), 0, params)
+// OptimizeFrom runs the placement algorithm on the kernel from the given
+// profile rather than the averaged one — for cross-profile robustness and
+// profile-noise experiments. It builds under the strategy-cache lock like
+// Optimize but is not memoized: every call returns a fresh Plan.
+func (s *Study) OptimizeFrom(prof *Profile, params PlacementParams) (*Plan, error) {
+	var plan *Plan
+	err := s.layouts.Exclusive(func(_ strategy.Study, loops []cfa.Loop) (err error) {
+		plan, err = s.optimizeLocked(prof, loops, params)
+		return err
+	})
+	return plan, err
+}
+
+// optimizeLocked applies prof to the kernel and runs the placement
+// algorithm over its loops; the caller holds the strategy-cache lock.
+func (s *Study) optimizeLocked(prof *Profile, loops []cfa.Loop, params PlacementParams) (*Plan, error) {
+	if err := prof.Apply(s.Kernel.Prog); err != nil {
+		return nil, err
+	}
+	return core.Optimize(s.Kernel.Prog, loops, core.SeedEntries(s.Kernel.Prog), 0, params)
 }
 
 // AverageProfiles combines several profiles of the same program into one,
@@ -481,29 +476,44 @@ func (s *Study) AppBaseLayout(i int) *Layout {
 // sequence algorithm seeded at each main, no SelfConfFree area, with the
 // simple loop optimisation, placed "starting from the side opposite" the
 // operating system's hot area (the image is offset within the cache so the
-// application's hot sequences start where the OS hot area ends).
+// application's hot sequences start where the OS hot area ends). The build
+// goes through the study's strategy cache, memoized per (workload, cache
+// size, OS hot bytes): the application profile is applied under its lock,
+// and repeated requests share one layout pointer, so the compiled-stream
+// memo sees one key per layout.
 func (s *Study) AppOptLayout(i, cacheSize int, osHotBytes int64) (*Plan, error) {
 	d := s.Data[i]
 	if d.App == nil {
 		return nil, nil
 	}
-	if err := d.AppProfile.Apply(d.App.Prog); err != nil {
+	key := fmt.Sprintf("appopt:%d:%d:%d", i, cacheSize, osHotBytes)
+	b, err := s.layouts.Custom(key, func(strategy.Study, []cfa.Loop) (*Layout, *Plan, error) {
+		if err := d.AppProfile.Apply(d.App.Prog); err != nil {
+			return nil, nil, err
+		}
+		params := core.Params{
+			Name:               "OptA-app",
+			CacheSize:          cacheSize,
+			SelfConfFreeCutoff: 0, // "we do not set up any SelfConfFree area"
+			LoopExtract:        true,
+			LoopMinTrips:       6,
+		}
+		// Place the application so its hottest code begins at the cache
+		// offset where the operating system's hot area ends (wrapping modulo
+		// the cache). AppBase is a multiple of every cache size used, so the
+		// image base fixes the cache offset directly.
+		offset := uint64(osHotBytes) % uint64(cacheSize)
+		base := uint64(simulate.AppBase) + offset
+		plan, err := core.Optimize(d.App.Prog, cfa.AllLoops(d.App.Prog), core.MainEntries(d.App.Prog, d.App.Mains), base, params)
+		if err != nil {
+			return nil, nil, err
+		}
+		return plan.Layout, plan, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	params := core.Params{
-		Name:               "OptA-app",
-		CacheSize:          cacheSize,
-		SelfConfFreeCutoff: 0, // "we do not set up any SelfConfFree area"
-		LoopExtract:        true,
-		LoopMinTrips:       6,
-	}
-	// Place the application so its hottest code begins at the cache offset
-	// where the operating system's hot area ends (wrapping modulo the
-	// cache). AppBase is a multiple of every cache size used, so the image
-	// base fixes the cache offset directly.
-	offset := uint64(osHotBytes) % uint64(cacheSize)
-	base := uint64(simulate.AppBase) + offset
-	return core.Optimize(d.App.Prog, cfa.AllLoops(d.App.Prog), core.MainEntries(d.App.Prog, d.App.Mains), base, params)
+	return b.Plan, nil
 }
 
 // OSHotBytes reports the extent of the hot OS area for OptA alignment: the
@@ -579,8 +589,7 @@ func (s *Study) EvaluateMany(i int, groups []Group, observers []Observer, setups
 func (s *Study) StreamCacheStats() (hits, misses uint64) { return s.streams.Stats() }
 
 // StreamCacheUsage returns the stream cache's resident byte estimate and
-// how many entries its byte budget has evicted — the signals to watch when
-// a sweep's working set outgrows StudyOptions.StreamCacheBytes.
+// how many entries its byte budget has evicted.
 func (s *Study) StreamCacheUsage() (bytes int64, evictions uint64) {
 	return s.streams.Bytes(), s.streams.Evictions()
 }

@@ -51,19 +51,77 @@ func TestNewStudyDefaults(t *testing.T) {
 
 func TestProfileSwitching(t *testing.T) {
 	st := smallStudy(t)
-	if err := st.UseWorkloadProfile(0); err != nil {
-		t.Fatal(err)
+	weight := func(prof *Profile) uint64 {
+		t.Helper()
+		var w uint64
+		if err := st.WithProfile(prof, func(k *Program) error {
+			w = k.TotalWeight()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return w
 	}
-	w0 := st.Kernel.Prog.TotalWeight()
-	if err := st.UseWorkloadProfile(3); err != nil {
-		t.Fatal(err)
-	}
-	w3 := st.Kernel.Prog.TotalWeight()
+	w0, w3 := weight(st.Data[0].OSProfile), weight(st.Data[3].OSProfile)
 	if w0 == w3 {
 		t.Fatal("switching profiles did not change kernel weights")
 	}
-	if err := st.UseAverageProfile(); err != nil {
+	if w0 != st.Data[0].OSProfile.Total() || w3 != st.Data[3].OSProfile.Total() {
+		t.Fatal("WithProfile did not read the profile it applied")
+	}
+	// A build in between applies the averaged profile; the next reader
+	// still sees its own.
+	mustBuild(t, st, "opts", 8<<10)
+	if weight(st.Data[0].OSProfile) != w0 {
+		t.Fatal("a build's averaged weights leaked into a later reader")
+	}
+}
+
+// TestOptimizeFrom checks the unmemoized per-profile build: a workload's
+// own profile places differently from the averaged one, equal calls place
+// identically but return fresh plans, and the memoized averaged build is
+// untouched by either.
+func TestOptimizeFrom(t *testing.T) {
+	st := smallStudy(t)
+	params := DefaultPlacementParams(8 << 10)
+	avg, err := st.Optimize(params)
+	if err != nil {
 		t.Fatal(err)
+	}
+	own, err := st.OptimizeFrom(st.Data[0].OSProfile, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := st.OptimizeFrom(st.Data[0].OSProfile, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own == again {
+		t.Error("OptimizeFrom memoized its plan")
+	}
+	same := func(a, b *Plan) bool {
+		for i := range a.Layout.Addr {
+			if a.Layout.Addr[i] != b.Layout.Addr[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(own, again) {
+		t.Error("equal OptimizeFrom calls placed differently")
+	}
+	if same(own, avg) {
+		t.Error("a workload profile placed exactly like the averaged profile")
+	}
+	fromAvg, err := st.OptimizeFrom(st.AvgOS, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(fromAvg, avg) {
+		t.Error("OptimizeFrom(AvgOS) differs from Optimize")
+	}
+	if again, _ := st.Optimize(params); again != avg {
+		t.Error("Optimize lost its memoized plan")
 	}
 }
 
@@ -416,22 +474,19 @@ func TestBuildStrategyOnStudy(t *testing.T) {
 	}
 }
 
+// TestApplyProfileNames: the strategy-facing ApplyProfile names only the
+// averaged profile; per-workload profiles are read through WithProfile.
 func TestApplyProfileNames(t *testing.T) {
 	st := smallStudy(t)
-	if err := st.ApplyProfile("w0"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"avg", ""} {
+		if err := st.ApplyProfile(name); err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if w := st.Kernel.Prog.TotalWeight(); w != st.AvgOS.Total() {
+			t.Errorf("%q applied total weight %d, want the averaged %d", name, w, st.AvgOS.Total())
+		}
 	}
-	w0 := st.Kernel.Prog.TotalWeight()
-	if err := st.ApplyProfile("avg"); err != nil {
-		t.Fatal(err)
-	}
-	if avg := st.Kernel.Prog.TotalWeight(); avg == w0 {
-		t.Error("avg profile identical to w0; switching had no effect")
-	}
-	if err := st.ApplyProfile(""); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{"w99", "w-1", "wx", "bogus"} {
+	for _, bad := range []string{"w0", "w99", "w-1", "wx", "bogus"} {
 		if err := st.ApplyProfile(bad); err == nil {
 			t.Errorf("profile name %q accepted", bad)
 		}
