@@ -104,26 +104,14 @@ func runBench(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// run_many shares one study across repetitions — the steady-state cost
-	// of evaluating experiments, not of building the world.
-	env, err := expt.NewEnv(expt.Options{OSRefs: refCount, KernelSeed: *seed, Recorder: rec})
+	done := rec.Span("study.build")
+	st, err := expt.BuildStudy(expt.Options{OSRefs: refCount, KernelSeed: *seed, Recorder: rec})
+	done()
 	if err != nil {
 		return fmt.Errorf("building study: %w", err)
 	}
-	for rep := 0; rep < *n; rep++ {
-		err := timeIt("run_many", func() error {
-			for _, name := range benchExperiments {
-				r, err := expt.Run(env, name)
-				if err != nil {
-					return err
-				}
-				digests[name] = oslayout.Digest(r.Render())
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+	if err := benchRunMany(st, rec, *n, digests, timeIt); err != nil {
+		return err
 	}
 
 	// compare cold vs warm: cold pays layout construction and stream
@@ -220,6 +208,34 @@ func runBench(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("archiving bench record: %w", err)
 	}
 	fmt.Fprintf(stderr, "[archived bench record %s to %s]\n", id[:12], *dir)
+	return nil
+}
+
+// benchRunMany times n repetitions of the table sweep on one study: the
+// steady-state cost of evaluating experiments, not of building the world.
+// An Env memoizes experiment results, so each repetition gets a fresh one
+// over st, built outside the timed region; the environments share st's
+// layouts and compiled streams.
+func benchRunMany(st *oslayout.Study, rec *obs.Recorder, n int, digests map[string]string, timeIt func(string, func() error) error) error {
+	for rep := 0; rep < n; rep++ {
+		env, err := expt.NewEnv(expt.Options{Study: st, Recorder: rec})
+		if err != nil {
+			return err
+		}
+		err = timeIt("run_many", func() error {
+			for _, name := range benchExperiments {
+				r, err := expt.Run(env, name)
+				if err != nil {
+					return err
+				}
+				digests[name] = oslayout.Digest(r.Render())
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

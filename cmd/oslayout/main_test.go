@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"oslayout/internal/expt"
+	"oslayout/internal/obs"
 )
 
 func TestRunList(t *testing.T) {
@@ -667,6 +668,30 @@ func TestRunBenchRecord(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "bench") {
 		t.Errorf("archive has no bench record:\n%s", out.String())
+	}
+}
+
+// TestBenchRunManyReplaysEveryRepetition checks that the run_many sample
+// times the same work in every repetition: an Env memoizes experiment
+// results, so a repetition that reused one would replay nothing.
+func TestBenchRunManyReplaysEveryRepetition(t *testing.T) {
+	rec := obs.NewRecorder()
+	st, err := expt.BuildStudy(expt.Options{OSRefs: 100_000, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed []uint64
+	timeIt := func(name string, f func() error) error {
+		before := rec.Counters()["replay.events"]
+		err := f()
+		replayed = append(replayed, rec.Counters()["replay.events"]-before)
+		return err
+	}
+	if err := benchRunMany(st, rec, 2, map[string]string{}, timeIt); err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != 2 || replayed[0] == 0 || replayed[1] != replayed[0] {
+		t.Errorf("replayed events per repetition = %v, want two equal non-zero counts", replayed)
 	}
 }
 

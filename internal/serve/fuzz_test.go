@@ -1,0 +1,103 @@
+package serve
+
+import (
+	"math"
+	"math/big"
+	"strings"
+	"testing"
+)
+
+// FuzzParseSizes feeds arbitrary comma-separated text to ParseSizes, as
+// the CLI's -sizes flag does. Nothing may panic. An accepted list must
+// hold, for every non-empty part, its digits times its suffix's multiplier,
+// positive and computed here without wrapping; and a list of such parts
+// that all fit an int must be accepted.
+func FuzzParseSizes(f *testing.F) {
+	for _, s := range []string{
+		"4k", "8192,1M", "2M,,4k", "0", "-4k", "+8", "4q", "", ",", "1g",
+		"99999999999999m", "9223372036854775807", "8796093022207m", "0008k",
+	} {
+		f.Add(s)
+	}
+	mults := map[byte]uint64{'k': 1 << 10, 'K': 1 << 10, 'm': 1 << 20, 'M': 1 << 20}
+	f.Fuzz(func(t *testing.T, s string) {
+		parts := strings.Split(s, ",")
+		got, err := ParseSizes(parts)
+		var want []*big.Int
+		fits := true
+		for _, p := range parts {
+			if p == "" {
+				continue
+			}
+			v := suffixedValue(p, mults)
+			if v == nil {
+				if err == nil {
+					t.Fatalf("ParseSizes(%q) accepted malformed part %q as %v", parts, p, got)
+				}
+				return
+			}
+			fits = fits && v.Sign() > 0 && v.Cmp(big.NewInt(math.MaxInt)) <= 0
+			want = append(want, v)
+		}
+		if err != nil {
+			if fits && len(want) > 0 {
+				t.Fatalf("ParseSizes(%q) refused sizes that fit: %v", parts, err)
+			}
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ParseSizes(%q) = %v, want %d sizes", parts, got, len(want))
+		}
+		for i, v := range got {
+			if v <= 0 || big.NewInt(int64(v)).Cmp(want[i]) != 0 {
+				t.Fatalf("ParseSizes(%q)[%d] = %d, want %v", parts, i, v, want[i])
+			}
+		}
+	})
+}
+
+// FuzzParseRefs feeds arbitrary text to ParseRefs, as the CLI's -refs
+// flag does. Nothing may panic. An accepted count must be positive and
+// equal its digits times its suffix's multiplier, computed here without
+// wrapping; and a well-formed count that fits a uint64 must be accepted.
+func FuzzParseRefs(f *testing.F) {
+	for _, s := range []string{
+		"400000", "3m", "1g", "1G", "0", "", "-1", "+5", "1t", "k",
+		"18446744073709551615", "18446744073709551616", "17179869183g", "17179869184g",
+	} {
+		f.Add(s)
+	}
+	mults := map[byte]uint64{'k': 1 << 10, 'K': 1 << 10, 'm': 1 << 20, 'M': 1 << 20, 'g': 1 << 30, 'G': 1 << 30}
+	maxU64 := new(big.Int).SetUint64(math.MaxUint64)
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseRefs(s)
+		want := suffixedValue(s, mults)
+		switch {
+		case err != nil:
+			if want != nil && want.Sign() > 0 && want.Cmp(maxU64) <= 0 {
+				t.Fatalf("ParseRefs(%q) refused a count that fits: %v", s, err)
+			}
+		case want == nil:
+			t.Fatalf("ParseRefs(%q) accepted a malformed count as %d", s, got)
+		case got == 0 || new(big.Int).SetUint64(got).Cmp(want) != 0:
+			t.Fatalf("ParseRefs(%q) = %d, want %v", s, got, want)
+		}
+	})
+}
+
+// suffixedValue is the reference reading of a size or count: one or more
+// ASCII digits, then at most one suffix from mults, whose multiplier scales
+// the digits. It returns nil for any other text.
+func suffixedValue(s string, mults map[byte]uint64) *big.Int {
+	mult := uint64(1)
+	if s != "" {
+		if m, ok := mults[s[len(s)-1]]; ok {
+			mult, s = m, s[:len(s)-1]
+		}
+	}
+	if s == "" || strings.Trim(s, "0123456789") != "" {
+		return nil
+	}
+	v, _ := new(big.Int).SetString(s, 10)
+	return v.Mul(v, new(big.Int).SetUint64(mult))
+}

@@ -709,15 +709,16 @@ func httpError(w http.ResponseWriter, code int, err error) {
 }
 
 // ParseSizes parses cache-size strings: plain byte counts, k/K-suffixed
-// kilobytes or m/M-suffixed megabytes ("8192", "8k", "1M"). Shared by the
-// CLI's compare flags and the serve job specs.
+// kilobytes or m/M-suffixed megabytes ("8192", "8k", "1M"), in decimal
+// digits without a sign. Shared by the CLI's compare flags and the serve
+// job specs.
 func ParseSizes(parts []string) ([]int, error) {
 	var sizes []int
 	for _, part := range parts {
 		if part == "" {
 			continue
 		}
-		mult := 1
+		var mult uint64 = 1
 		num := part
 		switch part[len(part)-1] {
 		case 'k', 'K':
@@ -727,14 +728,14 @@ func ParseSizes(parts []string) ([]int, error) {
 			mult = 1 << 20
 			num = part[:len(part)-1]
 		}
-		v, err := strconv.Atoi(num)
-		if err != nil || v <= 0 {
+		v, err := strconv.ParseUint(num, 10, 64)
+		if err != nil || v == 0 {
 			return nil, fmt.Errorf("bad cache size %q", part)
 		}
 		if v > math.MaxInt/mult {
 			return nil, fmt.Errorf("cache size %q overflows", part)
 		}
-		sizes = append(sizes, v*mult)
+		sizes = append(sizes, int(v*mult))
 	}
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("no cache sizes given")

@@ -14,11 +14,11 @@ package simulate
 // Bit-identity with the materialised path holds link by link: the trace
 // source replays the identical event sequence (workload.Source), chunk-wise
 // compilation concatenates to the identical access stream (elision can only
-// strike a window's first line, and the carried prev is exactly the
-// predecessor span's last line — the same invariant accessCount uses to
-// size a buffer exactly), and the per-window driveUnits barrier keeps every
-// cache's access order sequential. Only the windowing differs, and the
-// windowing is invisible to the caches.
+// strike a span's first line, so across windows only a window's first, and
+// the carried prev is exactly the predecessor span's last line — the same
+// invariant compile tests once per span), and the per-window driveUnits
+// barrier keeps every cache's access order sequential. Only the windowing
+// differs, and the windowing is invisible to the caches.
 
 import (
 	"fmt"
@@ -57,15 +57,17 @@ func newChunkCompiler(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*
 // reusing its buffers. The emitted accesses are exactly the corresponding
 // slice of the whole-stream compilation; with ends, eventEnd holds the
 // per-event offsets (relative to the window) that observed drives walk,
-// and without it lw.eventEnd is left nil. The window's exact access count
-// sizes the buffers, so they are reallocated only when a later window needs
-// more than an earlier one.
+// and without it lw.eventEnd is left nil.
+//
+// One walk writes the window straight into the buffer while it has room.
+// Lines within a span strictly increase, so elision can strike only a
+// span's first line, and it is tested once per span. When a window
+// outgrows the buffer, the rest of the window is counted exactly
+// (accessCount from the running prev) and the buffer grows to that total.
+// A buffer is thus reallocated only when a window needs more than any
+// before it, and its capacity is always the largest window's exact count.
 func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow, ends bool) error {
-	n := cc.accessCount(attrs)
-	if n > math.MaxUint32 {
-		return fmt.Errorf("simulate: window of %d line accesses exceeds the %d offset limit", n, math.MaxUint32)
-	}
-	accs := emptied(lw.accs, int(n))[:n]
+	accs := lw.accs[:cap(lw.accs)]
 	var eventEnd []uint32
 	if ends {
 		eventEnd = emptied(lw.eventEnd, len(attrs))[:len(attrs)]
@@ -75,11 +77,21 @@ func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow, ends bool) erro
 	for i, a := range attrs {
 		sp := cc.spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
 		dom := a & (1 << eventDomainShift)
-		for line := sp.First; line <= sp.Last; line++ {
-			if line == prev {
-				continue
+		line := sp.First
+		if line == prev {
+			line++
+		}
+		prev = sp.Last
+		for ; line <= sp.Last; line++ {
+			if j == len(accs) {
+				n := uint64(j) + uint64(sp.Last-line) + 1 + cc.accessCount(prev, attrs[i+1:])
+				if n > math.MaxUint32 {
+					return fmt.Errorf("simulate: window of %d line accesses exceeds the %d offset limit", n, math.MaxUint32)
+				}
+				grown := make([]uint32, n)
+				copy(grown, accs[:j])
+				accs = grown
 			}
-			prev = line
 			accs[j] = dom | line
 			j++
 		}
@@ -88,17 +100,16 @@ func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow, ends bool) erro
 		}
 	}
 	cc.prev = prev
-	lw.accs, lw.eventEnd = accs, eventEnd
+	lw.accs, lw.eventEnd = accs[:j], eventEnd
 	return nil
 }
 
-// accessCount returns the exact number of accesses compile emits for attrs:
-// the span lengths minus the spans whose first line repeats the previous
-// span's last, the only place elision can strike (lines within a span
-// strictly increase).
-func (cc *chunkCompiler) accessCount(attrs []uint32) uint64 {
+// accessCount returns the exact number of accesses compile emits for attrs
+// after a span ending on line prev: the span lengths minus the spans whose
+// first line repeats the previous span's last, the only place elision can
+// strike.
+func (cc *chunkCompiler) accessCount(prev uint32, attrs []uint32) uint64 {
 	var n uint64
-	prev := cc.prev
 	for _, a := range attrs {
 		sp := cc.spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
 		n += uint64(sp.Last-sp.First) + 1
@@ -170,8 +181,8 @@ func runManyStreamed(t *trace.Trace, keys []streamKey, parts int,
 	// the work queue, so the producer decodes and compiles the next window
 	// while the drive units replay the current one. Each buffer is sized on
 	// its first window (event arrays from the window's length, access arrays
-	// by the compiler's exact count) and reused thereafter — the O(chunk)
-	// bound.
+	// to the compiler's exact count) and reused thereafter, growing only to
+	// a later window's exact need — the O(chunk) bound.
 	type item struct {
 		d        *unitData
 		err      error
