@@ -149,7 +149,24 @@ flags:
 		go serve.RegisterWithCoordinator(context.Background(), strings.TrimRight(*join, "/"), selfURL, *workers,
 			func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) })
 	}
-	return http.Serve(ln, s.Handler())
+	return newHTTPServer(s.Handler(), serveReadHeaderTimeout, serveIdleTimeout).Serve(ln)
+}
+
+// The daemon's listener timeouts. A client must send its request headers
+// within serveReadHeaderTimeout, and a keep-alive connection idle between
+// requests closes after serveIdleTimeout, so a client that opens
+// connections and stalls holds no goroutine or descriptor for long. There
+// is no read or write timeout: a job's event stream (/api/jobs/{id}/events)
+// stays open for the job's whole life.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for h, with the given
+// header-read and idle timeouts.
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 }
 
 // hostport rewrites a wildcard listen address into something curlable.

@@ -102,8 +102,11 @@ const mainSeqExecThresh = 0.0001
 // Plan is the full output of the placement algorithm: the layout plus the
 // intermediate structures the evaluation section reports on.
 type Plan struct {
-	Params    Params
-	Layout    *layout.Layout
+	Params Params
+	Layout *layout.Layout
+	// Sequences are the skeleton's: every plan placed from one Skeleton
+	// shares this slice and its Blocks arrays, so they must not be
+	// modified.
 	Sequences []Sequence
 	// SelfConfFree lists the hot blocks placed in the SelfConfFree area.
 	SelfConfFree []program.BlockID
@@ -119,20 +122,67 @@ type Plan struct {
 	Loops []cfa.Loop
 }
 
+// Skeleton is the half of the placement algorithm that does not depend on
+// the cache size or the placement variant: the sequences and the
+// loop-adjusted block weights of one profiled program under one threshold
+// schedule and sequence cap (the paper, Section 4, builds its sequences from
+// the profile alone and only then maps them onto logical caches). Place
+// maps it onto one cache size and variant; every plan placed from a
+// skeleton shares its read-only sequences.
+type Skeleton struct {
+	sequences   []Sequence
+	adjusted    []uint64
+	loops       []cfa.Loop
+	schedule    Schedule
+	maxSeqBytes int64
+}
+
+// NewSkeleton builds the skeleton of the profiled program p under the
+// schedule (nil selects DefaultSchedule) and the per-sequence byte cap
+// (0 = uncapped). Loops are the program's natural loops (cfa.AllLoops):
+// they depend on the control-flow graph alone, never on the profile, so a
+// caller building many plans of one program analyses it once and passes
+// the same slice to every build, which reads it and never modifies it.
+// Entries gives the seed entry blocks (SeedEntries for kernels, MainEntries
+// for applications).
+func NewSkeleton(p *program.Program, loops []cfa.Loop, entries [program.NumSeedClasses]program.BlockID, schedule Schedule, maxSeqBytes int64) (*Skeleton, error) {
+	if p.TotalWeight() == 0 {
+		return nil, fmt.Errorf("core: program %q has no profile weights", p.Name)
+	}
+	if schedule == nil {
+		schedule = DefaultSchedule()
+	}
+	seqs, _ := BuildSequencesCapped(p, entries, schedule, maxSeqBytes)
+	return &Skeleton{
+		sequences:   seqs,
+		adjusted:    AdjustedWeights(p, loops),
+		loops:       loops,
+		schedule:    schedule,
+		maxSeqBytes: maxSeqBytes,
+	}, nil
+}
+
 // Optimize runs the paper's algorithm over a profiled program and returns
-// the plan. Loops are the program's natural loops (cfa.AllLoops): they
-// depend on the control-flow graph alone, never on the profile, so a caller
-// building many plans of one program analyses it once and passes the same
-// slice to every build, which reads it and never modifies it. Entries gives
-// the seed entry blocks (SeedEntries for kernels, MainEntries for
-// applications).
+// the plan: NewSkeleton (see there for loops and entries) followed by Place.
 func Optimize(p *program.Program, loops []cfa.Loop, entries [program.NumSeedClasses]program.BlockID, base uint64, params Params) (*Plan, error) {
+	sk, err := NewSkeleton(p, loops, entries, params.Schedule, params.MaxSeqBytes)
+	if err != nil {
+		return nil, err
+	}
+	return sk.Place(p, base, params)
+}
+
+// Place maps the skeleton onto one cache size and variant: it selects the
+// SelfConfFree area and the qualifying loops, classifies the blocks and
+// assembles the layout at base. p must carry the weights the skeleton was
+// built from. The schedule and sequence cap are the skeleton's; params'
+// own are ignored. Place never modifies the skeleton, so plans of one
+// skeleton may be placed one after another from it.
+func (sk *Skeleton) Place(p *program.Program, base uint64, params Params) (*Plan, error) {
 	if params.CacheSize <= 0 {
 		return nil, fmt.Errorf("core: non-positive cache size %d", params.CacheSize)
 	}
-	if params.Schedule == nil {
-		params.Schedule = DefaultSchedule()
-	}
+	params.Schedule, params.MaxSeqBytes = sk.schedule, sk.maxSeqBytes
 	if params.LoopMinTrips == 0 {
 		params.LoopMinTrips = 6
 	}
@@ -142,16 +192,10 @@ func Optimize(p *program.Program, loops []cfa.Loop, entries [program.NumSeedClas
 	if params.Name == "" {
 		params.Name = "OptS"
 	}
-	if p.TotalWeight() == 0 {
-		return nil, fmt.Errorf("core: program %q has no profile weights", p.Name)
-	}
 
-	plan := &Plan{Params: params, Loops: loops}
-	plan.Sequences, _ = BuildSequencesCapped(p, entries, params.Schedule, params.MaxSeqBytes)
-
-	adjusted := AdjustedWeights(p, plan.Loops)
+	plan := &Plan{Params: params, Loops: sk.loops, Sequences: sk.sequences}
 	var scfBytes int64
-	plan.SelfConfFree, scfBytes = SelectSelfConfFree(p, adjusted, params.SelfConfFreeCutoff)
+	plan.SelfConfFree, scfBytes = SelectSelfConfFree(p, sk.adjusted, params.SelfConfFreeCutoff)
 	// The SelfConfFree area must leave at least some room for sequences in
 	// every logical cache; an area that swallowed the whole cache would
 	// degenerate the layout. Oversized areas short of that are allowed —

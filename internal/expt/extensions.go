@@ -197,68 +197,84 @@ type Ablation struct {
 	Normalised [][]float64
 }
 
-// RunAblation computes the ablation table.
-func (e *Env) RunAblation() (*Ablation, error) {
-	cfg := DefaultCache
-	a := &Ablation{Workloads: e.Workloads()}
+// ablationVariant is one row of the ablation: OptS parameters at the
+// default cache, named after the row, and whether the sequences grow from
+// the interrupt seed alone.
+type ablationVariant struct {
+	params     core.Params
+	singleSeed bool
+}
 
-	// Variants build through the strategy cache, under the lock that
-	// serialises every profile application and layout build on the study.
-	mk := func(name string, mutate func(*core.Params), entries func() [program.NumSeedClasses]program.BlockID) (*oslayout.Plan, error) {
-		b, err := e.layouts.Custom("ablation:"+name, func(_ strategy.Study, loops []cfa.Loop) (*layout.Layout, *core.Plan, error) {
-			if err := e.St.AvgOS.Apply(e.St.Kernel.Prog); err != nil {
+// ablationVariants lists the ablation's rows.
+func ablationVariants() []ablationVariant {
+	coarse := core.StaggeredSchedule([]float64{0.001, 0}, []float64{0.1, 0})
+	var out []ablationVariant
+	add := func(name string, singleSeed bool, mutate func(*core.Params)) {
+		params := oslayout.DefaultPlacementParams(DefaultCache.Size)
+		params.Name = name
+		if mutate != nil {
+			mutate(&params)
+		}
+		out = append(out, ablationVariant{params: params, singleSeed: singleSeed})
+	}
+	add("OptS (default)", false, nil)
+	add("no SelfConfFree", false, func(p *core.Params) { p.SelfConfFreeCutoff = 0 })
+	add("paper Table-4 ladder", false, func(p *core.Params) { p.Schedule = core.Table4Schedule() })
+	add("coarse 2-pass ladder", false, func(p *core.Params) { p.Schedule = coarse })
+	add("single seed (interrupt)", true, nil)
+	add("OptL trips>=2", false, func(p *core.Params) { p.LoopExtract = true; p.LoopMinTrips = 2 })
+	add("OptL trips>=20", false, func(p *core.Params) { p.LoopExtract = true; p.LoopMinTrips = 20 })
+	add("seq cap 2KB", false, func(p *core.Params) { p.MaxSeqBytes = 2 << 10 })
+	add("seq cap 512B", false, func(p *core.Params) { p.MaxSeqBytes = 512 })
+	return out
+}
+
+// interruptSeedOnly returns the kernel's seed entries with every seed but
+// the interrupt one removed.
+func interruptSeedOnly(p *program.Program) [program.NumSeedClasses]program.BlockID {
+	var out [program.NumSeedClasses]program.BlockID
+	for c := range out {
+		out[c] = program.NoBlock
+	}
+	out[program.SeedInterrupt] = core.SeedEntries(p)[program.SeedInterrupt]
+	return out
+}
+
+// ablationPlan builds one ablation row through the strategy cache, under
+// the lock that serialises every profile application and layout build on
+// the study. Rows on the kernel's seeds place from its skeletons of the
+// averaged profile; only the single-seed row runs the whole algorithm.
+func (e *Env) ablationPlan(v ablationVariant) (*oslayout.Plan, error) {
+	var b *strategy.Built
+	var err error
+	if v.singleSeed {
+		b, err = e.layouts.Custom("ablation:"+v.params.Name, func(_ strategy.Study, loops []cfa.Loop) (*layout.Layout, *core.Plan, error) {
+			prog := e.St.Kernel.Prog
+			if err := e.St.AvgOS.Apply(prog); err != nil {
 				return nil, nil, err
 			}
-			params := oslayout.DefaultPlacementParams(cfg.Size)
-			params.Name = name
-			if mutate != nil {
-				mutate(&params)
-			}
-			ent := core.SeedEntries(e.St.Kernel.Prog)
-			if entries != nil {
-				ent = entries()
-			}
-			plan, err := core.Optimize(e.St.Kernel.Prog, loops, ent, 0, params)
+			plan, err := core.Optimize(prog, loops, interruptSeedOnly(prog), 0, v.params)
 			if err != nil {
 				return nil, nil, err
 			}
 			return plan.Layout, plan, nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		return b.Plan, nil
+	} else {
+		b, err = e.layouts.Place(v.params)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return b.Plan, nil
+}
 
-	singleSeed := func() [program.NumSeedClasses]program.BlockID {
-		ent := core.SeedEntries(e.St.Kernel.Prog)
-		var out [program.NumSeedClasses]program.BlockID
-		for c := range out {
-			out[c] = program.NoBlock
-		}
-		out[program.SeedInterrupt] = ent[program.SeedInterrupt]
-		return out
-	}
-	coarse := core.StaggeredSchedule([]float64{0.001, 0}, []float64{0.1, 0})
-
-	variants := []struct {
-		name    string
-		mutate  func(*core.Params)
-		entries func() [program.NumSeedClasses]program.BlockID
-	}{
-		{"OptS (default)", nil, nil},
-		{"no SelfConfFree", func(p *core.Params) { p.SelfConfFreeCutoff = 0 }, nil},
-		{"paper Table-4 ladder", func(p *core.Params) { p.Schedule = core.Table4Schedule() }, nil},
-		{"coarse 2-pass ladder", func(p *core.Params) { p.Schedule = coarse }, nil},
-		{"single seed (interrupt)", nil, singleSeed},
-		{"OptL trips>=2", func(p *core.Params) { p.LoopExtract = true; p.LoopMinTrips = 2 }, nil},
-		{"OptL trips>=20", func(p *core.Params) { p.LoopExtract = true; p.LoopMinTrips = 20 }, nil},
-		{"seq cap 2KB", func(p *core.Params) { p.MaxSeqBytes = 2 << 10 }, nil},
-		{"seq cap 512B", func(p *core.Params) { p.MaxSeqBytes = 512 }, nil},
-	}
-	for _, v := range variants {
-		a.Variants = append(a.Variants, v.name)
-		plan, err := mk(v.name, v.mutate, v.entries)
+// RunAblation computes the ablation table.
+func (e *Env) RunAblation() (*Ablation, error) {
+	cfg := DefaultCache
+	a := &Ablation{Workloads: e.Workloads()}
+	for _, v := range ablationVariants() {
+		a.Variants = append(a.Variants, v.params.Name)
+		plan, err := e.ablationPlan(v)
 		if err != nil {
 			return nil, err
 		}

@@ -17,11 +17,18 @@ import (
 // specification (same strategies, sizes, geometry, workloads, CPU model);
 // a nil shard copies every cell. The caller merges each shard under the
 // mask it was dispatched with — copying is mask-driven, not value-driven,
-// because a legitimate cell value can be zero. Call Finalize once after the
-// last shard.
+// because a legitimate cell value can be zero. Grids whose arrays do not
+// have the dimensions their headers give are rejected before any cell is
+// copied. Call Finalize once after the last shard.
 func (c *Compare) MergeShard(src *Compare, shard *CompareShard) error {
 	if err := c.compatible(src); err != nil {
 		return err
+	}
+	if err := c.checkShape(c); err != nil {
+		return fmt.Errorf("expt: merged grid: %w", err)
+	}
+	if err := c.checkShape(src); err != nil {
+		return fmt.Errorf("expt: shard grid: %w", err)
 	}
 	var mask CompareShard
 	if shard != nil {
@@ -100,4 +107,76 @@ func (c *Compare) compatible(o *Compare) error {
 		return fmt.Errorf("expt: merging grids with different CPU models (%d/private=%v vs %d/private=%v)", c.CPUs, c.Private, o.CPUs, o.Private)
 	}
 	return nil
+}
+
+// checkShape verifies that every array MergeShard and Finalize index in g,
+// a grid compatible with c, has the dimensions c's headers give. Which
+// arrays those are follows c's mode: the per-CPU arrays of a private grid,
+// otherwise Rates and whichever of the detail, partition and shared-cache
+// arrays c carries.
+func (c *Compare) checkShape(g *Compare) error {
+	s, w, k, cpus := len(c.Sizes), len(c.Workloads), len(c.Strategies), c.CPUs
+	var bad string
+	switch {
+	case !shape3(g.Rates, s, w, k):
+		bad = "Rates"
+	case c.Private:
+		switch {
+		case !shape4(g.CPURates, s, w, k, cpus):
+			bad = "CPURates"
+		case !shape4(g.CPURefs, s, w, k, cpus):
+			bad = "CPURefs"
+		case !shape4(g.CPUMisses, s, w, k, cpus):
+			bad = "CPUMisses"
+		}
+	case c.Attr != nil && !shape3(g.Attr, s, w, k):
+		bad = "Attr"
+	case c.PartEvents != nil && !shape3(g.PartEvents, s, w, k):
+		bad = "PartEvents"
+	case c.PartEvents != nil && !shape3(g.PartFinal, s, w, k):
+		bad = "PartFinal"
+	case c.PartEvents != nil && !shape3(g.PartSplit, s, w, k):
+		bad = "PartSplit"
+	case c.CPURates != nil && !shape4(g.CPURates, s, w, k, cpus):
+		bad = "CPURates"
+	case c.CPURates != nil && !shape3(g.Evictions, s, w, k):
+		bad = "Evictions"
+	case c.CPURates != nil && !shape3(g.CrossEvictions, s, w, k):
+		bad = "CrossEvictions"
+	}
+	if bad != "" {
+		return fmt.Errorf("%s does not match the grid's %d sizes, %d workloads, %d strategies and %d CPUs", bad, s, w, k, cpus)
+	}
+	return nil
+}
+
+// shape3 reports whether a is an [s][w][k] grid.
+func shape3[T any](a [][][]T, s, w, k int) bool {
+	if len(a) != s {
+		return false
+	}
+	for _, row := range a {
+		if len(row) != w {
+			return false
+		}
+		for _, cell := range row {
+			if len(cell) != k {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// shape4 reports whether a is an [s][w][k][cpus] grid.
+func shape4[T any](a [][][][]T, s, w, k, cpus int) bool {
+	if len(a) != s {
+		return false
+	}
+	for _, plane := range a {
+		if !shape3(plane, w, k, cpus) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,8 +1,12 @@
 package expt
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"oslayout/internal/cache"
 )
 
 const shardTestRefs = 50_000
@@ -141,4 +145,90 @@ func TestMergeShardRejectsMismatchedGrids(t *testing.T) {
 	if err := a.MergeShard(c, nil); err == nil {
 		t.Fatalf("expected CPU-model mismatch to be rejected")
 	}
+}
+
+// TestMergeShardRejectsShortArrays merges grids whose headers match but
+// one of whose arrays is short by one at one level, as a misbehaving
+// worker's response can be. Every array the merge indexes, at every level,
+// in the shard and in the grid merged into, must fail the merge with an
+// error before any cell is copied, never with a panic.
+func TestMergeShardRejectsShortArrays(t *testing.T) {
+	const ns, nw, nk, cpus = 2, 2, 2, 2
+	header := func(n int) *Compare {
+		return &Compare{Strategies: []string{"base", "opts"}, Sizes: []int{4096, 8192}, Line: 32, Assoc: 1, Workloads: []string{"a", "b"}, CPUs: n,
+			Rates: alloc3[float64](ns, nw, nk)}
+	}
+	modes := []struct {
+		name   string
+		grid   func() *Compare
+		arrays []string
+	}{
+		{"detail+partition", func() *Compare {
+			c := header(1)
+			c.Attr = alloc3[*Attribution](ns, nw, nk)
+			c.PartEvents = alloc3[uint64](ns, nw, nk)
+			c.PartFinal = alloc3[string](ns, nw, nk)
+			c.PartSplit = alloc3[cache.Partition](ns, nw, nk)
+			return c
+		}, []string{"Rates", "Attr", "PartEvents", "PartFinal", "PartSplit"}},
+		{"shared", func() *Compare {
+			c := header(cpus)
+			c.CPURates = alloc4[float64](ns, nw, nk, cpus)
+			c.Evictions = alloc3[uint64](ns, nw, nk)
+			c.CrossEvictions = alloc3[uint64](ns, nw, nk)
+			return c
+		}, []string{"Rates", "CPURates", "Evictions", "CrossEvictions"}},
+		{"private", func() *Compare {
+			c := header(cpus)
+			c.Private = true
+			c.CPURates = alloc4[float64](ns, nw, nk, cpus)
+			c.CPURefs = alloc4[uint64](ns, nw, nk, cpus)
+			c.CPUMisses = alloc4[uint64](ns, nw, nk, cpus)
+			return c
+		}, []string{"Rates", "CPURates", "CPURefs", "CPUMisses"}},
+	}
+	for _, m := range modes {
+		if err := m.grid().MergeShard(m.grid(), nil); err != nil {
+			t.Fatalf("%s: whole grids: %v", m.name, err)
+		}
+		for _, name := range m.arrays {
+			levels := 0
+			for ty := reflect.ValueOf(m.grid()).Elem().FieldByName(name).Type(); ty.Kind() == reflect.Slice; ty = ty.Elem() {
+				levels++
+			}
+			for level := 0; level < levels; level++ {
+				for _, role := range []string{"shard", "merged"} {
+					t.Run(fmt.Sprintf("%s/%s/level%d/%s", m.name, name, level, role), func(t *testing.T) {
+						dst, src := m.grid(), m.grid()
+						short := src
+						if role == "merged" {
+							short = dst
+						}
+						f := reflect.ValueOf(short).Elem().FieldByName(name)
+						f.Set(shortened(f, level))
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("merge panicked: %v", r)
+							}
+						}()
+						if err := dst.MergeShard(src, nil); err == nil {
+							t.Fatal("merge accepted a short array")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// shortened returns a copy of the nested slice v in which the first slice
+// at the given nesting level (0 = v itself) is one element short.
+func shortened(v reflect.Value, level int) reflect.Value {
+	if level == 0 {
+		return v.Slice(0, v.Len()-1)
+	}
+	out := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+	reflect.Copy(out, v)
+	out.Index(0).Set(shortened(v.Index(0), level-1))
+	return out
 }

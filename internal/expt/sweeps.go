@@ -151,6 +151,15 @@ type Figure16 struct {
 // core.DefaultSelfConfFreeCutoff).
 var Figure16Cutoffs = []float64{0, 0.01, core.DefaultSelfConfFreeCutoff, 0.001, 0.0003}
 
+// figure16Params are the OptS parameters of Figure 16's placement at one
+// cache size and SelfConfFree cutoff; cutoff 0 disables the area.
+func figure16Params(size int, cutoff float64) oslayout.PlacementParams {
+	p := oslayout.DefaultPlacementParams(size)
+	p.SelfConfFreeCutoff = cutoff
+	p.Name = fmt.Sprintf("OptS-scf%g", cutoff)
+	return p
+}
+
 // RunFigure16 computes Figure 16.
 func (e *Env) RunFigure16() (*Figure16, error) {
 	f := &Figure16{
@@ -165,11 +174,7 @@ func (e *Env) RunFigure16() (*Figure16, error) {
 	for si, size := range f.Sizes {
 		var areas []int64
 		for _, cut := range f.Cutoffs {
-			// An OptS variant per cutoff; cutoff 0 disables the area.
-			p := oslayout.DefaultPlacementParams(size)
-			p.SelfConfFreeCutoff = cut
-			p.Name = fmt.Sprintf("OptS-scf%g", cut)
-			plan, err := e.St.Optimize(p)
+			plan, err := e.St.Optimize(figure16Params(size, cut))
 			if err != nil {
 				return nil, err
 			}
@@ -353,6 +358,17 @@ type Figure18 struct {
 	Normalised [][]float64
 }
 
+// resvParams are the parameters of Figure 18's Resv plan: the
+// SelfConfFree-qualifying blocks live in a dedicated 1KB cache; the OS image
+// keeps them contiguous but reserves no windows in the other logical caches
+// ("laid out without SelfConfFree area").
+func resvParams() oslayout.PlacementParams {
+	p := oslayout.DefaultPlacementParams(7 << 10)
+	p.Name = "Resv"
+	p.NoSCFWindows = true
+	return p
+}
+
 // RunFigure18 computes Figure 18.
 func (e *Env) RunFigure18() (*Figure18, error) {
 	cfg := DefaultCache
@@ -376,13 +392,7 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resv: the SelfConfFree-qualifying blocks live in a dedicated 1KB
-	// cache; the OS image keeps them contiguous but reserves no windows in
-	// the other logical caches ("laid out without SelfConfFree area").
-	resvParams := oslayout.DefaultPlacementParams(7 << 10)
-	resvParams.Name = "Resv"
-	resvParams.NoSCFWindows = true
-	noSCF, err := e.St.Optimize(resvParams)
+	noSCF, err := e.St.Optimize(resvParams())
 	if err != nil {
 		return nil, err
 	}

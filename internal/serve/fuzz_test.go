@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
 	"math/big"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"oslayout/internal/cache"
+	"oslayout/internal/partition"
 )
 
 // FuzzParseSizes feeds arbitrary comma-separated text to ParseSizes, as
@@ -100,4 +106,78 @@ func suffixedValue(s string, mults map[byte]uint64) *big.Int {
 	}
 	v, _ := new(big.Int).SetString(s, 10)
 	return v.Mul(v, new(big.Int).SetUint64(mult))
+}
+
+// FuzzJobSpec feeds arbitrary submissions to JobSpec.validate, decoded as
+// the submit handler decodes them. validate must never panic. An accepted
+// spec must validate a second time unchanged, so its defaults resolve once.
+// Every cache of an accepted compare spec must build, at every parsed size,
+// with the resolved line, associativity and partition, so an accepted spec
+// never fails later on its geometry.
+func FuzzJobSpec(f *testing.F) {
+	for _, s := range badSpecs {
+		f.Add(s)
+	}
+	for _, s := range []string{
+		`{"experiments":["table2","fig15"],"refs":20000,"seed":7,"par":2}`,
+		`{"experiments":["fig19"],"cpus":2,"stream":"on","chunk":4096}`,
+		`{"compare":{"strategies":["base","opts"],"sizes":["4k","8k"],"detail":true},"refs":20000}`,
+		`{"compare":{"strategies":["base","optl"],"sizes":["8192"],"line":64,"assoc":2},"cpus":3}`,
+		`{"compare":{"strategies":["base"],"sizes":["8k"],"private":true},"cpus":2,"stream":"off","refs":20000}`,
+		`{"compare":{"strategies":["base"],"sizes":["8k","16k"],"assoc":8,"partition":"static,os=6,app=2"}}`,
+		`{"compare":{"strategies":["ch"],"sizes":["8k"],"assoc":4,"partition":"interval,every=4,grain=1"}}`,
+	} {
+		f.Add(s)
+	}
+	const budget = 1 << 30
+	f.Fuzz(func(t *testing.T, body string) {
+		var spec JobSpec
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil || spec.validate(budget) != nil {
+			return
+		}
+		resolved := cloneSpec(spec)
+		if err := spec.validate(budget); err != nil {
+			t.Fatalf("%s: accepted spec refused on revalidation: %v", body, err)
+		}
+		if !reflect.DeepEqual(spec, resolved) {
+			t.Fatalf("%s: revalidation changed the spec from %+v to %+v", body, resolved, spec)
+		}
+		c := spec.Compare
+		if c == nil {
+			return
+		}
+		sizes, err := ParseSizes(c.Sizes)
+		if err != nil {
+			t.Fatalf("%s: accepted sizes do not parse: %v", body, err)
+		}
+		var part cache.Partition
+		if c.Partition != "" {
+			sp, err := partition.Parse(c.Partition)
+			if err == nil {
+				sp, err = sp.WithDefaults(c.Assoc)
+			}
+			if err != nil {
+				t.Fatalf("%s: accepted partition does not resolve: %v", body, err)
+			}
+			part = sp.Initial()
+		}
+		for _, size := range sizes {
+			if _, err := cache.New(cache.Config{Size: size, Line: c.Line, Assoc: c.Assoc, Part: part}); err != nil {
+				t.Fatalf("%s: accepted cache of %d bytes does not build: %v", body, size, err)
+			}
+		}
+	})
+}
+
+// cloneSpec returns a deep copy of spec.
+func cloneSpec(spec JobSpec) JobSpec {
+	spec.Experiments = slices.Clone(spec.Experiments)
+	if spec.Compare != nil {
+		c := *spec.Compare
+		c.Strategies, c.Sizes = slices.Clone(c.Strategies), slices.Clone(c.Sizes)
+		spec.Compare = &c
+	}
+	return spec
 }

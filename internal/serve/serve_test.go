@@ -403,34 +403,37 @@ func TestSSEProgressWindows(t *testing.T) {
 	}
 }
 
+// badSpecs are job specs the submit handler must refuse with a 400.
+var badSpecs = []string{
+	`{}`,
+	`{"experiments":["fig99"]}`,
+	`{"experiments":["table2"],"compare":{"strategies":["base"],"sizes":["8k"]}}`,
+	`{"compare":{"strategies":["nonesuch"],"sizes":["8k"]}}`,
+	`{"compare":{"strategies":["base"],"sizes":["zero"]}}`,
+	`{"compare":{"strategies":["base"]}}`,
+	`{"unknown_field":1}`,
+	`not json`,
+	// Partition specs are checked at admission: unknown policy, the
+	// reserved policy (needs SelfConfFree; compare has none), a split
+	// the default direct-mapped cache cannot hold, an over-commit, and
+	// way counts whose int sum wraps negative.
+	`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":8,"partition":"bogus"}}`,
+	`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":8,"partition":"reserved"}}`,
+	`{"compare":{"strategies":["base"],"sizes":["8k"],"partition":"static"}}`,
+	`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4,"partition":"static,os=9"}}`,
+	`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4,"partition":"static,os=4611686018427387904,app=4611686018427387904,resv=4611686018427387904"}}`,
+	// Cache geometry is checked at admission: an associativity whose
+	// ways overflow the cache size cannot be built.
+	`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4611686018427387904},"refs":20000}`,
+	`{"compare":{"strategies":["base"],"sizes":["8k"],"line":24}}`,
+	// CPU counts outside 0..16 are refused at admission.
+	`{"compare":{"strategies":["base"],"sizes":["8k"]},"cpus":99}`,
+	`{"experiments":["cpus"],"cpus":-1}`,
+}
+
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, spec := range []string{
-		`{}`,
-		`{"experiments":["fig99"]}`,
-		`{"experiments":["table2"],"compare":{"strategies":["base"],"sizes":["8k"]}}`,
-		`{"compare":{"strategies":["nonesuch"],"sizes":["8k"]}}`,
-		`{"compare":{"strategies":["base"],"sizes":["zero"]}}`,
-		`{"compare":{"strategies":["base"]}}`,
-		`{"unknown_field":1}`,
-		`not json`,
-		// Partition specs are checked at admission: unknown policy, the
-		// reserved policy (needs SelfConfFree; compare has none), a split
-		// the default direct-mapped cache cannot hold, an over-commit, and
-		// way counts whose int sum wraps negative.
-		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":8,"partition":"bogus"}}`,
-		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":8,"partition":"reserved"}}`,
-		`{"compare":{"strategies":["base"],"sizes":["8k"],"partition":"static"}}`,
-		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4,"partition":"static,os=9"}}`,
-		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4,"partition":"static,os=4611686018427387904,app=4611686018427387904,resv=4611686018427387904"}}`,
-		// Cache geometry is checked at admission: an associativity whose
-		// ways overflow the cache size cannot be built.
-		`{"compare":{"strategies":["base"],"sizes":["8k"],"assoc":4611686018427387904},"refs":20000}`,
-		`{"compare":{"strategies":["base"],"sizes":["8k"],"line":24}}`,
-		// CPU counts outside 0..16 are refused at admission.
-		`{"compare":{"strategies":["base"],"sizes":["8k"]},"cpus":99}`,
-		`{"experiments":["cpus"],"cpus":-1}`,
-	} {
+	for _, spec := range badSpecs {
 		resp, err := http.Post(ts.URL+"/api/jobs", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)

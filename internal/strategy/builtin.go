@@ -19,7 +19,8 @@ type builtin struct {
 	name     string
 	describe string
 	sized    bool
-	// profiled strategies apply the averaged profile before building.
+	// profiled strategies apply the averaged profile before building. The
+	// paper's optimisers are not marked: their placement step applies it.
 	profiled bool
 	build    func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error)
 }
@@ -38,13 +39,14 @@ func (b *builtin) Build(st Study, params Params) (*layout.Layout, *core.Plan, er
 }
 
 // optimize runs the paper's placement algorithm with the given parameter
-// mutation, mirroring Study.OptS/OptL/OptCall.
-func optimize(p *program.Program, params Params, mutate func(*core.Params)) (*layout.Layout, *core.Plan, error) {
+// mutation, mirroring Study.OptS/OptL/OptCall, from the cache's skeleton of
+// the averaged profile.
+func optimize(params Params, mutate func(*core.Params)) (*layout.Layout, *core.Plan, error) {
 	cp := core.DefaultParams(params.CacheSize)
 	if mutate != nil {
 		mutate(&cp)
 	}
-	plan, err := core.Optimize(p, params.loops(), core.SeedEntries(p), 0, cp)
+	plan, err := params.place(cp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,18 +124,16 @@ func init() {
 			name:     "opts",
 			describe: "the paper's OptS: cross-routine sequences plus the SelfConfFree area",
 			sized:    true,
-			profiled: true,
-			build: func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(p, params, nil)
+			build: func(_ *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(params, nil)
 			},
 		},
 		{
 			name:     "optl",
 			describe: "OptS plus the Section 4.3 loop-area extraction",
 			sized:    true,
-			profiled: true,
-			build: func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(p, params, func(cp *core.Params) {
+			build: func(_ *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(params, func(cp *core.Params) {
 					cp.Name = "OptL"
 					cp.LoopExtract = true
 				})
@@ -143,9 +143,8 @@ func init() {
 			name:     "optcall",
 			describe: "OptL plus the Section 4.4 loops-with-callees private logical caches",
 			sized:    true,
-			profiled: true,
-			build: func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(p, params, func(cp *core.Params) {
+			build: func(_ *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(params, func(cp *core.Params) {
 					cp.Name = "Call"
 					cp.LoopExtract = true
 					cp.CallOpt = true

@@ -1,10 +1,14 @@
 package strategy_test
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"oslayout"
+	"oslayout/internal/core"
+	"oslayout/internal/expt"
 	"oslayout/internal/strategy"
 )
 
@@ -147,4 +151,98 @@ func TestConcurrentBuildStrategy(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentSkeletonBuilds builds every registered strategy at every
+// size, and Figure 16's parameter sets, concurrently on one study, as the
+// serve daemon's parallel jobs do. Every goroutine requests every build, in
+// its own order, so the first request for the averaged profile's skeleton
+// races the others. Each placement must match the serial build on a second
+// identical study, each distinct key must build once, and every placement
+// must share the one skeleton's sequences. Run under -race.
+func TestConcurrentSkeletonBuilds(t *testing.T) {
+	type request struct {
+		name   string
+		size   int
+		params *oslayout.PlacementParams
+	}
+	var reqs []request
+	sizes := []int{4 << 10, 8 << 10, 16 << 10}
+	for _, name := range strategy.Names() {
+		for _, size := range sizes {
+			reqs = append(reqs, request{name: name, size: size})
+		}
+	}
+	for _, size := range sizes {
+		for _, cut := range expt.Figure16Cutoffs {
+			p := oslayout.DefaultPlacementParams(size)
+			p.SelfConfFreeCutoff = cut
+			p.Name = fmt.Sprintf("OptS-scf%g", cut)
+			reqs = append(reqs, request{name: p.Name, size: size, params: &p})
+		}
+	}
+	build := func(st *oslayout.Study, r request) (*oslayout.Layout, *oslayout.Plan, error) {
+		if r.params == nil {
+			return st.BuildStrategy(r.name, r.size)
+		}
+		plan, err := st.Optimize(*r.params)
+		if err != nil {
+			return nil, nil, err
+		}
+		return plan.Layout, plan, nil
+	}
+
+	ref := testStudy(t)
+	want := make([][]uint64, len(reqs))
+	for i, r := range reqs {
+		l, _, err := build(ref, r)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", r.name, r.size, err)
+		}
+		want[i] = l.Addr
+	}
+
+	st := testStudy(t)
+	const workers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range reqs {
+				i := (j + g*len(reqs)/workers) % len(reqs)
+				r := reqs[i]
+				l, _, err := build(st, r)
+				if err != nil {
+					t.Errorf("%s/%d: %v", r.name, r.size, err)
+					return
+				}
+				if !slices.Equal(l.Addr, want[i]) {
+					t.Errorf("%s/%d: concurrent build placed blocks differently from the serial one", r.name, r.size)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	// Five size-independent strategies, three optimisers at three sizes
+	// and fifteen Figure 16 parameter sets.
+	if _, misses := st.StrategyCache().Stats(); misses != 5+9+15 {
+		t.Errorf("cache misses = %d, want %d (one per distinct key)", misses, 5+9+15)
+	}
+	var seqs *core.Sequence
+	for _, r := range reqs {
+		_, plan, err := build(st, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan == nil {
+			continue
+		}
+		if seqs == nil {
+			seqs = &plan.Sequences[0]
+		} else if &plan.Sequences[0] != seqs {
+			t.Errorf("%s/%d: plan does not share the averaged profile's skeleton", r.name, r.size)
+		}
+	}
 }

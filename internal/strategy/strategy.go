@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 
-	"oslayout/internal/cfa"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
 	"oslayout/internal/program"
@@ -46,10 +45,11 @@ type Params struct {
 	// CacheSize is the target cache size in bytes; strategies for which
 	// SizeDependent() is false ignore it.
 	CacheSize int
-	// loops, set by Cache for the build it runs under its lock, returns
-	// the cache's one analysis of the kernel program's natural loops.
-	// Strategy.Build is only called through Cache, so it is always set.
-	loops func() []cfa.Loop
+	// place, set by Cache for the build it runs under its lock, applies the
+	// averaged profile and places core parameters from the cache's skeleton
+	// of it (see Cache.Place). Strategy.Build is only called through Cache,
+	// so it is always set.
+	place func(core.Params) (*core.Plan, error)
 }
 
 // Strategy is one code-placement algorithm.
@@ -62,7 +62,7 @@ type Strategy interface {
 	SizeDependent() bool
 	// Build constructs the layout. The returned Plan is non-nil only for
 	// strategies built on the paper's placement algorithm. Build is only
-	// called through Cache.Build, which supplies the shared loop analysis.
+	// called through Cache.Build, which supplies the placement step.
 	Build(st Study, p Params) (*layout.Layout, *core.Plan, error)
 }
 

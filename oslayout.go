@@ -411,18 +411,13 @@ func (s *Study) StrategyCache() *strategy.Cache { return s.layouts }
 // Optimize runs the paper's placement algorithm on the kernel with the given
 // parameters, using the averaged profile — for parameter variants outside
 // the strategy registry (BuildStrategy covers opts, optl and optcall). Like
-// BuildStrategy it builds through the study's strategy cache, so it
-// serialises with every other layout build and is memoized by the full
+// BuildStrategy it builds through the study's strategy cache (see
+// strategy.Cache.Place), so it serialises with every other layout build,
+// places from the cache's skeleton of the averaged profile for the
+// parameters' schedule and sequence cap, and is memoized by the full
 // parameter value: repeated calls with equal parameters share one Plan.
 func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
-	// %#v, unlike %v, tells a nil Schedule from an empty one.
-	b, err := s.layouts.Custom(fmt.Sprintf("optimize:%#v", params), func(_ strategy.Study, loops []cfa.Loop) (*Layout, *Plan, error) {
-		plan, err := s.optimizeLocked(s.AvgOS, loops, params)
-		if err != nil {
-			return nil, nil, err
-		}
-		return plan.Layout, plan, nil
-	})
+	b, err := s.layouts.Place(params)
 	if err != nil {
 		return nil, err
 	}
@@ -436,19 +431,13 @@ func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
 func (s *Study) OptimizeFrom(prof *Profile, params PlacementParams) (*Plan, error) {
 	var plan *Plan
 	err := s.layouts.Exclusive(func(_ strategy.Study, loops []cfa.Loop) (err error) {
-		plan, err = s.optimizeLocked(prof, loops, params)
+		if err := prof.Apply(s.Kernel.Prog); err != nil {
+			return err
+		}
+		plan, err = core.Optimize(s.Kernel.Prog, loops, core.SeedEntries(s.Kernel.Prog), 0, params)
 		return err
 	})
 	return plan, err
-}
-
-// optimizeLocked applies prof to the kernel and runs the placement
-// algorithm over its loops; the caller holds the strategy-cache lock.
-func (s *Study) optimizeLocked(prof *Profile, loops []cfa.Loop, params PlacementParams) (*Plan, error) {
-	if err := prof.Apply(s.Kernel.Prog); err != nil {
-		return nil, err
-	}
-	return core.Optimize(s.Kernel.Prog, loops, core.SeedEntries(s.Kernel.Prog), 0, params)
 }
 
 // AverageProfiles combines several profiles of the same program into one,
