@@ -10,20 +10,16 @@ import (
 	"oslayout/internal/runstore"
 )
 
-// archiveRecord appends one run record to the archive at dir, creating the
-// store on first use. The notice goes to stderr: experiment stdout is part
-// of the bit-identity contract and must not change when archiving is on.
-func archiveRecord(dir, kind string, m *obs.Manifest, cells []runstore.Cell, stderr io.Writer) error {
+// archiveRecord stamps rec with the current time and appends it to the
+// archive at dir, creating the store on first use. The notice goes to
+// stderr: experiment stdout is part of the bit-identity contract and must
+// not change when archiving is on.
+func archiveRecord(dir string, rec *runstore.Record, stderr io.Writer) error {
 	store, err := runstore.Open(dir)
 	if err != nil {
 		return err
 	}
-	rec := &runstore.Record{
-		Kind:        kind,
-		CreatedUnix: time.Now().Unix(),
-		Manifest:    *m,
-		Cells:       cells,
-	}
+	rec.CreatedUnix = time.Now().Unix()
 	id, err := store.Put(rec)
 	if err != nil {
 		return fmt.Errorf("archiving run: %w", err)
@@ -45,32 +41,6 @@ func conflictCells(conflicts []obs.ConflictReport) []runstore.Cell {
 			CPU:       -1,
 			MissRate:  c.MissRate,
 		})
-	}
-	return cells
-}
-
-// compareCells flattens a compare grid into archive cells: the aggregate
-// rate per (strategy, workload, size), plus per-CPU rates for shared-cache
-// grids.
-func compareCells(c *expt.Compare) []runstore.Cell {
-	var cells []runstore.Cell
-	for si, size := range c.Sizes {
-		for wi, w := range c.Workloads {
-			for k, s := range c.Strategies {
-				cells = append(cells, runstore.Cell{
-					Strategy: s, Workload: w, SizeBytes: size, CPU: -1,
-					MissRate: c.Rates[si][wi][k],
-				})
-				if c.CPURates != nil {
-					for cpu, v := range c.CPURates[si][wi][k] {
-						cells = append(cells, runstore.Cell{
-							Strategy: s, Workload: w, SizeBytes: size, CPU: cpu,
-							MissRate: v,
-						})
-					}
-				}
-			}
-		}
 	}
 	return cells
 }

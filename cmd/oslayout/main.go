@@ -13,7 +13,7 @@
 //	oslayout serve [flags]             HTTP daemon: jobs, metrics, SSE, pprof
 //	oslayout diff [flags] <a> <b>      compare two archived runs (-gate for CI)
 //	oslayout runs -dir <archive>       list the run archive
-//	oslayout bench [flags]             run the canonical benchmark set
+//	oslayout bench [-dir <archive>]    summarise perfbench runs read from stdin
 //
 // Paper experiments: table1-table4, fig1-fig8, fig12-fig18. Extensions:
 // fig18x (way-partition policies), fig19 (shared-cache multiprocessor
@@ -49,6 +49,7 @@ import (
 	"oslayout"
 	"oslayout/internal/expt"
 	"oslayout/internal/obs"
+	"oslayout/internal/runstore"
 	"oslayout/internal/serve"
 	"oslayout/internal/simulate"
 )
@@ -73,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case "runs":
 			return runRuns(args[1:], stdout, stderr)
 		case "bench":
-			return runBench(args[1:], stdout, stderr)
+			return runBench(args[1:], os.Stdin, stdout, stderr)
 		}
 	}
 	fs := flag.NewFlagSet("oslayout", flag.ContinueOnError)
@@ -220,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if dir == "" {
 			dir = filepath.Join(*reportDir, "archive")
 		}
-		if err := archiveRecord(dir, "report", m, conflictCells(m.Conflicts), stderr); err != nil {
+		if err := archiveRecord(dir, &runstore.Record{Kind: "report", Manifest: *m, Cells: conflictCells(m.Conflicts)}, stderr); err != nil {
 			return err
 		}
 	}
@@ -349,7 +350,7 @@ func runCompare(args []string, stdout, stderr io.Writer) error {
 		if dir == "" {
 			dir = filepath.Join(*reportDir, "archive")
 		}
-		return archiveRecord(dir, "report", m, compareCells(c), stderr)
+		return archiveRecord(dir, &runstore.Record{Kind: "report", Manifest: *m, Cells: serve.CompareCells(c)}, stderr)
 	}
 	return nil
 }

@@ -130,9 +130,12 @@ type Plan struct {
 // maps it onto one cache size and variant; every plan placed from a
 // skeleton shares its read-only sequences.
 type Skeleton struct {
-	sequences   []Sequence
-	adjusted    []uint64
-	loops       []cfa.Loop
+	sequences []Sequence
+	adjusted  []uint64
+	loops     []cfa.Loop
+	// callGraph is the program's call graph, which the call option's plan
+	// reads; it depends on the control-flow graph alone, like loops.
+	callGraph   map[program.RoutineID][]program.RoutineID
 	schedule    Schedule
 	maxSeqBytes int64
 }
@@ -157,6 +160,7 @@ func NewSkeleton(p *program.Program, loops []cfa.Loop, entries [program.NumSeedC
 		sequences:   seqs,
 		adjusted:    AdjustedWeights(p, loops),
 		loops:       loops,
+		callGraph:   cfa.CallGraph(p),
 		schedule:    schedule,
 		maxSeqBytes: maxSeqBytes,
 	}, nil
@@ -238,7 +242,7 @@ func (sk *Skeleton) Place(p *program.Program, base uint64, params Params) (*Plan
 	if params.CallOpt {
 		C := uint64(params.CacheSize)
 		S := uint64((scfBytes + layout.Align - 1) &^ (layout.Align - 1))
-		callPlan = planCallOpt(p, qual, params.CallOptMaxRoutines, pulled, C, S)
+		callPlan = planCallOpt(p, sk.callGraph, qual, params.CallOptMaxRoutines, pulled, C, S)
 	}
 
 	plan.Layout = assemble(p, plan, pulled, callPlan, base)

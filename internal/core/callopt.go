@@ -47,10 +47,9 @@ func alignedSize(p *program.Program, b program.BlockID) uint64 {
 // planCallOpt builds the conflict matrix of Section 4.4 — X-axis the
 // qualifying loops with callees, Y-axis the routines called by at least one
 // of them, ranked by invocation count and truncated to maxRoutines — and
-// resolves every placement offset. C and S are the logical cache size and
-// the SelfConfFree window size.
-func planCallOpt(p *program.Program, qual []*cfa.Loop, maxRoutines int, pulled []bool, C, S uint64) *callPlacement {
-	cg := cfa.CallGraph(p)
+// resolves every placement offset. cg is p's call graph; C and S are the
+// logical cache size and the SelfConfFree window size.
+func planCallOpt(p *program.Program, cg map[program.RoutineID][]program.RoutineID, qual []*cfa.Loop, maxRoutines int, pulled []bool, C, S uint64) *callPlacement {
 	cp := &callPlacement{blocks: make(map[program.BlockID]bool)}
 	callers := make(map[program.RoutineID][]int)
 	for _, lp := range qual {

@@ -80,13 +80,15 @@ type PhaseDelta struct {
 	Regressed  bool    `json:"regressed"`
 }
 
-// BenchDelta compares one benchmark's medians against the spread-derived
-// band.
+// BenchDelta compares one benchmark's medians, in the baseline sample's
+// unit, against the spread-derived band.
 type BenchDelta struct {
-	Name      string  `json:"name"`
-	AMedianNs float64 `json:"a_median_ns"`
-	BMedianNs float64 `json:"b_median_ns"`
-	BandNs    float64 `json:"band_ns"`
+	Name    string  `json:"name"`
+	Unit    string  `json:"unit,omitempty"`
+	AMedian float64 `json:"a_median"`
+	BMedian float64 `json:"b_median"`
+	// Band is how far B's median may move the worse way before it regresses.
+	Band      float64 `json:"band"`
 	Regressed bool    `json:"regressed"`
 }
 
@@ -187,7 +189,8 @@ func Compare(a, b *Record, opt DiffOptions) *Diff {
 		d.Phases = append(d.Phases, pd)
 	}
 
-	// Benchmarks: band from the recorded repetition spread of both runs.
+	// Benchmarks: band from the recorded repetition spread of both runs,
+	// applied in the direction in which the baseline's metric gets worse.
 	benchA := map[string]BenchSample{}
 	for _, s := range a.Bench {
 		benchA[s.Name] = s
@@ -202,11 +205,15 @@ func Compare(a, b *Record, opt DiffOptions) *Diff {
 			band = sp
 		}
 		band *= opt.SpreadMult
-		if floor := opt.RelFloor * sa.MedianNs; band < floor {
+		if floor := opt.RelFloor * sa.Median; band < floor {
 			band = floor
 		}
-		bd := BenchDelta{Name: sb.Name, AMedianNs: sa.MedianNs, BMedianNs: sb.MedianNs, BandNs: band}
-		if d.Comparable && sb.MedianNs > sa.MedianNs+band {
+		bd := BenchDelta{Name: sb.Name, Unit: sa.Unit, AMedian: sa.Median, BMedian: sb.Median, Band: band}
+		worse := sb.Median > sa.Median+band
+		if sa.Better == "higher" {
+			worse = sb.Median < sa.Median-band
+		}
+		if d.Comparable && worse {
 			bd.Regressed = true
 			d.Regressed = true
 		}
@@ -302,8 +309,8 @@ func (d *Diff) Render() string {
 		if b.Regressed {
 			mark = "REGRESSED"
 		}
-		fmt.Fprintf(&sb, "bench %-24s %12.0fns -> %12.0fns (band %.0fns) %s\n",
-			b.Name, b.AMedianNs, b.BMedianNs, b.BandNs, mark)
+		fmt.Fprintf(&sb, "bench %-32s %12.4g -> %12.4g %s (band %.4g) %s\n",
+			b.Name, b.AMedian, b.BMedian, b.Unit, b.Band, mark)
 	}
 	for _, n := range d.Notes {
 		fmt.Fprintf(&sb, "note: %s\n", n)

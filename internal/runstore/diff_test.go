@@ -26,7 +26,7 @@ func baselineRecord() *Record {
 			{Strategy: "opts", Workload: "Shell", SizeBytes: 8192, CPU: -1, MissRate: 0.012},
 		},
 		Bench: []BenchSample{
-			{Name: "compare_warm", NsPerOp: []float64{100_000, 102_000, 104_000}},
+			{Name: "compare_warm", Values: []float64{100_000, 102_000, 104_000}},
 		},
 	}
 }
@@ -147,25 +147,49 @@ func TestDiffCrossHostTimingAnnotatedNotGated(t *testing.T) {
 
 func TestDiffBenchSpreadBand(t *testing.T) {
 	a, b := finish(baselineRecord()), finish(baselineRecord())
-	// Baseline spread 4000ns; band = max(3*4000, 0.10*102000) = 12000ns.
+	// Baseline spread 4000; band = max(3*4000, 0.10*102000) = 12000.
 	// +50% median clears it.
-	b.Bench = []BenchSample{{Name: "compare_warm", NsPerOp: []float64{150_000, 153_000, 156_000}}}
+	b.Bench = []BenchSample{{Name: "compare_warm", Values: []float64{150_000, 153_000, 156_000}}}
 	finish(b)
 	d := Compare(a, b, DiffOptions{})
 	if !d.Regressed || len(d.Bench) != 1 || !d.Bench[0].Regressed {
 		t.Fatalf("bench regression not flagged: %+v", d.Bench)
 	}
 	// +5% stays inside the relative floor.
-	b.Bench = []BenchSample{{Name: "compare_warm", NsPerOp: []float64{106_000, 107_000, 108_000}}}
+	b.Bench = []BenchSample{{Name: "compare_warm", Values: []float64{106_000, 107_000, 108_000}}}
 	finish(b)
 	if d := Compare(a, b, DiffOptions{}); d.Regressed {
 		t.Fatalf("bench delta inside band regressed:\n%s", d.Render())
 	}
 	// Getting faster never regresses.
-	b.Bench = []BenchSample{{Name: "compare_warm", NsPerOp: []float64{50_000, 51_000, 52_000}}}
+	b.Bench = []BenchSample{{Name: "compare_warm", Values: []float64{50_000, 51_000, 52_000}}}
 	finish(b)
 	if d := Compare(a, b, DiffOptions{}); d.Regressed {
 		t.Error("speedup reported as regression")
+	}
+}
+
+// TestDiffBenchHigherIsBetter: for a metric that improves upward the same
+// band gates a fall, and a rise of any size passes.
+func TestDiffBenchHigherIsBetter(t *testing.T) {
+	rec := func(values ...float64) *Record {
+		r := finish(baselineRecord())
+		r.Bench = []BenchSample{{Name: "grid/mrefs_per_cpu_s", Unit: "Mref/cpu-s", Better: "higher", Values: values}}
+		return finish(r)
+	}
+	a := rec(500, 505, 510) // band = max(3*10, 0.10*505) = 50.5
+	for _, c := range []struct {
+		b         *Record
+		regressed bool
+	}{
+		{rec(400, 405, 410), true},
+		{rec(460, 465, 470), false},
+		{rec(900, 905, 910), false},
+	} {
+		d := Compare(a, c.b, DiffOptions{})
+		if d.Regressed != c.regressed || len(d.Bench) != 1 || d.Bench[0].Regressed != c.regressed {
+			t.Errorf("median %v against %v: regressed=%v, want %v\n%s", c.b.Bench[0].Median, a.Bench[0].Median, d.Regressed, c.regressed, d.Render())
+		}
 	}
 }
 

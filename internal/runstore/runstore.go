@@ -80,42 +80,45 @@ func (c Cell) Key() string {
 	return fmt.Sprintf("%s|%s|%d|%d", c.Strategy, c.Workload, c.SizeBytes, c.CPU)
 }
 
-// BenchSample is one benchmark's repeated measurements: per-iteration
-// nanoseconds plus the derived median and spread the noise model uses.
+// BenchSample is one metric's repeated measurements, in its own unit,
+// plus the derived median and spread the noise model uses.
 type BenchSample struct {
 	Name string `json:"name"`
-	// N is the repetition count; NsPerOp holds one value per repetition.
-	N       int       `json:"n"`
-	NsPerOp []float64 `json:"ns_per_op"`
-	// MedianNs, MinNs and MaxNs summarise NsPerOp.
-	MedianNs float64 `json:"median_ns"`
-	MinNs    float64 `json:"min_ns"`
-	MaxNs    float64 `json:"max_ns"`
-	// Note carries free-form context (refs, grid shape).
-	Note string `json:"note,omitempty"`
+	// Unit names what Values measure; Better is "lower" or "higher", the
+	// direction in which the metric improves. An empty Better reads as
+	// "lower".
+	Unit   string `json:"unit,omitempty"`
+	Better string `json:"better,omitempty"`
+	// N is the repetition count; Values holds one value per repetition.
+	N      int       `json:"n"`
+	Values []float64 `json:"values"`
+	// Median, Min and Max summarise Values.
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
 }
 
-// Summarize fills MedianNs/MinNs/MaxNs from NsPerOp.
+// Summarize fills N, Median, Min and Max from Values.
 func (b *BenchSample) Summarize() {
-	if len(b.NsPerOp) == 0 {
+	if len(b.Values) == 0 {
 		return
 	}
-	sorted := append([]float64(nil), b.NsPerOp...)
+	sorted := append([]float64(nil), b.Values...)
 	sort.Float64s(sorted)
 	b.N = len(sorted)
-	b.MinNs = sorted[0]
-	b.MaxNs = sorted[len(sorted)-1]
+	b.Min = sorted[0]
+	b.Max = sorted[len(sorted)-1]
 	mid := len(sorted) / 2
 	if len(sorted)%2 == 1 {
-		b.MedianNs = sorted[mid]
+		b.Median = sorted[mid]
 	} else {
-		b.MedianNs = (sorted[mid-1] + sorted[mid]) / 2
+		b.Median = (sorted[mid-1] + sorted[mid]) / 2
 	}
 }
 
 // Spread is the max-min range of the sample's repetitions — the raw noise
 // estimate the diff band model scales.
-func (b *BenchSample) Spread() float64 { return b.MaxNs - b.MinNs }
+func (b *BenchSample) Spread() float64 { return b.Max - b.Min }
 
 // IndexEntry is one line of index.jsonl: enough to list and GC the store
 // without opening every object.
@@ -253,9 +256,27 @@ func (s *Store) listLocked() ([]IndexEntry, error) {
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			return nil, fmt.Errorf("runstore: corrupt index line %q: %w", line, err)
 		}
+		if !validID(e.ID) {
+			return nil, fmt.Errorf("runstore: corrupt index line %q: id is not 64 hex digits", line)
+		}
 		entries = append(entries, e)
 	}
 	return entries, sc.Err()
+}
+
+// validID reports whether id has the form Put gives IDs: 64 lower-case hex
+// digits. An index entry with any other ID is corrupt; it could also name
+// a path outside the objects directory.
+func validID(id string) bool {
+	if len(id) != 2*sha256.Size {
+		return false
+	}
+	for _, c := range id {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // ErrNotFound reports a ref that resolves to no archived record.
@@ -312,7 +333,8 @@ func (s *Store) resolveLocked(ref string) (string, error) {
 }
 
 // Get resolves a ref, loads its record, and verifies the content address —
-// a record whose bytes no longer hash to its ID is reported as corrupt.
+// a record whose bytes no longer hash to its ID, or that carries another
+// ID, is reported as corrupt.
 func (s *Store) Get(ref string) (*Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -338,6 +360,9 @@ func (s *Store) Get(ref string) (*Record, error) {
 	sum := sha256.Sum256(hashed)
 	if got := hex.EncodeToString(sum[:]); got != id {
 		return nil, fmt.Errorf("runstore: record %s fails verification (content hashes to %s)", id, got)
+	}
+	if rec.ID != id {
+		return nil, fmt.Errorf("runstore: record %s fails verification (it carries id %q)", id, rec.ID)
 	}
 	return &rec, nil
 }

@@ -89,6 +89,35 @@ func TestGetDetectsCorruption(t *testing.T) {
 	if _, err := s.Get(id); err == nil || !strings.Contains(err.Error(), "verification") {
 		t.Errorf("Get(tampered) = %v, want verification failure", err)
 	}
+
+	// The id field is not hashed, so a record whose own id was edited
+	// still hashes to its name; it must fail all the same.
+	relabelled := strings.Replace(string(data), `"id": "`+id+`"`, `"id": "short"`, 1)
+	if relabelled == string(data) {
+		t.Fatal("id field not found")
+	}
+	os.WriteFile(path, []byte(relabelled), 0o644)
+	if rec, err := s.Get(id); err == nil || !strings.Contains(err.Error(), "verification") {
+		t.Errorf("Get(relabelled) = %+v, %v, want verification failure", rec, err)
+	}
+}
+
+// TestListRefusesMalformedIDs: an index line whose id is not 64 hex digits
+// is corrupt, like an unparsable one, so no caller slices a short ID or
+// opens a path outside the objects directory.
+func TestListRefusesMalformedIDs(t *testing.T) {
+	for _, id := range []string{"abc", strings.Repeat("A", 64), "../" + strings.Repeat("0", 61), ""} {
+		dir := t.TempDir()
+		s, _ := Open(dir)
+		line := `{"id":"` + id + `","kind":"report","command":"table1","created_unix":1,"bytes":10}` + "\n"
+		os.WriteFile(filepath.Join(dir, "index.jsonl"), []byte(line), 0o644)
+		if entries, err := s.List(); err == nil {
+			t.Errorf("List accepted id %q: %+v", id, entries)
+		}
+		if _, err := s.Get("latest"); err == nil {
+			t.Errorf("Get(latest) accepted id %q", id)
+		}
+	}
 }
 
 func TestResolveRefs(t *testing.T) {
@@ -252,14 +281,14 @@ func TestEmptyStore(t *testing.T) {
 }
 
 func TestBenchSampleSummarize(t *testing.T) {
-	b := BenchSample{Name: "x", NsPerOp: []float64{5, 1, 3}}
+	b := BenchSample{Name: "x", Values: []float64{5, 1, 3}}
 	b.Summarize()
-	if b.MedianNs != 3 || b.MinNs != 1 || b.MaxNs != 5 || b.N != 3 || b.Spread() != 4 {
+	if b.Median != 3 || b.Min != 1 || b.Max != 5 || b.N != 3 || b.Spread() != 4 {
 		t.Errorf("odd summarize: %+v", b)
 	}
-	b = BenchSample{Name: "x", NsPerOp: []float64{4, 2}}
+	b = BenchSample{Name: "x", Values: []float64{4, 2}}
 	b.Summarize()
-	if b.MedianNs != 3 {
-		t.Errorf("even median = %v, want 3", b.MedianNs)
+	if b.Median != 3 {
+		t.Errorf("even median = %v, want 3", b.Median)
 	}
 }

@@ -116,6 +116,7 @@ type dashSeries struct {
 // dashBench is one benchmark's trajectory across archived bench records.
 type dashBench struct {
 	Name string
+	Unit string
 	Path template.HTML
 	Last float64
 }
@@ -142,7 +143,7 @@ svg { background: #fff; border: 1px solid #ccc; }
 {{if .BenchSeries}}
 <h2>benchmark medians (oldest to newest)</h2>
 {{range .BenchSeries}}
-<div><svg class="spark" width="240" height="40" viewBox="0 0 240 40"><polyline fill="none" stroke="#090" stroke-width="1.5" points="{{.Path}}"/></svg>{{.Name}} <span class="muted">{{printf "%.0f" .Last}}ns</span></div>
+<div><svg class="spark" width="240" height="40" viewBox="0 0 240 40"><polyline fill="none" stroke="#090" stroke-width="1.5" points="{{.Path}}"/></svg>{{.Name}} <span class="muted">{{printf "%.4g" .Last}} {{.Unit}}</span></div>
 {{end}}
 {{end}}
 {{if .Windows}}
@@ -183,6 +184,7 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	var rows []dashRun // oldest first while collecting
 	var totals []float64
 	benchSeries := map[string][]float64{}
+	benchUnits := map[string]string{}
 	var windowSeries []dashSeries
 	for _, e := range entries {
 		rec, err := s.archive.Get(e.ID)
@@ -202,7 +204,8 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 		})
 		totals = append(totals, total)
 		for _, b := range rec.Bench {
-			benchSeries[b.Name] = append(benchSeries[b.Name], b.MedianNs)
+			benchSeries[b.Name] = append(benchSeries[b.Name], b.Median)
+			benchUnits[b.Name] = b.Unit
 		}
 		windowSeries = recordWindowSeries(rec) // keep the newest non-empty
 	}
@@ -223,7 +226,7 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	for _, name := range sortedSeriesNames(benchSeries) {
 		vals := benchSeries[name]
 		data.BenchSeries = append(data.BenchSeries, dashBench{
-			Name: name, Path: sparkPath(vals, 240, 40), Last: vals[len(vals)-1],
+			Name: name, Unit: benchUnits[name], Path: sparkPath(vals, 240, 40), Last: vals[len(vals)-1],
 		})
 	}
 	data.Windows = windowSeries

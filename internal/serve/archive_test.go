@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"oslayout/internal/expt"
 	"oslayout/internal/obs"
 	"oslayout/internal/runstore"
 )
@@ -48,7 +50,7 @@ func syntheticRecord(t *testing.T, store *runstore.Store, created int64, digest 
 			{Workload: "Shell", Config: "8KB", Index: 0, Total: 2, Window: obs.Window{Refs: 100, Misses: 5}},
 			{Workload: "Shell", Config: "8KB", Index: 1, Total: 2, Window: obs.Window{Refs: 100, Misses: 3}},
 		},
-		Bench: []runstore.BenchSample{{Name: "run_many", NsPerOp: []float64{1000, 1100, 1200}, MedianNs: 1100, MinNs: 1000, MaxNs: 1200, N: 3}},
+		Bench: []runstore.BenchSample{{Name: "grid/pass_cpu_s", Unit: "s", Better: "lower", Values: []float64{0.09, 0.1, 0.11}, Median: 0.1, Min: 0.09, Max: 0.11, N: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +258,8 @@ func TestDashRendersAndSurvivesGC(t *testing.T) {
 		"3 archived runs",
 		oldID[:12], newID[:12],
 		"perf trajectory",
-		"run_many",           // bench sparkline
+		"grid/pass_cpu_s",    // bench sparkline
+		"0.1 s",              // its last median, in its unit
 		"Shell 8KB",          // windowed miss-rate sparkline
 		"<polyline",          // SVG actually rendered
 		"/api/runs/" + newID, // record links
@@ -313,5 +316,37 @@ func TestSSEDropAndEvictionCounters(t *testing.T) {
 	}
 	if v := fams["oslayout_jobs_evicted_total"].Samples["oslayout_jobs_evicted_total"]; v < 1 {
 		t.Errorf("jobs evicted counter = %v, want >= 1", v)
+	}
+}
+
+// TestCompareCells pins the order in which the CLI and the daemon archive
+// a compare grid: size, then workload, then strategy, each aggregate cell
+// followed by its per-CPU cells in shared-cache grids.
+func TestCompareCells(t *testing.T) {
+	grid := &expt.Compare{
+		Strategies: []string{"base", "opts"},
+		Sizes:      []int{4096},
+		Workloads:  []string{"Shell", "Make"},
+		Rates:      [][][]float64{{{0.1, 0.2}, {0.3, 0.4}}},
+	}
+	cell := func(s, w string, cpu int, rate float64) runstore.Cell {
+		return runstore.Cell{Strategy: s, Workload: w, SizeBytes: 4096, CPU: cpu, MissRate: rate}
+	}
+	want := []runstore.Cell{
+		cell("base", "Shell", -1, 0.1), cell("opts", "Shell", -1, 0.2),
+		cell("base", "Make", -1, 0.3), cell("opts", "Make", -1, 0.4),
+	}
+	if got := CompareCells(grid); !slices.Equal(got, want) {
+		t.Errorf("private grid cells:\n got %v\nwant %v", got, want)
+	}
+	grid.CPURates = [][][][]float64{{{{0.11, 0.12}, {0.21, 0.22}}, {{0.31, 0.32}, {0.41, 0.42}}}}
+	want = []runstore.Cell{
+		cell("base", "Shell", -1, 0.1), cell("base", "Shell", 0, 0.11), cell("base", "Shell", 1, 0.12),
+		cell("opts", "Shell", -1, 0.2), cell("opts", "Shell", 0, 0.21), cell("opts", "Shell", 1, 0.22),
+		cell("base", "Make", -1, 0.3), cell("base", "Make", 0, 0.31), cell("base", "Make", 1, 0.32),
+		cell("opts", "Make", -1, 0.4), cell("opts", "Make", 0, 0.41), cell("opts", "Make", 1, 0.42),
+	}
+	if got := CompareCells(grid); !slices.Equal(got, want) {
+		t.Errorf("shared grid cells:\n got %v\nwant %v", got, want)
 	}
 }

@@ -500,16 +500,11 @@ func (s *Server) execute(j *Job) (map[string]JobResult, []runstore.Cell, []obs.W
 // archive identically to a single-process one. Private per-CPU grids carry
 // CPURates without eviction attribution, hence the CrossEvictions guard.
 func (s *Server) compareTelemetry(grid *expt.Compare) []runstore.Cell {
-	var cells []runstore.Cell
 	for si, size := range grid.Sizes {
 		sizeLabel := strconv.Itoa(size)
 		for wi, w := range grid.Workloads {
 			for k, name := range grid.Strategies {
 				s.missRateGauge(name, w, sizeLabel).Set(grid.Rates[si][wi][k])
-				cells = append(cells, runstore.Cell{
-					Strategy: name, Workload: w, SizeBytes: size, CPU: -1,
-					MissRate: grid.Rates[si][wi][k],
-				})
 				if grid.PartSplit != nil {
 					sp := grid.PartSplit[si][wi][k]
 					s.partWaysGauge("os", name, w, sizeLabel).Set(float64(sp.OSWays))
@@ -520,13 +515,35 @@ func (s *Server) compareTelemetry(grid *expt.Compare) []runstore.Cell {
 				if grid.CPURates != nil {
 					for cpu, v := range grid.CPURates[si][wi][k] {
 						s.cpuRateGauge(strconv.Itoa(cpu), name, w, sizeLabel).Set(v)
+					}
+					if grid.CrossEvictions != nil {
+						s.crossEvicts.Add(grid.CrossEvictions[si][wi][k])
+					}
+				}
+			}
+		}
+	}
+	return CompareCells(grid)
+}
+
+// CompareCells flattens a compare grid into archive cells: the aggregate
+// rate per (strategy, workload, size), each followed by its per-CPU rates
+// in shared-cache grids. The CLI and the daemon archive grids through it.
+func CompareCells(grid *expt.Compare) []runstore.Cell {
+	var cells []runstore.Cell
+	for si, size := range grid.Sizes {
+		for wi, w := range grid.Workloads {
+			for k, name := range grid.Strategies {
+				cells = append(cells, runstore.Cell{
+					Strategy: name, Workload: w, SizeBytes: size, CPU: -1,
+					MissRate: grid.Rates[si][wi][k],
+				})
+				if grid.CPURates != nil {
+					for cpu, v := range grid.CPURates[si][wi][k] {
 						cells = append(cells, runstore.Cell{
 							Strategy: name, Workload: w, SizeBytes: size, CPU: cpu,
 							MissRate: v,
 						})
-					}
-					if grid.CrossEvictions != nil {
-						s.crossEvicts.Add(grid.CrossEvictions[si][wi][k])
 					}
 				}
 			}

@@ -51,8 +51,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// executeShard runs one shard: an experiment through a private environment,
-// or a compare-grid mask through the pooled study.
+// executeShard runs one shard, an experiment or a compare-grid mask, on a
+// pooled study.
 func (s *Server) executeShard(spec *ShardSpec) (*ShardResult, error) {
 	start := time.Now()
 	rec := obs.NewRecorder()

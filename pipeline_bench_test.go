@@ -1,16 +1,16 @@
 package oslayout_test
 
-// Streaming-pipeline benchmarks (BENCH_pipeline.json): streamed versus
-// materialised replay throughput, and the heap high-water measurement
-// showing the streamed footprint is set by the chunk size, not the
-// reference count.
+// Streaming-pipeline benchmarks: streamed versus materialised replay
+// throughput, and the heap high-water measurement showing the streamed
+// footprint is set by the chunk size, not the reference count.
 //
 //	go test -bench 'Pipeline' -benchtime 3x -count 3
 //	OSLAYOUT_STREAM_REFS=50m go test -run TestStreamedReplayHeapHighWater -v
 //
-// The heap test is how the BENCH_pipeline.json high-water numbers were
-// recorded (3m, 50m, and the documented 1g smoke); it skips without the
-// env var so the regular suite stays fast.
+// On a 1-vCPU host these measured streamed replay at ~1.6x the
+// materialised time per pass at 3M refs, and the heap high-water at 41 MiB
+// (3m), 88 MiB (50m) and 84 MiB (1g). The heap test skips without the env
+// var so the regular suite stays fast.
 
 import (
 	"os"
