@@ -163,8 +163,10 @@ func TestRunBenchRefusesBadInput(t *testing.T) {
 }
 
 // TestRunBenchDiffGate archives bench records from canned runs and checks
-// that diff -gate passes identical input and fails a metric that moves
+// that diff -gate passes the same runs and fails a metric that moves
 // beyond the band the way BENCHMARK.json calls worse, in either direction.
+// The same runs come in another order: identical input archived within one
+// second is one record, with no previous record to diff against.
 func TestRunBenchDiffGate(t *testing.T) {
 	inRepoRoot(t)
 	runs := func(cold, mrefs []float64) string {
@@ -182,7 +184,7 @@ func TestRunBenchDiffGate(t *testing.T) {
 		candidate string
 		regressed bool
 	}{
-		{"identical", base, false},
+		{"same runs", runs([]float64{1.04, 1.00, 1.02}, []float64{510, 500, 505}), false},
 		{"mrefs falls beyond the band", runs([]float64{1.00, 1.02, 1.04}, []float64{400, 405, 410}), true},
 		{"cold rises beyond the band", runs([]float64{1.50, 1.52, 1.54}, []float64{500, 505, 510}), true},
 		{"mrefs rises, cold falls", runs([]float64{0.50, 0.52, 0.54}, []float64{900, 905, 910}), false},

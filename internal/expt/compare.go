@@ -129,6 +129,30 @@ type CompareShard struct {
 	CPUs       []int `json:"cpus,omitempty"`
 }
 
+// Select checks the shard against a grid of nw workloads, nk strategies and
+// cpus CPUs, with private per-CPU caches or not, and expands it into one
+// mask per axis; a nil shard selects the whole grid. RunCompareOpts and a
+// worker admitting a shard both check a mask through it.
+func (sh *CompareShard) Select(nw, nk, cpus int, private bool) (wsel, ksel, csel []bool, err error) {
+	var s CompareShard
+	if sh != nil {
+		s = *sh
+	}
+	if s.CPUs != nil && !private {
+		return nil, nil, nil, fmt.Errorf("expt: per-CPU shards need private caches (a shared cache couples its CPUs)")
+	}
+	if wsel, err = selection(s.Workloads, nw, "workload"); err != nil {
+		return nil, nil, nil, err
+	}
+	if ksel, err = selection(s.Strategies, nk, "strategy"); err != nil {
+		return nil, nil, nil, err
+	}
+	if csel, err = selection(s.CPUs, cpus, "cpu"); err != nil {
+		return nil, nil, nil, err
+	}
+	return wsel, ksel, csel, nil
+}
+
 // selection expands an index list over n slots; nil selects everything.
 func selection(idx []int, n int, what string) ([]bool, error) {
 	sel := make([]bool, n)
@@ -191,9 +215,6 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 			return nil, fmt.Errorf("expt: private per-CPU grids do not carry detail or partition observers")
 		}
 	}
-	if opt.Shard != nil && opt.Shard.CPUs != nil && !opt.Private {
-		return nil, fmt.Errorf("expt: per-CPU shards need private caches (a shared cache couples its CPUs)")
-	}
 	c := &Compare{
 		Strategies: strategies,
 		Sizes:      sizes,
@@ -206,21 +227,8 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 	if opt.Partition != "" {
 		c.Partition = spec.String()
 	}
-	// Shard selection masks: a nil shard selects the whole grid.
 	nw := len(e.St.Data)
-	var shard CompareShard
-	if opt.Shard != nil {
-		shard = *opt.Shard
-	}
-	wsel, err := selection(shard.Workloads, nw, "workload")
-	if err != nil {
-		return nil, err
-	}
-	ksel, err := selection(shard.Strategies, len(strategies), "strategy")
-	if err != nil {
-		return nil, err
-	}
-	csel, err := selection(shard.CPUs, cpus, "cpu")
+	wsel, ksel, csel, err := opt.Shard.Select(nw, len(strategies), cpus, opt.Private)
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func (e *Env) multiTrace(ms *workload.MultiSource) (*trace.MultiTrace, error) {
 // pipeline mode.
 func (e *Env) cpuTrace(ms *workload.MultiSource, cpu int) (*trace.Trace, error) {
 	if e.St.Streaming() {
-		return ms.Source(cpu).Trace()
+		return ms.Source(cpu).Trace(nil)
 	}
 	return ms.Source(cpu).Generate()
 }
@@ -258,7 +258,7 @@ func (e *Env) RunFigure19() (*Figure19, error) {
 		for c := 0; c < cpus; c++ {
 			var tr *trace.Trace
 			if mt.Streaming() {
-				tr, err = ms.Source(c).Trace()
+				tr, err = ms.Source(c).Trace(nil)
 			} else {
 				tr, err = mt.CPUTrace(c)
 			}

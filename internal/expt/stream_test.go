@@ -1,13 +1,12 @@
 package expt
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"oslayout"
 	"oslayout/internal/obs"
 	"oslayout/internal/strategy"
-	"oslayout/internal/trace"
+	"oslayout/internal/workload"
 )
 
 // TestStreamingStudyDigests builds the study twice — once forcing the
@@ -62,19 +61,13 @@ func TestStreamingStudyDigests(t *testing.T) {
 // TestStreamedCompareOpensEachSourceOnce checks that a streamed compare
 // pass regenerates each workload's trace exactly once, however many
 // strategies and sizes the grid holds: every single-CPU mode replays a
-// workload's trace under all of its layout pairs in one pass.
+// workload's trace under all of its layout pairs in one pass. It counts
+// generator opens as the streamed set-up's test does; every workload's
+// replay needs a walk of its trace, so one open per workload is one each.
 func TestStreamedCompareOpensEachSourceOnce(t *testing.T) {
 	e, err := NewEnv(Options{OSRefs: 60_000, Stream: oslayout.StreamOn, ChunkEvents: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
-	}
-	opens := make([]atomic.Int64, len(e.St.Data))
-	for i, d := range e.St.Data {
-		src, n := d.Trace.Source, &opens[i]
-		d.Trace.Source = func() trace.Reader {
-			n.Add(1)
-			return src()
-		}
 	}
 	sizes := []int{4 << 10, 8 << 10, 16 << 10}
 	two := []string{"base", "opts"}
@@ -90,16 +83,12 @@ func TestStreamedCompareOpensEachSourceOnce(t *testing.T) {
 		{"partition", two, 4, CompareOptions{Partition: "interval,every=4,grain=1"}},
 	}
 	for _, tc := range cases {
-		for i := range opens {
-			opens[i].Store(0)
-		}
+		before := workload.Opens()
 		if _, err := e.RunCompareOpts(tc.strategies, sizes, 32, tc.assoc, tc.opt); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for i, d := range e.St.Data {
-			if n := opens[i].Load(); n != 1 {
-				t.Errorf("%s: %s trace source opened %d times in one pass, want 1", tc.name, d.Workload.Name, n)
-			}
+		if n := workload.Opens() - before; n != int64(len(e.St.Data)) {
+			t.Errorf("%s: %d trace generators started for %d workloads in one pass, want one each", tc.name, n, len(e.St.Data))
 		}
 	}
 }

@@ -171,7 +171,8 @@ func encode(rec *Record, id string) ([]byte, error) {
 
 // Put archives a record: assigns its content address, writes the object
 // atomically, appends the index line, and runs GC. The record's ID field is
-// set on return.
+// set on return. Putting a record the index already lists appends nothing;
+// its object is rewritten only if it is missing.
 func (s *Store) Put(rec *Record) (string, error) {
 	hashed, err := encode(rec, "")
 	if err != nil {
@@ -192,6 +193,16 @@ func (s *Store) Put(rec *Record) (string, error) {
 	if _, err := os.Stat(obj); err != nil {
 		if err := writeAtomic(filepath.Join(s.dir, "objects"), obj, data); err != nil {
 			return "", err
+		}
+	}
+	// A record identical down to CreatedUnix is the one already listed.
+	entries, err := s.listLocked()
+	if err != nil {
+		return "", err
+	}
+	for _, e := range entries {
+		if e.ID == id {
+			return id, nil
 		}
 	}
 	entry := IndexEntry{

@@ -72,6 +72,49 @@ func TestContentAddressing(t *testing.T) {
 	}
 }
 
+// TestPutSameRecordIndexesOnce checks that runs identical down to
+// CreatedUnix are one record: a second Put of it appends no index line, so
+// Stats counts its object once and latest~1 names the previous distinct
+// record. A Put whose object has gone missing writes it again.
+func TestPutSameRecordIndexesOnce(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	prev, err := s.Put(testRecord("table1", 100, "aaa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Put(testRecord("table1", 101, "aaa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Put(testRecord("table1", 101, "aaa"))
+	if err != nil || again != id {
+		t.Fatalf("second Put = %s, %v; want %s", again, err, id)
+	}
+	entries, _ := s.List()
+	if len(entries) != 2 || entries[0].ID != prev || entries[1].ID != id {
+		t.Fatalf("index = %+v, want one entry per distinct record", entries)
+	}
+	runs, bytes, _ := s.Stats()
+	if runs != 2 || bytes != entries[0].Bytes+entries[1].Bytes {
+		t.Errorf("Stats = %d runs, %d bytes; want 2 runs, %d bytes", runs, bytes, entries[0].Bytes+entries[1].Bytes)
+	}
+	if got, _ := s.Resolve("latest~1"); got != prev {
+		t.Errorf("latest~1 = %s, want the previous distinct record %s", got, prev)
+	}
+	if err := os.Remove(s.objectPath(id)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(testRecord("table1", 101, "aaa")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(id); err != nil {
+		t.Errorf("Put did not restore the missing object: %v", err)
+	}
+	if entries, _ := s.List(); len(entries) != 2 {
+		t.Errorf("restoring the object appended an index line: %d entries", len(entries))
+	}
+}
+
 func TestGetDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)

@@ -240,6 +240,37 @@ func TestCoordinatorWorkerRouteSeparation(t *testing.T) {
 	}
 }
 
+// badShards are shard specs a worker must refuse with a 400 before it
+// leases a study: a coordinator retries anything else on other workers.
+var badShards = []string{
+	`{"job":{"compare":{"strategies":["base"],"sizes":["8k"]},"refs":20000},"index":0,"of":1,"shard":{"workloads":[9]}}`,
+	`{"job":{"compare":{"strategies":["base"],"sizes":["8k"]},"refs":20000},"index":0,"of":1,"shard":{"strategies":[]}}`,
+	`{"job":{"experiments":["table1"],"refs":20000},"index":0,"of":1,"experiment":"nope"}`,
+	`{"job":{"experiments":["table1"],"refs":20000},"index":5,"of":1,"experiment":"table2"}`,
+	`{"job":{"experiments":["table1"],"refs":20000},"index":0,"of":1,"experiment":"table2"}`,
+	`{"job":{"experiments":["table1"],"refs":20000},"index":-1,"of":1,"experiment":"table1"}`,
+	`{"job":{"compare":{"strategies":["base"],"sizes":["8k"]},"refs":20000},"index":0,"of":0,"shard":{"workloads":[0]}}`,
+	`{"job":{"compare":{"strategies":["base"],"sizes":["8k"]},"cpus":2,"refs":20000},"index":0,"of":1,"shard":{"cpus":[0]}}`,
+	`{"job":{"compare":{"strategies":["base"],"sizes":["8k"],"private":true},"cpus":2,"refs":20000},"index":0,"of":1,"shard":{"cpus":[2]}}`,
+}
+
+func TestWorkerRejectsBadShards(t *testing.T) {
+	s, worker := newWorker(t)
+	for _, spec := range badShards {
+		resp, err := http.Post(worker.URL+"/api/shard", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("shard %s: status %d, want 400", spec, resp.StatusCode)
+		}
+	}
+	if n := s.shardsExecuted.Value(); n != 0 {
+		t.Errorf("worker executed %v bad shards", n)
+	}
+}
+
 // decompose packing: shardRefs 0 is one cell per shard; a large target
 // packs a workload's whole strategy row into one shard; experiments shard
 // one per name. Every compare shard must carry a mask.

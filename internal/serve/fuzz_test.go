@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"oslayout"
 	"oslayout/internal/cache"
+	"oslayout/internal/expt"
 	"oslayout/internal/partition"
 )
 
@@ -180,4 +182,46 @@ func cloneSpec(spec JobSpec) JobSpec {
 		spec.Compare = &c
 	}
 	return spec
+}
+
+// FuzzShardSpec feeds arbitrary shard specs to a worker's admission checks,
+// decoded as the /api/shard handler decodes them. Validation must never
+// panic. An accepted shard sits inside its decomposition and names work
+// its job carries: an experiment the job lists, or a compare mask the
+// job's grid accepts, so an admitted shard never fails later on one.
+func FuzzShardSpec(f *testing.F) {
+	for _, s := range badShards {
+		f.Add(s)
+	}
+	for _, s := range []string{
+		`{"job":{"experiments":["table2","fig15"],"refs":20000},"index":1,"of":2,"experiment":"fig15"}`,
+		`{"job":{"compare":{"strategies":["base","opts"],"sizes":["4k","8k"]},"refs":20000},"index":3,"of":4,"shard":{"workloads":[3],"strategies":[0,1]}}`,
+		`{"job":{"compare":{"strategies":["base"],"sizes":["8k"],"private":true},"cpus":2,"refs":20000},"index":7,"of":8,"shard":{"workloads":[3],"strategies":[0],"cpus":[1]}}`,
+		`{"job":{"compare":{"strategies":["base","ch"],"sizes":["8k"]},"cpus":3},"index":0,"of":1,"shard":{}}`,
+	} {
+		f.Add(s)
+	}
+	const budget = 1 << 30
+	nw := len(oslayout.PaperWorkloads())
+	f.Fuzz(func(t *testing.T, body string) {
+		var sp ShardSpec
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&sp) != nil || sp.Job.validate(budget) != nil || sp.validate() != nil {
+			return
+		}
+		if sp.Index < 0 || sp.Index >= sp.Of {
+			t.Fatalf("%s: accepted shard %d of %d", body, sp.Index, sp.Of)
+		}
+		c := sp.Job.Compare
+		if c == nil {
+			if !slices.Contains(sp.Job.Experiments, sp.Experiment) || !expt.Has(sp.Experiment) {
+				t.Fatalf("%s: accepted experiment %q the job does not list", body, sp.Experiment)
+			}
+			return
+		}
+		if _, _, _, err := sp.Shard.Select(nw, len(c.Strategies), max(sp.Job.Cpus, 1), c.Private); err != nil {
+			t.Fatalf("%s: accepted mask fails the grid check: %v", body, err)
+		}
+	})
 }

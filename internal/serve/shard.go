@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"oslayout"
 	"oslayout/internal/expt"
@@ -27,7 +28,11 @@ type ShardSpec struct {
 	Shard *expt.CompareShard `json:"shard,omitempty"`
 }
 
-// validate rejects shard shapes the job spec cannot carry.
+// validate rejects a shard the validated job spec cannot carry: a bad
+// shape, a place outside the decomposition, an experiment the job does not
+// list, or a compare mask the job's grid would refuse. It runs before the
+// worker leases a study, so every such shard gets a 400, which the
+// coordinator treats as permanent.
 func (sp *ShardSpec) validate() error {
 	switch {
 	case sp.Experiment != "" && sp.Shard != nil:
@@ -38,6 +43,15 @@ func (sp *ShardSpec) validate() error {
 		return fmt.Errorf("experiment shard on a compare job")
 	case sp.Shard != nil && sp.Job.Compare == nil:
 		return fmt.Errorf("compare shard on an experiment job")
+	case sp.Index < 0 || sp.Index >= sp.Of:
+		return fmt.Errorf("shard index %d out of range [0,%d)", sp.Index, sp.Of)
+	case sp.Experiment != "" && !slices.Contains(sp.Job.Experiments, sp.Experiment):
+		return fmt.Errorf("shard experiment %q is not in the job", sp.Experiment)
+	}
+	if c := sp.Job.Compare; c != nil {
+		nw := len(oslayout.PaperWorkloads())
+		_, _, _, err := sp.Shard.Select(nw, len(c.Strategies), max(sp.Job.Cpus, 1), c.Private)
+		return err
 	}
 	return nil
 }

@@ -187,6 +187,9 @@ type Walker struct {
 	// MaxSteps bounds the number of blocks emitted by a single invocation
 	// walk as a runaway guard. Zero means the default of 1<<20.
 	MaxSteps int
+	// Refs counts the instruction-word references of every block the
+	// walker has emitted, so a caller need not look the blocks up again.
+	Refs uint64
 }
 
 // NewWalker returns a walker over prog in the given domain.
@@ -203,10 +206,12 @@ func (w *Walker) Start(r program.RoutineID) {
 	w.stack = w.stack[:0]
 }
 
-// step advances past the current block, returning false when the walk is
-// complete (outermost routine returned).
+// step counts the references of the current block, just emitted, and
+// advances past it, returning false when the walk is complete (outermost
+// routine returned).
 func (w *Walker) step() bool {
 	b := w.Prog.Block(w.cur)
+	w.Refs += RefsOf(b.Size)
 	switch {
 	case b.HasCall:
 		if b.Call.Cont != program.NoBlock {

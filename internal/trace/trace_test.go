@@ -200,6 +200,33 @@ func TestTraceRefs(t *testing.T) {
 	}
 }
 
+// TestWalkerCountsRefs checks the walker's running reference count against
+// a recount of what it emitted: the RefsOf sum over its block events, after
+// whole invocations and again after suspended StepN bursts.
+func TestWalkerCountsRefs(t *testing.T) {
+	f := progtest.Figure9()
+	w := NewWalker(f.Prog, DomainOS, rand.New(rand.NewSource(3)), nil)
+	var events []Event
+	check := func(after string) {
+		t.Helper()
+		var want uint64
+		for _, e := range events {
+			want += RefsOf(f.Prog.Block(e.Block()).Size)
+		}
+		if w.Refs != want || want == 0 {
+			t.Fatalf("after %s: walker counted %d refs over %d events, recount %d", after, w.Refs, len(events), want)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		events = w.WalkInvocation(f.Push, events)
+	}
+	check("WalkInvocation")
+	for i := 0; i < 50; i++ {
+		events = w.StepN(7, f.Push, events)
+	}
+	check("StepN")
+}
+
 func TestWalkFigure9HotPath(t *testing.T) {
 	f := progtest.Figure9()
 	w := NewWalker(f.Prog, DomainOS, rand.New(rand.NewSource(3)), nil)

@@ -179,21 +179,16 @@ func (il *interleaver) step(events []trace.Event) ([]trace.Event, error) {
 			il.rotate()
 			continue
 		}
-		start := len(events)
+		g := il.gens[il.cur]
+		before := g.tot
 		var err error
-		if events, err = il.gens[il.cur].step(events); err != nil {
+		if events, err = g.step(events); err != nil {
 			return events, err
 		}
 		il.left--
-		if n := len(events) - start; n > 0 {
+		if n := g.tot.Events - before.Events; n > 0 {
 			il.run.Events += n
-			if il.onRun != nil {
-				for _, e := range events[start:] {
-					if e.IsBlock() {
-						il.run.Blocks++
-					}
-				}
-			}
+			il.run.Blocks += g.tot.Blocks - before.Blocks
 			return events, nil
 		}
 		// The generator reached its reference target without emitting: it
@@ -235,18 +230,10 @@ func (ms *MultiSource) Open() trace.Reader {
 	return &mergeReader{il: ms.interleaver(nil), chunk: ms.srcs[0].chunkEvents()}
 }
 
-func (ms *MultiSource) newTrace() *trace.Trace {
-	t := &trace.Trace{Name: ms.srcs[0].w.Name, OS: ms.srcs[0].k.Prog}
-	if app := ms.App(); app != nil {
-		t.App = app.Prog
-	}
-	return t
-}
-
 // Generate materialises the merged trace: the full interleaved event stream
 // plus its CPU run schedule.
 func (ms *MultiSource) Generate() (*trace.MultiTrace, error) {
-	mt := &trace.MultiTrace{Trace: ms.newTrace(), CPUs: len(ms.srcs)}
+	mt := &trace.MultiTrace{Trace: ms.srcs[0].header(), CPUs: len(ms.srcs)}
 	il := ms.interleaver(func(r trace.CPURun) { mt.Runs = append(mt.Runs, r) })
 	var err error
 	for !il.done {
@@ -262,29 +249,25 @@ func (ms *MultiSource) Generate() (*trace.MultiTrace, error) {
 
 // Trace is the streaming counterpart of Generate: a header-only merged
 // trace whose events are regenerated chunk-by-chunk on every replay. One
-// counting pass computes the totals and the CPU run schedule (both tiny);
-// the event stream itself is never retained.
+// walk computes the CPU run schedule (tiny) and the totals, which are the
+// sum of the per-CPU generators' own: every CPU's trace runs to completion
+// in the merged one. The event stream itself is never retained.
 func (ms *MultiSource) Trace() (*trace.MultiTrace, error) {
-	mt := &trace.MultiTrace{Trace: ms.newTrace(), CPUs: len(ms.srcs)}
+	mt := &trace.MultiTrace{Trace: ms.srcs[0].header(), CPUs: len(ms.srcs)}
 	il := ms.interleaver(func(r trace.CPURun) { mt.Runs = append(mt.Runs, r) })
-	tot := &trace.Totals{}
 	var buf []trace.Event
 	for !il.done {
 		var err error
 		if buf, err = il.step(buf[:0]); err != nil {
 			return nil, err
 		}
-		tot.Events += len(buf)
-		for _, e := range buf {
-			if !e.IsBlock() {
-				continue
-			}
-			tot.Blocks++
-			if e.Domain() == trace.DomainOS {
-				tot.Refs[trace.DomainOS] += trace.RefsOf(ms.srcs[0].k.Prog.Block(e.Block()).Size)
-			} else {
-				tot.Refs[trace.DomainApp] += trace.RefsOf(ms.App().Prog.Block(e.Block()).Size)
-			}
+	}
+	tot := &trace.Totals{}
+	for _, g := range il.gens {
+		tot.Events += g.tot.Events
+		tot.Blocks += g.tot.Blocks
+		for d, n := range g.tot.Refs {
+			tot.Refs[d] += n
 		}
 	}
 	mt.Trace.Source = ms.Open

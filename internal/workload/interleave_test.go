@@ -61,6 +61,9 @@ func TestInterleaveDeterminism(t *testing.T) {
 				if err := ht.CheckRuns(); err != nil {
 					t.Fatal(err)
 				}
+				if got, tot := *ht.Total, *want.Summarize(); got != tot {
+					t.Fatalf("chunk %d: Totals = %+v, want %+v", chunk, got, tot)
+				}
 				if len(ht.Runs) != len(want.Runs) {
 					t.Fatalf("chunk %d: %d runs, want %d", chunk, len(ht.Runs), len(want.Runs))
 				}

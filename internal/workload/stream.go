@@ -12,6 +12,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"oslayout/internal/appgen"
 	"oslayout/internal/kernelgen"
@@ -80,19 +81,38 @@ func (s *Source) chunkEvents() int {
 	return trace.DefaultChunkEvents
 }
 
-// Trace returns a header-only trace over the source: Totals are computed by
-// one counting pass (events are generated and discarded, never retained), so
+// Trace returns a header-only trace over the source. One generating walk
+// computes its Totals and, when feed is non-nil, hands feed each batch in
+// trace order (the batches Open's readers yield, valid only for the call),
+// so a caller can profile the trace in the same walk. No event is retained:
 // the result answers aggregate queries and replays in O(chunk) memory.
-func (s *Source) Trace() (*trace.Trace, error) {
-	tot, err := s.Summarize()
-	if err != nil {
-		return nil, err
+func (s *Source) Trace(feed func([]trace.Event)) (*trace.Trace, error) {
+	r := &genReader{g: s.generator(), chunk: s.chunkEvents()}
+	for {
+		batch, err := r.Read()
+		if err != nil {
+			return nil, err
+		}
+		if len(batch) == 0 {
+			break
+		}
+		if feed != nil {
+			feed(batch)
+		}
 	}
-	t := &trace.Trace{Name: s.w.Name, OS: s.k.Prog, Source: s.Open, Total: tot}
+	tot := r.g.tot
+	t := s.header()
+	t.Source, t.Total = s.Open, &tot
+	return t, nil
+}
+
+// header returns the trace's name and programs, with no events.
+func (s *Source) header() *trace.Trace {
+	t := &trace.Trace{Name: s.w.Name, OS: s.k.Prog}
 	if s.app != nil {
 		t.App = s.app.Prog
 	}
-	return t, nil
+	return t
 }
 
 // Generate materialises the source's full event sequence into a trace. It
@@ -100,10 +120,7 @@ func (s *Source) Trace() (*trace.Trace, error) {
 // sequences are identical by construction; the result shares the source's
 // application image.
 func (s *Source) Generate() (*trace.Trace, error) {
-	t := &trace.Trace{Name: s.w.Name, OS: s.k.Prog}
-	if s.app != nil {
-		t.App = s.app.Prog
-	}
+	t := s.header()
 	g := s.generator()
 	var err error
 	for !g.done {
@@ -114,34 +131,6 @@ func (s *Source) Generate() (*trace.Trace, error) {
 	return t, nil
 }
 
-// Summarize runs one counting pass over the stream, returning its totals
-// without retaining any events.
-func (s *Source) Summarize() (*trace.Totals, error) {
-	r := s.Open()
-	tot := &trace.Totals{}
-	for {
-		batch, err := r.Read()
-		if err != nil {
-			return nil, err
-		}
-		if len(batch) == 0 {
-			return tot, nil
-		}
-		tot.Events += len(batch)
-		for _, e := range batch {
-			if !e.IsBlock() {
-				continue
-			}
-			tot.Blocks++
-			if e.Domain() == trace.DomainOS {
-				tot.Refs[trace.DomainOS] += trace.RefsOf(s.k.Prog.Block(e.Block()).Size)
-			} else {
-				tot.Refs[trace.DomainApp] += trace.RefsOf(s.app.Prog.Block(e.Block()).Size)
-			}
-		}
-	}
-}
-
 // GenerateStreaming is the streaming counterpart of Generate: it returns a
 // header-only trace whose events are regenerated chunk-by-chunk on every
 // replay instead of being materialised.
@@ -150,7 +139,7 @@ func GenerateStreaming(k *kernelgen.Kernel, w Workload, opt Options) (*trace.Tra
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := s.Trace()
+	t, err := s.Trace(nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,22 +148,31 @@ func GenerateStreaming(k *kernelgen.Kernel, w Workload, opt Options) (*trace.Tra
 
 // generator holds the complete replay state of one pass over the stream:
 // the shared random source (selector and walkers draw from it in a fixed
-// order), the suspended walkers, and the reference counters that decide
-// when to interleave application bursts and when to stop.
+// order), the suspended walkers, and the totals of what it has emitted so
+// far, whose reference counts decide when to interleave application bursts
+// and when to stop.
 type generator struct {
 	src        *Source
 	rng        *rand.Rand
 	osWalker   *trace.Walker
 	appWalkers []*trace.Walker
 	classCum   [program.NumSeedClasses]float64
-	osRefs     uint64
-	appRefs    uint64
+	tot        trace.Totals
 	curApp     int
 	burstCount int
 	done       bool
 }
 
+// opens counts the generators started in this process, over all sources.
+var opens atomic.Int64
+
+// Opens returns how many trace generators this process has started: one per
+// Open, Generate or Trace of a Source, and one per CPU of a merged stream.
+// Tests read it to check how many walks a pass makes over each trace.
+func Opens() int64 { return opens.Load() }
+
 func (s *Source) generator() *generator {
+	opens.Add(1)
 	rng := rand.New(rand.NewSource(s.opt.Seed))
 	// Cannot fail: NewSource validated the same construction.
 	sel, err := newSelector(s.k, &s.w, rng)
@@ -214,11 +212,12 @@ func (g *generator) sampleClass() program.SeedClass {
 }
 
 // step appends one segment — an application burst or a complete OS
-// invocation — to events, updating the reference counters. It sets done
-// (appending nothing) once the OS reference target is reached.
+// invocation — to events, updating the totals. It sets done (appending
+// nothing) once the OS reference target is reached.
 func (g *generator) step(events []trace.Event) ([]trace.Event, error) {
 	w, opt, app := &g.src.w, &g.src.opt, g.src.app
-	if g.osRefs >= opt.OSRefs {
+	refs := &g.tot.Refs
+	if refs[trace.DomainOS] >= opt.OSRefs {
 		g.done = true
 		return events, nil
 	}
@@ -226,14 +225,18 @@ func (g *generator) step(events []trace.Event) ([]trace.Event, error) {
 	// target; otherwise service an OS invocation.
 	wantApp := false
 	if app != nil {
-		total := g.osRefs + g.appRefs
+		total := refs[trace.DomainOS] + refs[trace.DomainApp]
 		wantApp = total == 0 ||
-			float64(g.appRefs)/float64(total) < 1-w.OSRefShare
+			float64(refs[trace.DomainApp])/float64(total) < 1-w.OSRefShare
 	}
 	start := len(events)
 	if wantApp {
 		n := 1 + g.rng.Intn(2*opt.AppBurstBlocks)
-		events = g.appWalkers[g.curApp].StepN(n, app.Mains[g.curApp], events)
+		aw := g.appWalkers[g.curApp]
+		before := aw.Refs
+		events = aw.StepN(n, app.Mains[g.curApp], events)
+		refs[trace.DomainApp] += aw.Refs - before
+		g.tot.Blocks += len(events) - start
 		g.burstCount++
 		if g.burstCount >= opt.BurstsPerSwitch {
 			g.burstCount = 0
@@ -248,17 +251,10 @@ func (g *generator) step(events []trace.Event) ([]trace.Event, error) {
 		events = append(events, trace.BeginEvent(class))
 		events = g.osWalker.WalkInvocation(seed, events)
 		events = append(events, trace.EndEvent())
+		refs[trace.DomainOS] = g.osWalker.Refs
+		g.tot.Blocks += len(events) - start - 2
 	}
-	for _, e := range events[start:] {
-		if !e.IsBlock() {
-			continue
-		}
-		if e.Domain() == trace.DomainOS {
-			g.osRefs += trace.RefsOf(g.src.k.Prog.Block(e.Block()).Size)
-		} else {
-			g.appRefs += trace.RefsOf(app.Prog.Block(e.Block()).Size)
-		}
-	}
+	g.tot.Events += len(events) - start
 	return events, nil
 }
 

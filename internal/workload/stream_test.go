@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"oslayout/internal/trace"
@@ -98,6 +99,43 @@ func TestGenerateStreamingHeaderOnly(t *testing.T) {
 	for i := range got {
 		if got[i] != mat.Events[i] {
 			t.Fatalf("event %d differs", i)
+		}
+	}
+}
+
+// TestTraceCountsAndFeedsInOneWalk checks the one-walk header-only trace a
+// streamed study builds: the batches Trace feeds concatenate to Generate's
+// events, its Totals equal the materialised trace's, and it starts exactly
+// one generator, at two chunk sizes and for every paper workload.
+func TestTraceCountsAndFeedsInOneWalk(t *testing.T) {
+	k := testKernel(t)
+	for _, w := range Paper() {
+		opt := Options{Seed: 9, OSRefs: 60_000}
+		mat, _, err := Generate(k, w, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{777, 16 << 10} {
+			opt.ChunkEvents = chunk
+			s, err := NewSource(k, w, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fed []trace.Event
+			before := Opens()
+			str, err := s.Trace(func(batch []trace.Event) { fed = append(fed, batch...) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := Opens() - before; n != 1 {
+				t.Errorf("%s chunk %d: Trace started %d generators, want 1", w.Name, chunk, n)
+			}
+			if !slices.Equal(fed, mat.Events) {
+				t.Fatalf("%s chunk %d: fed %d events that differ from Generate's %d", w.Name, chunk, len(fed), len(mat.Events))
+			}
+			if got, want := *str.Total, *mat.Summarize(); got != want {
+				t.Errorf("%s chunk %d: Totals = %+v, want %+v", w.Name, chunk, got, want)
+			}
 		}
 	}
 }

@@ -296,21 +296,13 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 			to.Seed = workloadTraceSeed(i)
 		}
 		traceDone := rec.Span("trace." + w.Name)
-		generate := workload.Generate
-		if streaming {
-			generate = workload.GenerateStreaming
-		}
-		t, app, err := generate(k, w, to)
+		d, err := traceWorkload(k, w, to, streaming)
+		traceDone()
 		if err != nil {
-			traceDone()
 			return nil, fmt.Errorf("oslayout: generating %s: %w", w.Name, err)
 		}
-		osp, appp := profile.FromTrace(t)
-		traceDone()
-		st.Data = append(st.Data, &WorkloadData{
-			Workload: w, Trace: t, App: app, OSProfile: osp, AppProfile: appp,
-		})
-		osProfiles = append(osProfiles, osp)
+		st.Data = append(st.Data, d)
+		osProfiles = append(osProfiles, d.OSProfile)
 	}
 	avgDone := rec.Span("profile.average")
 	avg, err := profile.Average(osProfiles...)
@@ -326,6 +318,32 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 	st.appBase = make([]*Layout, len(st.Data))
 	st.appBaseOnce = make([]sync.Once, len(st.Data))
 	return st, nil
+}
+
+// traceWorkload generates workload w's trace and profiles it. A streamed
+// trace is counted and profiled in the one walk that generates it; a
+// materialised one is profiled from its events.
+func traceWorkload(k *Kernel, w Workload, to TraceOptions, streaming bool) (*WorkloadData, error) {
+	src, err := workload.NewSource(k, w, to)
+	if err != nil {
+		return nil, err
+	}
+	d := &WorkloadData{Workload: w, App: src.App()}
+	var appProg *Program
+	if d.App != nil {
+		appProg = d.App.Prog
+	}
+	tp := profile.NewTraceProfiler(k.Prog, appProg)
+	if streaming {
+		d.Trace, err = src.Trace(tp.Feed)
+	} else if d.Trace, err = src.Generate(); err == nil {
+		tp.Feed(d.Trace.Events)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.OSProfile, d.AppProfile = tp.Profiles()
+	return d, nil
 }
 
 // KernelProgram returns the kernel's control-flow graph (the program layout

@@ -2,6 +2,7 @@ package oslayout
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"oslayout/internal/program"
 	"oslayout/internal/simulate"
 	"oslayout/internal/trace"
+	"oslayout/internal/workload"
 )
 
 // smallStudy builds a fast study for API tests.
@@ -269,6 +271,50 @@ func TestCrossProfileRobustness(t *testing.T) {
 		}
 		if ra.Stats.Misses[trace.DomainOS] >= rb.Stats.Misses[trace.DomainOS] {
 			t.Errorf("%s: averaged-profile layout did not reduce OS misses", st.Data[i].Workload.Name)
+		}
+	}
+}
+
+// TestStreamedStudyMatchesMaterialised checks the streamed set-up, which
+// counts and profiles each header-only trace in the one walk that generates
+// it: on kernels 1995 and 7 its per-workload profiles and Totals deep-equal
+// a materialised study's, and it starts exactly one generator per workload.
+func TestStreamedStudyMatchesMaterialised(t *testing.T) {
+	for _, seed := range []int64{1995, 7} {
+		build := func(mode StreamMode) *Study {
+			t.Helper()
+			kcfg := DefaultKernelConfig()
+			kcfg.Seed = seed
+			st, err := NewStudy(StudyOptions{
+				Kernel: kcfg,
+				Trace:  TraceOptions{OSRefs: 60_000, ChunkEvents: 4 << 10},
+				Stream: mode,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		mat := build(StreamOff)
+		before := workload.Opens()
+		str := build(StreamOn)
+		if n := workload.Opens() - before; n != int64(len(str.Data)) {
+			t.Errorf("kernel %d: streamed set-up started %d generators for %d workloads, want one each", seed, n, len(str.Data))
+		}
+		for i, d := range str.Data {
+			m := mat.Data[i]
+			if !d.Trace.Streaming() || m.Trace.Streaming() {
+				t.Fatalf("kernel %d, %s: wrong trace forms", seed, d.Workload.Name)
+			}
+			if !reflect.DeepEqual(d.OSProfile, m.OSProfile) || !reflect.DeepEqual(d.AppProfile, m.AppProfile) {
+				t.Errorf("kernel %d, %s: streamed profiles differ from materialised", seed, d.Workload.Name)
+			}
+			if got, want := *d.Trace.Summarize(), *m.Trace.Summarize(); got != want {
+				t.Errorf("kernel %d, %s: streamed Totals %+v, want %+v", seed, d.Workload.Name, got, want)
+			}
+		}
+		if !reflect.DeepEqual(str.AvgOS, mat.AvgOS) {
+			t.Errorf("kernel %d: streamed averaged profile differs", seed)
 		}
 	}
 }

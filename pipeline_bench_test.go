@@ -74,7 +74,7 @@ func BenchmarkPipelineMaterialised3M(b *testing.B) {
 // chunk by chunk while the drive pool consumes the previous window.
 func BenchmarkPipelineStreamed3M(b *testing.B) {
 	src, osL := pipelineSource(b, 3_000_000, 0)
-	st, err := src.Trace()
+	st, err := src.Trace(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestStreamedReplayHeapHighWater(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, osL := pipelineSource(t, refs, 0)
-	st, err := src.Trace()
+	st, err := src.Trace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
