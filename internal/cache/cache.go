@@ -171,11 +171,6 @@ const (
 	lineEvictedByApp
 )
 
-// maskWords is the width of the per-line utilization bitmask: one bit per
-// instruction word, so lines up to maskWords*trace.WordSize bytes (256 B)
-// can be tracked.
-const maskWords = 64
-
 // emptyTag is the tag of an empty way. Line addresses are byte addresses
 // divided by a line of at least one 4-byte word (Config.Validate), so they
 // stay below 2^62 and never equal it: a tag compare alone decides a hit.
@@ -219,9 +214,6 @@ type Cache struct {
 	// only (never on the per-access hot path), so the nil default costs one
 	// predictable branch per eviction and nothing per hit.
 	onEvict func(victimLine uint64, set int, evictor trace.Domain)
-	// useMask, when utilization tracking is enabled, holds one bit per
-	// word of each resident line, parallel to ways.
-	useMask []uint64
 	// Way-partitioning state (see partition.go): the active split, each
 	// region's contiguous way sub-range, the owning region of each way
 	// offset, the reserved line set, and repartitioning counters. All zero
@@ -232,32 +224,8 @@ type Cache struct {
 	regOfWay []Region
 	resvLine []bool
 	repart   RepartStats
-	utilReg  [NumRegions]UtilStats
 	// Stats accumulates access outcomes.
 	Stats Stats
-	// Util accumulates line-utilization statistics when enabled.
-	Util UtilStats
-}
-
-// UtilStats measures cache-line utilization: of the words a line held while
-// resident, how many were actually fetched before the line was evicted.
-// Layouts with good spatial locality (the paper's sequences) raise this,
-// which is why their advantage grows with line size (Figure 17-a).
-type UtilStats struct {
-	// Evictions counts evicted lines (lines still resident at the end of a
-	// run are not counted).
-	Evictions uint64
-	// WordsUsed and WordsTotal accumulate the used and total word counts of
-	// evicted lines.
-	WordsUsed, WordsTotal uint64
-}
-
-// Utilization returns the mean fraction of line words used before eviction.
-func (u UtilStats) Utilization() float64 {
-	if u.WordsTotal == 0 {
-		return 0
-	}
-	return float64(u.WordsUsed) / float64(u.WordsTotal)
 }
 
 // New returns an empty cache of the given organisation.
@@ -309,64 +277,6 @@ func MustNew(cfg Config) *Cache {
 
 // Config returns the cache organisation.
 func (c *Cache) Config() Config { return c.cfg }
-
-// EnableUtilization turns on line-utilization tracking (a per-word use
-// bitmask per resident line). Must be called before any access. It returns
-// an error when the line's word count exceeds the bitmask width — tracking
-// such a line would silently drop use bits.
-func (c *Cache) EnableUtilization() error {
-	if w := c.lineWords(); w > maskWords {
-		return fmt.Errorf("cache: line size %dB has %d words, exceeding the %d-word utilization mask",
-			c.cfg.Line, w, maskWords)
-	}
-	c.useMask = make([]uint64, len(c.ways))
-	return nil
-}
-
-// lineWords returns the number of instruction words per line.
-func (c *Cache) lineWords() int { return c.cfg.Line / trace.WordSize }
-
-// MarkWords records that words [from, to] (inclusive, line-relative) of the
-// given line were fetched. The line must be resident at the MRU position of
-// its set — under a partition, at the MRU position of whichever region holds
-// it — i.e. call this immediately after AccessLine for the same line.
-func (c *Cache) MarkWords(line uint64, from, to int) {
-	if c.useMask == nil {
-		return
-	}
-	var set int
-	if c.pow2 {
-		set = int(line & c.setMask)
-	} else {
-		set = int(line % c.numSets)
-	}
-	base := set * c.assoc
-	if c.part.Enabled() {
-		found := -1
-		for r := Region(0); r < NumRegions; r++ {
-			if c.regLen[r] == 0 {
-				continue
-			}
-			if s := base + c.regOff[r]; c.ways[s] == line {
-				found = s
-				break
-			}
-		}
-		if found < 0 {
-			return
-		}
-		base = found
-	} else if c.ways[base] != line {
-		return
-	}
-	if to >= maskWords {
-		to = maskWords - 1
-	}
-	if from > to || from < 0 {
-		return
-	}
-	c.useMask[base] |= (^uint64(0) >> (63 - uint(to))) &^ (1<<uint(from) - 1)
-}
 
 // LineOf returns the line address containing byte address a.
 func (c *Cache) LineOf(a uint64) uint64 { return a >> c.lineShift }
@@ -457,9 +367,6 @@ func (c *Cache) accessDM(line uint64, set int, d trace.Domain) MissClass {
 		c.recordEviction(old, set, d)
 	}
 	c.ways[set] = line
-	if c.useMask != nil {
-		c.useMask[set] = 0
-	}
 	if class == ColdMiss {
 		c.markSeenCold(line, d)
 	}
@@ -475,20 +382,10 @@ func (c *Cache) accessAssoc(line uint64, set int, d trace.Domain) MissClass {
 	for i := 0; i < c.assoc; i++ {
 		if c.ways[base+i] == line {
 			// Move to front (MRU).
-			var mask uint64
-			if c.useMask != nil {
-				mask = c.useMask[base+i]
-			}
 			for j := i; j > 0; j-- {
 				c.ways[base+j] = c.ways[base+j-1]
-				if c.useMask != nil {
-					c.useMask[base+j] = c.useMask[base+j-1]
-				}
 			}
 			c.ways[base] = line
-			if c.useMask != nil {
-				c.useMask[base] = mask
-			}
 			return Hit
 		}
 	}
@@ -516,14 +413,8 @@ func (c *Cache) accessAssoc(line uint64, set int, d trace.Domain) MissClass {
 	// line as MRU (harmless bookkeeping under random replacement).
 	for j := victim - base; j > 0; j-- {
 		c.ways[base+j] = c.ways[base+j-1]
-		if c.useMask != nil {
-			c.useMask[base+j] = c.useMask[base+j-1]
-		}
 	}
 	c.ways[base] = line
-	if c.useMask != nil {
-		c.useMask[base] = 0
-	}
 	if class == ColdMiss {
 		c.markSeenCold(line, d)
 	}
@@ -561,8 +452,8 @@ func (c *Cache) SetEvictionHook(h func(victimLine uint64, set int, evictor trace
 	c.onEvict = h
 }
 
-// recordEviction stores the evictor's domain for the displaced line in slot
-// and accumulates utilization statistics when tracking is enabled.
+// recordEviction reports the displaced line in slot to the eviction hook and
+// stores its evictor's domain.
 func (c *Cache) recordEviction(victimLine uint64, slot int, d trace.Domain) {
 	if c.onEvict != nil {
 		c.onEvict(victimLine, slot/c.assoc, d)
@@ -572,11 +463,6 @@ func (c *Cache) recordEviction(victimLine uint64, slot int, d trace.Domain) {
 		ev = lineEvictedByApp
 	}
 	c.histSet(victimLine, ev)
-	if c.useMask != nil {
-		c.Util.Evictions++
-		c.Util.WordsUsed += uint64(bits.OnesCount64(c.useMask[slot]))
-		c.Util.WordsTotal += uint64(c.lineWords())
-	}
 }
 
 // markSeenCold marks a freshly filled line as seen without fabricating an
@@ -674,6 +560,5 @@ func (c *Cache) Reset() {
 	if c.part.Enabled() {
 		c.installPartition(c.cfg.Part)
 		c.repart = RepartStats{}
-		c.utilReg = [NumRegions]UtilStats{}
 	}
 }

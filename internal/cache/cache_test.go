@@ -298,43 +298,6 @@ func TestRandomReplacementUsuallyWorseThanLRU(t *testing.T) {
 	}
 }
 
-// TestMarkWordsWideLine is the regression test for the line-utilization
-// truncation bug: the old []uint32 mask silently dropped use bits for words
-// 32 and up, so lines over 128B under-reported utilization.
-func TestMarkWordsWideLine(t *testing.T) {
-	c := MustNew(Config{Size: 4 << 10, Line: 256, Assoc: 1}) // 64 words per line
-	if err := c.EnableUtilization(); err != nil {
-		t.Fatal(err)
-	}
-	c.AccessLine(0, trace.DomainOS)
-	c.MarkWords(0, 32, 63) // entirely in the upper half of the mask
-	c.AccessLine(16, trace.DomainOS)
-	c.MarkWords(16, 0, 63) // full line; 4KB/256B DM has 16 sets, so set 0 again
-	if c.Util.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Util.Evictions)
-	}
-	if c.Util.WordsUsed != 32 || c.Util.WordsTotal != 64 {
-		t.Fatalf("words used/total = %d/%d, want 32/64 (upper-half bits dropped?)",
-			c.Util.WordsUsed, c.Util.WordsTotal)
-	}
-	// Evict the full-marked line too and check all 64 bits survived.
-	c.AccessLine(32, trace.DomainOS)
-	if c.Util.WordsUsed != 32+64 {
-		t.Fatalf("words used = %d, want 96", c.Util.WordsUsed)
-	}
-}
-
-func TestEnableUtilizationRejectsOverwideLines(t *testing.T) {
-	c := MustNew(Config{Size: 8 << 10, Line: 512, Assoc: 1}) // 128 words > 64-bit mask
-	if err := c.EnableUtilization(); err == nil {
-		t.Fatal("512B line accepted for utilization tracking; mask would truncate")
-	}
-	c = MustNew(Config{Size: 8 << 10, Line: 256, Assoc: 1}) // exactly 64 words: fine
-	if err := c.EnableUtilization(); err != nil {
-		t.Fatalf("256B line rejected: %v", err)
-	}
-}
-
 // TestHistoryRegions exercises the dense eviction-provenance tables across
 // both address regions (kernel at low addresses, application at AppBase)
 // and the overflow map beyond them.

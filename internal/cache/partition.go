@@ -18,7 +18,6 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 
 	"oslayout/internal/trace"
 )
@@ -139,11 +138,6 @@ func (c *Cache) Partition() Partition { return c.part }
 // Repartitions returns the runtime repartitioning counters.
 func (c *Cache) Repartitions() RepartStats { return c.repart }
 
-// RegionUtil returns the line-utilization statistics attributed to one
-// region. Populated only when the cache is partitioned and utilization
-// tracking is enabled; the per-region accounts sum to Util.
-func (c *Cache) RegionUtil(r Region) UtilStats { return c.utilReg[r] }
-
 // regionsOf lays the partition's regions out as contiguous way sub-ranges
 // in Region order, returning each region's offset and length.
 func (c *Cache) regionsOf(p Partition) (off, length [NumRegions]int) {
@@ -229,12 +223,11 @@ func (c *Cache) SetPartition(p Partition, keep bool) error {
 	}
 	newOff, newLen := c.regionsOf(p)
 
-	type wayEntry struct{ line, mask uint64 }
-	var kept [NumRegions][]wayEntry
+	var kept [NumRegions][]uint64
 	for r := range kept {
-		kept[r] = make([]wayEntry, 0, c.assoc)
+		kept[r] = make([]uint64, 0, c.assoc)
 	}
-	pool := make([]wayEntry, 0, c.assoc)
+	pool := make([]uint64, 0, c.assoc)
 	for set := 0; set < int(c.numSets); set++ {
 		base := set * c.assoc
 		for r := range kept {
@@ -247,36 +240,24 @@ func (c *Cache) SetPartition(p Partition, keep bool) error {
 		for r := Region(0); r < NumRegions; r++ {
 			ob := base + c.regOff[r]
 			for i := 0; i < c.regLen[r]; i++ {
-				if c.ways[ob+i] == emptyTag {
+				line := c.ways[ob+i]
+				if line == emptyTag {
 					break
 				}
-				e := wayEntry{line: c.ways[ob+i]}
-				if c.useMask != nil {
-					e.mask = c.useMask[ob+i]
-				}
 				if i < newLen[r] {
-					kept[r] = append(kept[r], e)
+					kept[r] = append(kept[r], line)
 				} else {
-					pool = append(pool, e)
+					pool = append(pool, line)
 				}
 			}
 		}
 		ph := 0
 		for r := Region(0); r < NumRegions; r++ {
 			nb := base + newOff[r]
-			i := 0
-			for ; i < len(kept[r]); i++ {
-				c.ways[nb+i] = kept[r][i].line
-				if c.useMask != nil {
-					c.useMask[nb+i] = kept[r][i].mask
-				}
-			}
+			i := copy(c.ways[nb:nb+newLen[r]], kept[r])
 			if keep {
 				for i < newLen[r] && ph < len(pool) {
-					c.ways[nb+i] = pool[ph].line
-					if c.useMask != nil {
-						c.useMask[nb+i] = pool[ph].mask
-					}
+					c.ways[nb+i] = pool[ph]
 					ph++
 					c.repart.Migrated++
 					i++
@@ -327,22 +308,11 @@ func (c *Cache) accessPart(line uint64, set int, d trace.Domain) MissClass {
 	base := set * c.assoc
 	for i := 0; i < c.assoc; i++ {
 		if c.ways[base+i] == line {
-			r := c.regOfWay[i]
-			rb := base + c.regOff[r]
-			var mask uint64
-			if c.useMask != nil {
-				mask = c.useMask[base+i]
-			}
+			rb := base + c.regOff[c.regOfWay[i]]
 			for j := base + i; j > rb; j-- {
 				c.ways[j] = c.ways[j-1]
-				if c.useMask != nil {
-					c.useMask[j] = c.useMask[j-1]
-				}
 			}
 			c.ways[rb] = line
-			if c.useMask != nil {
-				c.useMask[rb] = mask
-			}
 			return Hit
 		}
 	}
@@ -363,24 +333,12 @@ func (c *Cache) accessPart(line uint64, set int, d trace.Domain) MissClass {
 		}
 	}
 	if c.ways[victim] != emptyTag {
-		if c.useMask != nil {
-			u := &c.utilReg[r]
-			u.Evictions++
-			u.WordsUsed += uint64(bits.OnesCount64(c.useMask[victim]))
-			u.WordsTotal += uint64(c.lineWords())
-		}
 		c.recordEviction(c.ways[victim], victim, d)
 	}
 	for j := victim; j > rb; j-- {
 		c.ways[j] = c.ways[j-1]
-		if c.useMask != nil {
-			c.useMask[j] = c.useMask[j-1]
-		}
 	}
 	c.ways[rb] = line
-	if c.useMask != nil {
-		c.useMask[rb] = 0
-	}
 	if class == ColdMiss {
 		c.markSeenCold(line, d)
 	}

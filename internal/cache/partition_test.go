@@ -238,42 +238,6 @@ func TestResetRestoresConstructionPartition(t *testing.T) {
 	}
 }
 
-// TestRegionUtilAttribution: per-region utilization accounts sum to the
-// cache-wide Util and attribute evictions to the evicting region.
-func TestRegionUtilAttribution(t *testing.T) {
-	c := MustNew(Config{Size: 64, Line: 32, Assoc: 2,
-		Part: Partition{OSWays: 1, AppWays: 1}})
-	if err := c.EnableUtilization(); err != nil {
-		t.Fatal(err)
-	}
-	// Thrash the 1-way OS region with 2 lines, marking 2 of 8 words each.
-	for i := 0; i < 4; i++ {
-		l := uint64(i % 2)
-		c.AccessLine(l, trace.DomainOS)
-		c.MarkWords(l, 0, 1)
-	}
-	osU := c.RegionUtil(RegionOS)
-	if osU.Evictions != 3 {
-		t.Fatalf("OS region evictions = %d, want 3", osU.Evictions)
-	}
-	if osU.WordsUsed != 3*2 || osU.WordsTotal != 3*8 {
-		t.Fatalf("OS region words = %d/%d, want 6/24", osU.WordsUsed, osU.WordsTotal)
-	}
-	if appU := c.RegionUtil(RegionApp); appU != (UtilStats{}) {
-		t.Fatalf("app region util = %+v, want zero", appU)
-	}
-	var sum UtilStats
-	for r := Region(0); r < NumRegions; r++ {
-		u := c.RegionUtil(r)
-		sum.Evictions += u.Evictions
-		sum.WordsUsed += u.WordsUsed
-		sum.WordsTotal += u.WordsTotal
-	}
-	if sum != c.Util {
-		t.Fatalf("region utils sum to %+v, cache-wide is %+v", sum, c.Util)
-	}
-}
-
 // TestPartitionedMatchesTwoCaches: a way-partitioned os1+app1 cache over
 // disjoint address domains is bit-identical to two independent
 // direct-mapped halves — the equivalence that lets the partitioned engine

@@ -363,35 +363,6 @@ func CallGraph(p *program.Program) map[program.RoutineID][]program.RoutineID {
 	return cg
 }
 
-// Descendants returns the transitive callee closure of routine r, not
-// including r itself unless the call graph is cyclic through r.
-func Descendants(cg map[program.RoutineID][]program.RoutineID, r program.RoutineID) []program.RoutineID {
-	seen := make(map[program.RoutineID]bool)
-	var work []program.RoutineID
-	for _, c := range cg[r] {
-		if !seen[c] {
-			seen[c] = true
-			work = append(work, c)
-		}
-	}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, c := range cg[n] {
-			if !seen[c] {
-				seen[c] = true
-				work = append(work, c)
-			}
-		}
-	}
-	out := make([]program.RoutineID, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // LoopCalleeClosure returns the routines called (transitively) from any block
 // of the loop body.
 func LoopCalleeClosure(p *program.Program, cg map[program.RoutineID][]program.RoutineID, lp *Loop) []program.RoutineID {

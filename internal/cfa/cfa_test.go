@@ -227,7 +227,7 @@ func TestLoopWithCallDetected(t *testing.T) {
 	}
 }
 
-func TestCallGraphAndDescendants(t *testing.T) {
+func TestCallGraph(t *testing.T) {
 	p := program.New("cg")
 	a := p.AddRoutine("a")
 	b := p.AddRoutine("b")
@@ -245,9 +245,11 @@ func TestCallGraphAndDescendants(t *testing.T) {
 	if len(cg[a]) != 1 || cg[a][0] != b {
 		t.Fatalf("cg[a] = %v, want [b]", cg[a])
 	}
-	desc := Descendants(cg, a)
-	if len(desc) != 2 || desc[0] != b || desc[1] != c {
-		t.Fatalf("descendants(a) = %v, want [b c]", desc)
+	if len(cg[b]) != 1 || cg[b][0] != c {
+		t.Fatalf("cg[b] = %v, want [c]", cg[b])
+	}
+	if len(cg) != 2 {
+		t.Fatalf("cg = %v, want entries for a and b only (c calls nothing)", cg)
 	}
 }
 

@@ -16,7 +16,7 @@ func BenchmarkBuildSequences(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildSequences(p, entries, sched)
+		BuildSequencesCapped(p, entries, sched, 0)
 	}
 }
 

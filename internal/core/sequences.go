@@ -121,20 +121,16 @@ func (sb *seqBuilder) acceptable(b program.BlockID, th Thresh) bool {
 	return w > 0 && float64(w) >= th.Exec*sb.total
 }
 
-// BuildSequences runs the full schedule over the program's seeds and returns
-// the sequences in placement order (hottest first). Entries lists the seed
-// entry blocks; for kernels use SeedEntries, for applications the mains.
+// BuildSequencesCapped runs the full schedule over the program's seeds and
+// returns the sequences in placement order (hottest first). Entries lists the
+// seed entry blocks; for kernels use SeedEntries, for applications the mains.
 // The returned visited set marks every block placed into some sequence.
-func BuildSequences(p *program.Program, entries [program.NumSeedClasses]program.BlockID, schedule Schedule) ([]Sequence, []bool) {
-	return BuildSequencesCapped(p, entries, schedule, 0)
-}
-
-// BuildSequencesCapped is BuildSequences with an optional per-sequence byte
-// cap: once a sequence reaches maxSeqBytes, it is closed and construction
-// continues in a fresh sequence of the same (iteration, seed) phase. The
-// paper keeps its most important sequences at 1-4 KB "to reduce conflicts";
-// it achieves that by tuning the threshold schedule, and the cap offers the
-// same control directly (0 disables it).
+//
+// An optional per-sequence byte cap closes a sequence once it reaches
+// maxSeqBytes, and construction continues in a fresh sequence of the same
+// (iteration, seed) phase. The paper keeps its most important sequences at
+// 1-4 KB "to reduce conflicts"; it achieves that by tuning the threshold
+// schedule, and the cap offers the same control directly (0 disables it).
 func BuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]program.BlockID, schedule Schedule, maxSeqBytes int64) ([]Sequence, []bool) {
 	sb := &seqBuilder{
 		p:       p,

@@ -43,7 +43,7 @@ func fig9Schedule() Schedule {
 // seed. The second, catch-all pass collects the rare blocks.
 func TestFigure9SequenceConstruction(t *testing.T) {
 	f := progtest.Figure9()
-	seqs, visited := BuildSequences(f.Prog, fig9Entries(f), fig9Schedule())
+	seqs, visited := BuildSequencesCapped(f.Prog, fig9Entries(f), fig9Schedule(), 0)
 	if len(seqs) != 2 {
 		t.Fatalf("built %d sequences, want 2", len(seqs))
 	}
@@ -125,7 +125,7 @@ func TestSequenceBranchThreshold(t *testing.T) {
 	// ExecThresh 0 accepts every executed block; BranchThresh 0.5 only
 	// allows the hot arc out of the entry.
 	row[0] = Thresh{Exec: 0, Branch: 0.5}
-	seqs, _ := BuildSequences(p, entries, Schedule{row})
+	seqs, _ := BuildSequencesCapped(p, entries, Schedule{row}, 0)
 	// Walk: 0 -> 2 (0.9) -> 3 (1.0) -> 4; block 1 is reachable only through
 	// a 0.1 arc, below BranchThresh, so neither the walk nor the restart
 	// reaches it. It is executed, so the leftover sweep collects it into a
@@ -165,7 +165,7 @@ func TestSequencesPruneUnexecuted(t *testing.T) {
 		row[c] = inactive
 	}
 	row[0] = Thresh{Exec: 0, Branch: 0}
-	seqs, visited := BuildSequences(p, entries, Schedule{row})
+	seqs, visited := BuildSequencesCapped(p, entries, Schedule{row}, 0)
 	var placed int
 	for _, s := range seqs {
 		placed += len(s.Blocks)
@@ -242,7 +242,7 @@ func TestBuildSequencesCapped(t *testing.T) {
 		placed += len(s.Blocks)
 	}
 	// Capping must not change WHAT is placed, only how it is chunked.
-	uncapped, _ := BuildSequences(f.Prog, fig9Entries(f), fig9Schedule())
+	uncapped, _ := BuildSequencesCapped(f.Prog, fig9Entries(f), fig9Schedule(), 0)
 	var placedU int
 	for _, s := range uncapped {
 		placedU += len(s.Blocks)

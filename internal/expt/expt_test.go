@@ -42,8 +42,8 @@ func TestRegistryCoversEveryExperiment(t *testing.T) {
 			t.Errorf("experiment %q missing from registry", n)
 		}
 	}
-	if NumExperiments() != len(want) {
-		t.Errorf("registry has %d entries, want %d", NumExperiments(), len(want))
+	if got := len(Names()); got != len(want) {
+		t.Errorf("registry has %d entries, want %d", got, len(want))
 	}
 	if _, err := Run(testEnv(t), "nonsense"); err == nil {
 		t.Error("unknown experiment accepted")

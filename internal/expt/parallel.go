@@ -5,13 +5,6 @@ import (
 	"sync"
 )
 
-// parEach runs f(0..n-1) concurrently, bounded by GOMAXPROCS workers; see
-// parEachN. Environment-driven callers should prefer (*Env).parEach, which
-// respects the user's -par bound instead of this hardcoded policy.
-func parEach(n int, f func(i int) error) error {
-	return parEachN(runtime.GOMAXPROCS(0), n, f)
-}
-
 // parEach runs f(0..n-1) concurrently, bounded by the environment's
 // configured parallelism (Options.Par, the CLI's -par): job-level fan-out
 // and the replay engine's drive-level worker pool answer to the same knob,

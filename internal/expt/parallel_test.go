@@ -12,7 +12,7 @@ import (
 	"oslayout/internal/simulate"
 )
 
-// TestParEachLowestError injects failures at two indices and asserts parEach
+// TestParEachLowestError injects failures at two indices and asserts parEachN
 // returns the error of the lowest failing index — the sequential answer —
 // regardless of worker scheduling, and that every index below that failure
 // was still executed.
@@ -26,7 +26,7 @@ func TestParEachLowestError(t *testing.T) {
 	const n = 64
 	for round := 0; round < 25; round++ {
 		var ran [n]int32
-		err := parEach(n, func(i int) error {
+		err := parEachN(0, n, func(i int) error {
 			atomic.StoreInt32(&ran[i], 1)
 			switch i {
 			case 11:
@@ -40,7 +40,7 @@ func TestParEachLowestError(t *testing.T) {
 			return nil
 		})
 		if err != errLo {
-			t.Fatalf("round %d: parEach returned %v, want the lowest failing index's error %v", round, err, errLo)
+			t.Fatalf("round %d: parEachN returned %v, want the lowest failing index's error %v", round, err, errLo)
 		}
 		for i := 0; i < 11; i++ {
 			if atomic.LoadInt32(&ran[i]) != 1 {
@@ -51,7 +51,7 @@ func TestParEachLowestError(t *testing.T) {
 
 	// No failure: every index runs exactly once.
 	var count int32
-	if err := parEach(n, func(i int) error {
+	if err := parEachN(0, n, func(i int) error {
 		atomic.AddInt32(&count, 1)
 		return nil
 	}); err != nil {
@@ -63,7 +63,7 @@ func TestParEachLowestError(t *testing.T) {
 }
 
 // TestBatchedSweepParallelDeterminism sweeps a multi-configuration grid
-// through the batched engine under parEach with GOMAXPROCS > 1, twice, and
+// through the batched engine under parEachN with GOMAXPROCS > 1, twice, and
 // asserts the two passes are identical — the determinism contract the sweep
 // experiments rely on when they fan trace-sharing batches across cores.
 // Running the package under -race additionally checks the concurrent
@@ -92,7 +92,7 @@ func TestBatchedSweepParallelDeterminism(t *testing.T) {
 	const reps = 2
 	sweep := func() [][]cache.Stats {
 		out := make([][]cache.Stats, nw*reps)
-		err := parEach(nw*reps, func(j int) error {
+		err := parEachN(0, nw*reps, func(j int) error {
 			ress, err := e.EvalMany(j%nw, []simulate.Group{{OS: base, Configs: grid}}, nil, nil)
 			if err != nil {
 				return err

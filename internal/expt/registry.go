@@ -65,9 +65,6 @@ func Has(name string) bool {
 	return ok
 }
 
-// NumExperiments returns the number of registered experiments.
-func NumExperiments() int { return len(registry) }
-
 // Names returns the registered experiment names in natural order: embedded
 // numbers compare numerically, so fig2 precedes fig12 and `oslayout list`
 // and `all` follow paper order.

@@ -105,20 +105,3 @@ func ConflictPairs(p *program.Program, l *layout.Layout, cfg cache.Config, k int
 	}
 	return pairs
 }
-
-// MissShareOfRoutines returns the fraction of OS misses attributed to blocks
-// of the given routines, from per-block miss counts (an obs.BlockMisses OS
-// slice).
-func MissShareOfRoutines(p *program.Program, blockMisses []uint64, routines map[program.RoutineID]bool) float64 {
-	var in, total uint64
-	for b, m := range blockMisses {
-		total += m
-		if routines[p.Blocks[b].Routine] {
-			in += m
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(in) / float64(total)
-}

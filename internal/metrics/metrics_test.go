@@ -322,21 +322,3 @@ func TestConflictPairsSpanningBlocks(t *testing.T) {
 		t.Fatalf("pairs = %+v", pairs)
 	}
 }
-
-func TestMissShareOfRoutines(t *testing.T) {
-	p := program.New("ms")
-	a := p.AddRoutine("a")
-	ab := p.AddBlock(a, 8)
-	b := p.AddRoutine("b")
-	bb := p.AddBlock(b, 8)
-	misses := make([]uint64, p.NumBlocks())
-	misses[ab] = 30
-	misses[bb] = 70
-	share := MissShareOfRoutines(p, misses, map[program.RoutineID]bool{a: true})
-	if share != 0.3 {
-		t.Fatalf("share = %v, want 0.3", share)
-	}
-	if MissShareOfRoutines(p, make([]uint64, 2), nil) != 0 {
-		t.Fatal("zero misses should give zero share")
-	}
-}

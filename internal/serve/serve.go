@@ -55,12 +55,6 @@ type Config struct {
 	// concurrency (Workers) multiplies with this, so hosts running many
 	// concurrent jobs may want DrivePar lowered.
 	DrivePar int
-	// StudyCache bounds how many studies the server pools across jobs
-	// (default 2). Jobs agreeing on (refs, seed) share one study — and
-	// with it the layout-strategy and compiled-stream caches, so a
-	// repeated or concurrent job replays from memoized layouts and streams
-	// instead of regenerating and recompiling everything.
-	StudyCache int
 	// StreamBudgetBytes is the daemon's retained-trace memory budget:
 	// specs whose projected materialised footprint exceeds it are rejected
 	// at submission unless they request streaming, and StreamAuto jobs
@@ -159,7 +153,7 @@ func New(cfg Config) *Server {
 	if budget <= 0 {
 		budget = oslayout.DefaultStreamBudgetBytes
 	}
-	s := &Server{reg: reg, start: time.Now(), drivePar: cfg.DrivePar, studies: newStudyPool(cfg.StudyCache), budget: budget, archive: cfg.Archive}
+	s := &Server{reg: reg, start: time.Now(), drivePar: cfg.DrivePar, studies: newStudyPool(), budget: budget, archive: cfg.Archive}
 	s.jobsStarted = reg.Counter("oslayout_jobs_started_total", "Jobs accepted for execution.")
 	s.jobsFinished = reg.Counter("oslayout_jobs_finished_total", "Jobs completed successfully.")
 	s.jobsFailed = reg.Counter("oslayout_jobs_failed_total", "Jobs that ended in an error.")

@@ -52,24 +52,26 @@ func (e *studyEntry) flush(layoutH, layoutM, streamH, streamM *obs.Counter) {
 	e.streamHits, e.streamMisses = sh, sm
 }
 
+// studyPoolCap bounds how many studies the server pools across jobs. Jobs
+// agreeing on (refs, seed) share one study — and with it the layout-strategy
+// and compiled-stream caches, so a repeated or concurrent job replays from
+// memoized layouts and streams instead of regenerating and recompiling
+// everything.
+const studyPoolCap = 2
+
 // studyPool is a bounded LRU of studies shared across jobs, with
 // single-flight construction: concurrent jobs for one key block on the
 // first builder instead of tracing the same workloads twice. Build errors
 // are returned to every waiter but never cached. Evicting an entry only
 // forgets it for future jobs — running jobs hold the study pointer.
 type studyPool struct {
-	cap int
-
 	mu      sync.Mutex
 	entries map[studyKey]*studyEntry
 	order   []studyKey // LRU order, oldest first
 }
 
-func newStudyPool(cap int) *studyPool {
-	if cap <= 0 {
-		cap = 2
-	}
-	return &studyPool{cap: cap, entries: make(map[studyKey]*studyEntry)}
+func newStudyPool() *studyPool {
+	return &studyPool{entries: make(map[studyKey]*studyEntry)}
 }
 
 // get returns the pooled entry for the key, building the study on first
@@ -124,7 +126,7 @@ func (p *studyPool) removeLocked(key studyKey) {
 // evictLocked drops the least-recently-used completed entries beyond the
 // capacity; in-flight builds are never evicted.
 func (p *studyPool) evictLocked() {
-	for len(p.order) > p.cap {
+	for len(p.order) > studyPoolCap {
 		evicted := false
 		for _, k := range p.order {
 			e := p.entries[k]

@@ -7,6 +7,7 @@ package simulate
 
 import (
 	"fmt"
+	"math/bits"
 
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
@@ -37,36 +38,37 @@ func Run(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	if err := run(t, osL, appL, c, false); err != nil {
+	if err := run(t, osL, appL, c, nil); err != nil {
 		return nil, err
 	}
 	return &Result{LayoutName: osL.Name, Config: cfg, Stats: c.Stats}, nil
 }
 
-// RunUtil is Run with cache-line utilization tracking enabled: it
-// additionally reports, over evicted lines, the mean fraction of line words
-// fetched while resident — the spatial-locality exploitation that makes
-// layout gains grow with line size (Figure 17-a).
-func RunUtil(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config) (*Result, cache.UtilStats, error) {
+// RunUtil is Run with cache-line utilization tracking: it additionally
+// reports, over evicted lines, the mean fraction of line words fetched while
+// resident — the spatial-locality exploitation that makes layout gains grow
+// with line size (Figure 17-a). Lines over 256 B (64 words) are refused.
+func RunUtil(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config) (*Result, UtilStats, error) {
 	c, err := cache.New(cfg)
 	if err != nil {
-		return nil, cache.UtilStats{}, err
+		return nil, UtilStats{}, err
 	}
-	if err := c.EnableUtilization(); err != nil {
-		return nil, cache.UtilStats{}, err
+	u, err := trackUtil(c)
+	if err != nil {
+		return nil, UtilStats{}, err
 	}
-	if err := run(t, osL, appL, c, true); err != nil {
-		return nil, cache.UtilStats{}, err
+	if err := run(t, osL, appL, c, u); err != nil {
+		return nil, UtilStats{}, err
 	}
-	return &Result{LayoutName: osL.Name, Config: cfg, Stats: c.Stats}, c.Util, nil
+	return &Result{LayoutName: osL.Name, Config: cfg, Stats: c.Stats}, u.UtilStats, nil
 }
 
-// run is the common replay loop over a single cache; util marks the fetched
-// words for line-utilization tracking. The paper's Sep and Resv hardware
-// alternatives, formerly separate two-cache replay loops here, are now
-// expressed as way partitions of one cache (cache.Partition) and replayed by
-// the compiled-stream engine.
-func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) error {
+// run is the common replay loop over a single cache; a non-nil u marks the
+// fetched words for line-utilization tracking. The paper's Sep and Resv
+// hardware alternatives, formerly separate two-cache replay loops here, are
+// now expressed as way partitions of one cache (cache.Partition) and
+// replayed by the compiled-stream engine.
+func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, u *utilTracker) error {
 	if err := checkLayouts(t, osL, appL); err != nil {
 		return err
 	}
@@ -101,8 +103,8 @@ func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) er
 			startLine := c.LineOf(addr)
 			endLine := c.LineOf(addr + uint64(size) - 1)
 			for line := startLine; line <= endLine; line++ {
-				c.AccessLine(line, d)
-				if util {
+				class := c.AccessLine(line, d)
+				if u != nil {
 					lineBase := line * uint64(c.Config().Line)
 					from := 0
 					if addr > lineBase {
@@ -112,12 +114,98 @@ func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) er
 					if end := addr + uint64(size); end < lineBase+uint64(c.Config().Line) {
 						to = int(end-1-lineBase) / trace.WordSize
 					}
-					c.MarkWords(line, from, to)
+					u.mark(line, class, from, to)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// UtilStats measures cache-line utilization: of the words a line held while
+// resident, how many were actually fetched before the line was evicted.
+// Layouts with good spatial locality (the paper's sequences) raise this,
+// which is why their advantage grows with line size (Figure 17-a).
+type UtilStats struct {
+	// Evictions counts evicted lines (lines still resident at the end of a
+	// run are not counted).
+	Evictions uint64
+	// WordsUsed and WordsTotal accumulate the used and total word counts of
+	// evicted lines.
+	WordsUsed, WordsTotal uint64
+}
+
+// Utilization returns the mean fraction of line words used before eviction.
+func (u UtilStats) Utilization() float64 {
+	if u.WordsTotal == 0 {
+		return 0
+	}
+	return float64(u.WordsUsed) / float64(u.WordsTotal)
+}
+
+// maskWords is the width of a line's word mask: one bit per instruction
+// word, so lines up to maskWords*trace.WordSize bytes (256 B) can be
+// tracked.
+const maskWords = 64
+
+// utilTracker measures line utilization beside a cache. It keeps a word mask
+// per line address, restarts it when a fetch misses (the line was just
+// installed), and counts a line's words when the cache's eviction hook
+// reports the line displaced. A line that a repartition drops is not
+// counted, as the cache reports no eviction for it; its next fetch misses
+// and restarts its mask.
+type utilTracker struct {
+	UtilStats
+	lineWords uint64
+	// lo holds the masks of kernel lines, hi those of application lines
+	// re-based to hiBase, the first line at trace.AppBase: both images are
+	// a few MB, so dense tables beat a map on every access.
+	lo, hi []uint64
+	hiBase uint64
+}
+
+// trackUtil attaches a tracker to c's eviction hook. It refuses a line
+// wider than the mask, whose upper words would go uncounted.
+func trackUtil(c *cache.Cache) (*utilTracker, error) {
+	line := c.Config().Line
+	if w := line / trace.WordSize; w > maskWords {
+		return nil, fmt.Errorf("simulate: line size %dB has %d words, exceeding the %d-word utilization mask",
+			line, w, maskWords)
+	}
+	u := &utilTracker{lineWords: uint64(line / trace.WordSize), hiBase: c.LineOf(trace.AppBase)}
+	c.SetEvictionHook(u.evict)
+	return u, nil
+}
+
+// maskOf returns the mask of line, growing its table to cover it.
+func (u *utilTracker) maskOf(line uint64) *uint64 {
+	tab, i := &u.lo, line
+	if line >= u.hiBase {
+		tab, i = &u.hi, line-u.hiBase
+	}
+	if i >= uint64(len(*tab)) {
+		*tab = append(*tab, make([]uint64, i+1-uint64(len(*tab)))...)
+	}
+	return &(*tab)[i]
+}
+
+// mark records that words [from, to] (inclusive, line-relative) of line were
+// fetched by an access whose outcome was class.
+func (u *utilTracker) mark(line uint64, class cache.MissClass, from, to int) {
+	words := (^uint64(0) >> (63 - uint(to))) &^ (1<<uint(from) - 1)
+	m := u.maskOf(line)
+	if class != cache.Hit {
+		*m = words
+	} else {
+		*m |= words
+	}
+}
+
+// evict is the cache's eviction hook: it counts the displaced line's words.
+func (u *utilTracker) evict(line uint64, _ int, _ trace.Domain) {
+	u.Evictions++
+	u.WordsUsed += uint64(bits.OnesCount64(*u.maskOf(line)))
+	u.WordsTotal += u.lineWords
 }
 
 // checkLayouts validates that the layouts match the trace's programs.

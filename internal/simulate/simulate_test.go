@@ -237,3 +237,92 @@ func TestRunUtilFullLineUsage(t *testing.T) {
 		t.Fatalf("utilization = %v, want 1.0", got)
 	}
 }
+
+// trackedCache returns a cache of cfg with a utilization tracker attached,
+// and a fetch that accesses an OS line and marks words [from, to] of it.
+func trackedCache(t *testing.T, cfg cache.Config) (*cache.Cache, *utilTracker, func(line uint64, from, to int)) {
+	t.Helper()
+	c := cache.MustNew(cfg)
+	u, err := trackUtil(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, u, func(line uint64, from, to int) {
+		u.mark(line, c.AccessLine(line, trace.DomainOS), from, to)
+	}
+}
+
+func wantUtil(t *testing.T, u *utilTracker, evictions, used, total uint64) {
+	t.Helper()
+	if want := (UtilStats{Evictions: evictions, WordsUsed: used, WordsTotal: total}); u.UtilStats != want {
+		t.Fatalf("util = %+v, want %+v", u.UtilStats, want)
+	}
+}
+
+// TestTrackUtilWideLine is the regression test for the line-utilization
+// truncation bug: a 32-bit mask silently dropped use bits for words 32 and
+// up, so lines over 128B under-reported utilization.
+func TestTrackUtilWideLine(t *testing.T) {
+	// 64 words per line; 4KB/256B DM has 16 sets, so lines 0, 16 and 32
+	// share set 0.
+	c, u, fetch := trackedCache(t, cache.Config{Size: 4 << 10, Line: 256, Assoc: 1})
+	fetch(0, 32, 63) // entirely in the upper half of the mask
+	fetch(16, 0, 63) // full line
+	wantUtil(t, u, 1, 32, 64)
+	// Evict the full-marked line too and check all 64 bits survived.
+	c.AccessLine(32, trace.DomainOS)
+	wantUtil(t, u, 2, 32+64, 128)
+}
+
+func TestTrackUtilRejectsOverwideLines(t *testing.T) {
+	c := cache.MustNew(cache.Config{Size: 8 << 10, Line: 512, Assoc: 1}) // 128 words > 64-bit mask
+	if _, err := trackUtil(c); err == nil {
+		t.Fatal("512B line accepted for utilization tracking; mask would truncate")
+	}
+	c = cache.MustNew(cache.Config{Size: 8 << 10, Line: 256, Assoc: 1}) // exactly 64 words: fine
+	if _, err := trackUtil(c); err != nil {
+		t.Fatalf("256B line rejected: %v", err)
+	}
+}
+
+// TestTrackUtilRefetchRestartsMask: in a 2-way LRU set, a line's mask
+// accumulates over hits, is counted when the line is evicted, and restarts
+// when the line is fetched again.
+func TestTrackUtilRefetchRestartsMask(t *testing.T) {
+	// 2 sets of 2 ways, 8 words per line: lines 0, 2 and 4 share set 0.
+	_, u, fetch := trackedCache(t, cache.Config{Size: 128, Line: 32, Assoc: 2})
+	fetch(0, 0, 1)
+	fetch(0, 4, 5) // hit: line 0 has used 4 words
+	fetch(2, 0, 0)
+	fetch(4, 0, 0) // evicts line 0, the LRU way
+	wantUtil(t, u, 1, 4, 8)
+	fetch(0, 7, 7) // refetch: its mask restarts at one word; evicts line 2
+	wantUtil(t, u, 2, 5, 16)
+	fetch(4, 1, 1) // hit: line 0 is LRU again
+	fetch(2, 0, 0) // evicts line 0 with one word used, not five
+	wantUtil(t, u, 3, 6, 24)
+}
+
+// TestTrackUtilPartitionDrop: a line that a repartition drops is not
+// counted, since the cache reports no eviction for it, and its mask restarts
+// on its next fetch.
+func TestTrackUtilPartitionDrop(t *testing.T) {
+	// One set of 4 ways, 8 words per line.
+	c, u, fetch := trackedCache(t, cache.Config{Size: 128, Line: 32, Assoc: 4,
+		Part: cache.Partition{OSWays: 2, AppWays: 2}})
+	fetch(0, 0, 3)
+	fetch(1, 0, 0)
+	// The OS region shrinks to one way: it keeps line 1, its MRU line, and
+	// drops line 0.
+	if err := c.SetPartition(cache.Partition{OSWays: 1, AppWays: 3}, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Repartitions().Dropped; got != 1 {
+		t.Fatalf("dropped = %d, want 1", got)
+	}
+	wantUtil(t, u, 0, 0, 0)
+	fetch(0, 0, 0) // misses, restarting line 0's mask; evicts line 1
+	wantUtil(t, u, 1, 1, 8)
+	fetch(1, 0, 0) // evicts line 0 with one word used, not four
+	wantUtil(t, u, 2, 2, 16)
+}

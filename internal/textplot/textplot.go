@@ -78,20 +78,3 @@ func Profile(title string, values []uint64, width int) string {
 	sb.WriteString("\n")
 	return sb.String()
 }
-
-// PctRow formats a row of percentages with a label.
-func PctRow(label string, vals []float64) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-22s", label)
-	for _, v := range vals {
-		fmt.Fprintf(&sb, " %7.2f", v)
-	}
-	return sb.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -68,10 +68,3 @@ func TestProfileEmptyAndZero(t *testing.T) {
 		t.Fatalf("zero profile output: %q", out)
 	}
 }
-
-func TestPctRow(t *testing.T) {
-	out := PctRow("label", []float64{1.5, 2.5})
-	if !strings.Contains(out, "label") || !strings.Contains(out, "1.50") {
-		t.Fatalf("PctRow = %q", out)
-	}
-}
