@@ -9,9 +9,15 @@ package oslayout_test
 //
 //	go test -bench=. -benchmem
 //
-// The per-experiment benchmarks share one study environment (built on first
-// use), so each measures the incremental cost of regenerating its table or
-// figure, exactly what `cmd/oslayout <experiment>` does after startup.
+// Each per-experiment iteration runs its table or figure on a fresh study
+// environment, built with the timer stopped, so it measures what
+// `cmd/oslayout <experiment>` does after startup. The untimed build
+// (kernel synthesis, tracing and profiling at 1M references) still runs
+// once per iteration, so give those benchmarks a fixed count:
+//
+//	go test -run '^$' -bench 'Figure15|ExtLineUtil' -benchtime 5x .
+//
+// The substrate micro-benchmarks share one environment, built on first use.
 
 import (
 	"bytes"
@@ -51,11 +57,19 @@ func sharedEnv(b *testing.B) *expt.Env {
 	return benchEnv
 }
 
-// benchExperiment runs one registered experiment per iteration.
+// benchExperiment runs one registered experiment per iteration, each on a
+// fresh environment built outside the timer: an environment memoizes its
+// results, and its study its layouts and compiled streams, so reusing one
+// would time a lookup after the first iteration.
 func benchExperiment(b *testing.B, name string) {
-	env := sharedEnv(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env, err := expt.NewEnv(expt.Options{OSRefs: 1_000_000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		b.StartTimer()
 		if _, err := expt.Run(env, name); err != nil {
 			b.Fatal(err)
 		}

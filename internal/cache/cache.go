@@ -324,6 +324,37 @@ func (c *Cache) Probe() (p DMProbe, ok bool) {
 	return DMProbe{tags: c.ways, mask: c.setMask}, true
 }
 
+// MRUProbe is the read-only hit test of a cache's most-recently-used ways:
+// a line in way 0 of its set hits without moving anything, under LRU,
+// random replacement (a hit draws no random number) and any partition (way
+// 0 heads the first region, so promoting within it is a no-op). A batch
+// driver may therefore test it inline and call the access function only
+// when it fails; a failed test says nothing, as the line may sit in a later
+// way. Like DMProbe it aliases the tag array, which Flush, Reset and
+// SetPartition rewrite in place, so one probe stays valid for the cache's
+// lifetime.
+type MRUProbe struct {
+	tags  []uint64
+	mask  uint64
+	assoc uint64
+}
+
+// neverResident is the tag array of a probe that never hits: it holds only
+// emptyTag, which no line address equals.
+var neverResident = []uint64{emptyTag}
+
+// Hit reports whether the line is resident in its set's way 0.
+func (p *MRUProbe) Hit(line uint64) bool { return p.tags[(line&p.mask)*p.assoc] == line }
+
+// MRUProbe returns the cache's inline MRU-way hit test. A cache whose set
+// count is not a power of two gets a probe that never hits.
+func (c *Cache) MRUProbe() MRUProbe {
+	if !c.pow2 {
+		return MRUProbe{tags: neverResident}
+	}
+	return MRUProbe{tags: c.ways, mask: c.setMask, assoc: uint64(c.assoc)}
+}
+
 // DirectMappedPow2 reports whether the cache is direct-mapped with a
 // power-of-two set count. Two such caches with the same line size and
 // nested set counts satisfy set-refinement inclusion: the bigger cache's

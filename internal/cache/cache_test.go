@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,8 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
+	// A quarter of the int range: 2^62 on 64-bit builds, 2^30 on 32-bit.
+	const quarter = math.MaxInt/2 + 1
 	good := []Config{
 		{Size: 8 << 10, Line: 32, Assoc: 1},
 		{Size: 8 << 10, Line: 16, Assoc: 8},
@@ -31,10 +35,10 @@ func TestConfigValidate(t *testing.T) {
 		{Size: 8 << 10, Line: 1, Assoc: 1},   // narrower than a word
 		{Size: 8 << 10, Line: 2, Assoc: 1},   // narrower than a word
 		// Line*assoc wraps to 0 in int arithmetic.
-		{Size: 8 << 10, Line: 32, Assoc: 1 << 59},
-		{Size: 8 << 10, Line: 1 << 62, Assoc: 4},
+		{Size: 8 << 10, Line: 32, Assoc: quarter / 8},
+		{Size: 8 << 10, Line: quarter, Assoc: 4},
 		// The way counts' sum wraps negative in int arithmetic.
-		{Size: 8 << 10, Line: 32, Assoc: 4, Part: Partition{OSWays: 1 << 62, AppWays: 1 << 62, ResvWays: 1 << 62}},
+		{Size: 8 << 10, Line: 32, Assoc: 4, Part: Partition{OSWays: quarter, AppWays: quarter, ResvWays: quarter}},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -414,6 +418,92 @@ func TestDMProbeMatchesAccess(t *testing.T) {
 	} {
 		if _, ok := MustNew(cfg).Probe(); ok {
 			t.Errorf("%v: probe offered for a geometry that is not DirectMappedPow2", cfg)
+		}
+	}
+}
+
+// TestMRUProbeMatchesAccess checks the MRU-way probe against the access
+// path over random streams: a probe hit must be an access hit that moves no
+// way, draws no random number and counts nothing, on LRU, random-replacement
+// and partitioned caches, with reserved lines and with keep and drop
+// repartitions mid-stream. A cache whose set count is not a power of two
+// gets a probe that never hits.
+func TestMRUProbeMatchesAccess(t *testing.T) {
+	for _, cfg := range []Config{
+		{Size: 1 << 10, Line: 32, Assoc: 1},
+		{Size: 2 << 10, Line: 32, Assoc: 4},
+		{Size: 768, Line: 32, Assoc: 3},
+		{Size: 4 << 10, Line: 64, Assoc: 8, Policy: RandomReplacement},
+		{Size: 2 << 10, Line: 32, Assoc: 8, Part: Partition{OSWays: 4, AppWays: 4}},
+		{Size: 4 << 10, Line: 64, Assoc: 8, Policy: RandomReplacement, Part: Partition{OSWays: 3, AppWays: 3, ResvWays: 2}},
+		// Three sets each.
+		{Size: 192, Line: 32, Assoc: 2},
+		{Size: 384, Line: 32, Assoc: 4, Part: Partition{OSWays: 2, AppWays: 2}},
+	} {
+		c := MustNew(cfg)
+		p := c.MRUProbe()
+		pow2 := c.Sets()&(c.Sets()-1) == 0
+		hi := uint64(trace.AppBase) / uint64(cfg.Line)
+		var pool, resv []uint64
+		for l := uint64(0); l < uint64(2*len(c.ways)+4); l++ {
+			pool = append(pool, l, hi+l)
+			if l%4 == 0 {
+				resv = append(resv, l)
+			}
+		}
+		if cfg.Part.ResvWays > 0 {
+			if err := c.SetReservedLines(resv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(cfg.Size + cfg.Assoc)))
+		var probeHits, hits int
+		var reparts [2]int
+		for i := 0; i < 20000; i++ {
+			if cfg.Part.Enabled() && i%997 == 996 {
+				os := 1 + rng.Intn(cfg.Assoc-1)
+				app := 1 + rng.Intn(cfg.Assoc-os)
+				split := Partition{OSWays: os, AppWays: app, ResvWays: rng.Intn(cfg.Assoc - os - app + 1)}
+				keep := rng.Intn(2)
+				if err := c.SetPartition(split, keep == 1); err != nil {
+					t.Fatal(err)
+				}
+				reparts[keep]++
+			}
+			// Half the accesses go to a hot 16 lines so every cache hits.
+			l := pool[rng.Intn(len(pool))]
+			if rng.Intn(2) == 0 {
+				l = pool[rng.Intn(16)]
+			}
+			d := trace.Domain(rng.Intn(2))
+			if !p.Hit(l) {
+				if c.AccessLine(l, d) == Hit {
+					hits++
+				}
+				continue
+			}
+			probeHits++
+			hits++
+			ways, state, stats := slices.Clone(c.ways), c.rng, c.Stats
+			if got := c.AccessLine(l, d); got != Hit {
+				t.Fatalf("%v access %d: MRU probe hit line %d, access = %v", cfg, i, l, got)
+			}
+			if !slices.Equal(c.ways, ways) || c.rng != state || c.Stats != stats {
+				t.Fatalf("%v access %d: an MRU hit on line %d changed the cache", cfg, i, l)
+			}
+		}
+		switch {
+		case !pow2 && probeHits > 0:
+			t.Errorf("%v: %d probe hits on a cache without power-of-two sets", cfg, probeHits)
+		case pow2 && probeHits == 0:
+			t.Errorf("%v: degenerate sequence, no MRU hit", cfg)
+		case pow2 && cfg.Assoc > 1 && probeHits == hits:
+			t.Errorf("%v: degenerate sequence, all %d hits in the MRU way", cfg, hits)
+		case !pow2 && hits == 0:
+			t.Errorf("%v: degenerate sequence, no hit", cfg)
+		}
+		if cfg.Part.Enabled() && (reparts[0] == 0 || reparts[1] == 0) {
+			t.Errorf("%v: repartitions %d dropping and %d keeping, want both", cfg, reparts[0], reparts[1])
 		}
 	}
 }

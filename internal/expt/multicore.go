@@ -248,7 +248,9 @@ func (e *Env) RunFigure19() (*Figure19, error) {
 		// Private baseline: each CPU's own trace through the single-CPU
 		// engine on its capacity slice under both layouts. A materialised
 		// merged trace holds every CPU's trace, so it is cut out, one CPU
-		// at a time; a header-only one streams it from the CPU's source.
+		// at a time; a header-only one carries each CPU's header-only
+		// trace, whose totals the merging walk counted, and replaying it
+		// regenerates the CPU's trace from its source.
 		private := make([]simulate.Group, nl)
 		for l, osL := range osLayouts {
 			private[l] = simulate.Group{OS: osL, App: appL, Configs: []cache.Config{privateCfg}}
@@ -256,12 +258,7 @@ func (e *Env) RunFigure19() (*Figure19, error) {
 		refs := make([]uint64, nl)
 		misses := make([]uint64, nl)
 		for c := 0; c < cpus; c++ {
-			var tr *trace.Trace
-			if mt.Streaming() {
-				tr, err = ms.Source(c).Trace(nil)
-			} else {
-				tr, err = mt.CPUTrace(c)
-			}
+			tr, err := mt.CPUTrace(c)
 			if err != nil {
 				return err
 			}

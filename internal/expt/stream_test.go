@@ -92,3 +92,36 @@ func TestStreamedCompareOpensEachSourceOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamedFig19WalksEachCPUThrice checks that a streamed fig19 starts
+// three generators per CPU per workload: the merged walk that counts the
+// trace and its CPU schedule, the merged (shared-cache) replay, and the
+// private replay, whose header-only per-CPU trace takes its totals from
+// the merged walk instead of counting them in a walk of its own. Its
+// rendering matches the materialised run's byte for byte.
+func TestStreamedFig19WalksEachCPUThrice(t *testing.T) {
+	const refs, cpus = 60_000, 4
+	mat, err := NewEnv(Options{OSRefs: refs, Stream: oslayout.StreamOff, CPUs: cpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := NewEnv(Options{OSRefs: refs, Stream: oslayout.StreamOn, ChunkEvents: 4 << 10, CPUs: cpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := Run(mat, "fig19")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := workload.Opens()
+	rs, err := Run(str, "fig19")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, want := workload.Opens()-before, int64(3*cpus*len(str.St.Data)); n != want {
+		t.Errorf("streamed fig19 started %d trace generators, want %d (3 per CPU for each of %d workloads)", n, want, len(str.St.Data))
+	}
+	if sm, ss := rm.Render(), rs.Render(); sm != ss {
+		t.Errorf("streamed fig19 differs from materialised:\n%s\nwant:\n%s", ss, sm)
+	}
+}

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"oslayout/internal/cache"
@@ -30,9 +32,12 @@ func TestParse(t *testing.T) {
 	}
 }
 
-// overflowSpec's way counts sum past the int range; a sum that wraps
-// negative once let it through as a valid split.
-const overflowSpec = "static,os=4611686018427387904,app=4611686018427387904,resv=4611686018427387904"
+// overflowSpec's way counts, a quarter of the int range each (2^62 on
+// 64-bit builds), sum past the int range; a sum that wraps negative once
+// let it through as a valid split.
+var overflowSpec = fmt.Sprintf("static,os=%d,app=%d,resv=%d", quarter, quarter, quarter)
+
+const quarter = math.MaxInt/2 + 1
 
 func TestWithDefaults(t *testing.T) {
 	cases := []struct {

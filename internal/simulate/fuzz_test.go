@@ -20,9 +20,11 @@ import (
 //   - cuts: each byte is one window's length in events; the events left
 //     after the last cut form a final window.
 //
-// After each window the access buffer's capacity must be the largest
-// window's exact count so far, and the offset buffer's the longest
-// window's length: the buffers grow only to what a window needs.
+// Each window's accesses, and its per-event access counts when they are
+// asked for, must equal the reference's. After each window the access
+// buffer's capacity must be the largest window's exact count so far, and
+// the count buffer's the longest window's length: the buffers grow only to
+// what a window needs.
 func FuzzChunkCompile(f *testing.F) {
 	// Spans of 4 lines at lines 0, 8 and 16, and of 2 lines at line 19.
 	// The first window needs 8 accesses. The second's first two events fit
@@ -71,11 +73,11 @@ func checkChunkCompile(tb testing.TB, spanBytes, events, cuts []byte) (midGrows 
 		attrs[i] = uint32(d)<<eventDomainShift | uint32(int(e&127)%len(spans[d]))
 	}
 
-	// Two compilers, with and without per-event offsets, each with its own
-	// reused window; prev starts where newChunkCompiler starts it.
-	withEnds := &chunkCompiler{spans: spans, prev: ^uint32(0)}
-	noEnds := &chunkCompiler{spans: spans, prev: ^uint32(0)}
-	var lwEnds, lwNoEnds lineWindow
+	// Two compilers, with and without per-event access counts, each with
+	// its own reused window; prev starts where newChunkCompiler starts it.
+	withCounts := &chunkCompiler{spans: spans, prev: ^uint32(0)}
+	noCounts := &chunkCompiler{spans: spans, prev: ^uint32(0)}
+	var lwCounts, lwNoCounts lineWindow
 	prev := ^uint32(0)
 	maxAccs, maxEvents := 0, 0
 	for w, lo := 0, 0; lo < len(attrs) || w <= len(cuts); w++ {
@@ -86,20 +88,17 @@ func checkChunkCompile(tb testing.TB, spanBytes, events, cuts []byte) (midGrows 
 		window := attrs[lo:hi]
 		lo = hi
 
-		var wantAccs, wantEnds []uint32
-		wantAccs, wantEnds, prev = naiveCompile(spans, prev, window)
-		if len(window) > 0 && wantEnds[0] > 0 && int(wantEnds[0]) <= cap(lwNoEnds.accs) && len(wantAccs) > cap(lwNoEnds.accs) {
+		var wantAccs []uint32
+		var wantCounts []uint8
+		wantAccs, wantCounts, prev = naiveCompile(spans, prev, window)
+		if len(window) > 0 && wantCounts[0] > 0 && int(wantCounts[0]) <= cap(lwNoCounts.accs) && len(wantAccs) > cap(lwNoCounts.accs) {
 			midGrows++
 		}
 		maxAccs, maxEvents = max(maxAccs, len(wantAccs)), max(maxEvents, len(window))
 
-		if err := withEnds.compile(window, &lwEnds, true); err != nil {
-			tb.Fatalf("window %d: %v", w, err)
-		}
-		if err := noEnds.compile(window, &lwNoEnds, false); err != nil {
-			tb.Fatalf("window %d: %v", w, err)
-		}
-		for _, lw := range []lineWindow{lwEnds, lwNoEnds} {
+		withCounts.compile(window, &lwCounts, true)
+		noCounts.compile(window, &lwNoCounts, false)
+		for _, lw := range []lineWindow{lwCounts, lwNoCounts} {
 			if !slices.Equal(lw.accs, wantAccs) {
 				tb.Fatalf("window %d %v: accesses %v, want %v", w, window, lw.accs, wantAccs)
 			}
@@ -107,14 +106,14 @@ func checkChunkCompile(tb testing.TB, spanBytes, events, cuts []byte) (midGrows 
 				tb.Fatalf("window %d: access buffer capacity %d, want the largest exact count %d", w, cap(lw.accs), maxAccs)
 			}
 		}
-		if !slices.Equal(lwEnds.eventEnd, wantEnds) {
-			tb.Fatalf("window %d %v: event ends %v, want %v", w, window, lwEnds.eventEnd, wantEnds)
+		if !slices.Equal(lwCounts.counts, wantCounts) {
+			tb.Fatalf("window %d %v: event access counts %v, want %v", w, window, lwCounts.counts, wantCounts)
 		}
-		if cap(lwEnds.eventEnd) != maxEvents {
-			tb.Fatalf("window %d: offset buffer capacity %d, want the longest window %d", w, cap(lwEnds.eventEnd), maxEvents)
+		if cap(lwCounts.counts) != maxEvents {
+			tb.Fatalf("window %d: count buffer capacity %d, want the longest window %d", w, cap(lwCounts.counts), maxEvents)
 		}
-		if lwNoEnds.eventEnd != nil {
-			tb.Fatalf("window %d: compiled without offsets, got %v", w, lwNoEnds.eventEnd)
+		if lwNoCounts.counts != nil {
+			tb.Fatalf("window %d: compiled without counts, got %v", w, lwNoCounts.counts)
 		}
 	}
 	return midGrows
@@ -122,19 +121,21 @@ func checkChunkCompile(tb testing.TB, spanBytes, events, cuts []byte) (midGrows 
 
 // naiveCompile is the reference compiler: it expands every span line by
 // line and elides each line equal to the one before it, carrying prev from
-// the previous window, and returns the window's accesses, its per-event end
-// offsets and the new prev.
-func naiveCompile(spans [trace.NumDomains][]lineSpan, prev uint32, attrs []uint32) (accs, ends []uint32, last uint32) {
+// the previous window, and returns the window's accesses, the number each
+// event emitted and the new prev.
+func naiveCompile(spans [trace.NumDomains][]lineSpan, prev uint32, attrs []uint32) (accs []uint32, counts []uint8, last uint32) {
 	for _, a := range attrs {
 		sp := spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
+		n := 0
 		for line := sp.First; line <= sp.Last; line++ {
 			if line == prev {
 				continue
 			}
 			prev = line
 			accs = append(accs, a&(1<<eventDomainShift)|line)
+			n++
 		}
-		ends = append(ends, uint32(len(accs)))
+		counts = append(counts, uint8(n))
 	}
-	return accs, ends, prev
+	return accs, counts, prev
 }

@@ -22,7 +22,6 @@ package simulate
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"oslayout/internal/cache"
@@ -55,22 +54,23 @@ func newChunkCompiler(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*
 
 // compile expands and elides one window of decoded block events into lw,
 // reusing its buffers. The emitted accesses are exactly the corresponding
-// slice of the whole-stream compilation; with ends, eventEnd holds the
-// per-event offsets (relative to the window) that observed drives walk,
-// and without it lw.eventEnd is left nil.
+// slice of the whole-stream compilation; with counts, lw.counts holds each
+// event's access count, which observed drives walk, and without it
+// lw.counts is left nil.
 //
 // One walk writes the window straight into the buffer while it has room.
 // Lines within a span strictly increase, so elision can strike only a
-// span's first line, and it is tested once per span. When a window
-// outgrows the buffer, the rest of the window is counted exactly
+// span's first line, and it is tested once per span; an event's count is
+// its span's length from the first line left after that test. When a
+// window outgrows the buffer, the rest of the window is counted exactly
 // (accessCount from the running prev) and the buffer grows to that total.
 // A buffer is thus reallocated only when a window needs more than any
 // before it, and its capacity is always the largest window's exact count.
-func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow, ends bool) error {
+func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow, counts bool) {
 	accs := lw.accs[:cap(lw.accs)]
-	var eventEnd []uint32
-	if ends {
-		eventEnd = emptied(lw.eventEnd, len(attrs))[:len(attrs)]
+	var cnt []uint8
+	if counts {
+		cnt = emptied(lw.counts, len(attrs))[:len(attrs)]
 	}
 	j := 0
 	prev := cc.prev
@@ -82,26 +82,21 @@ func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow, ends bool) erro
 			line++
 		}
 		prev = sp.Last
+		if counts {
+			cnt[i] = uint8(sp.Last + 1 - line)
+		}
 		for ; line <= sp.Last; line++ {
 			if j == len(accs) {
-				n := uint64(j) + uint64(sp.Last-line) + 1 + cc.accessCount(prev, attrs[i+1:])
-				if n > math.MaxUint32 {
-					return fmt.Errorf("simulate: window of %d line accesses exceeds the %d offset limit", n, math.MaxUint32)
-				}
-				grown := make([]uint32, n)
+				grown := make([]uint32, uint64(j)+uint64(sp.Last-line)+1+cc.accessCount(prev, attrs[i+1:]))
 				copy(grown, accs[:j])
 				accs = grown
 			}
 			accs[j] = dom | line
 			j++
 		}
-		if ends {
-			eventEnd[i] = uint32(j)
-		}
 	}
 	cc.prev = prev
-	lw.accs, lw.eventEnd = accs[:j], eventEnd
-	return nil
+	lw.accs, lw.counts = accs[:j], cnt
 }
 
 // accessCount returns the exact number of accesses compile emits for attrs
@@ -157,10 +152,10 @@ func runManyStreamed(t *trace.Trace, keys []streamKey, parts int,
 		compilers[s] = cc
 	}
 	// Only observed units walk a window event by event, so a stream no
-	// observer reads is compiled without per-event offsets.
-	ends := make([]bool, len(keys))
+	// observer reads is compiled without per-event access counts.
+	counts := make([]bool, len(keys))
 	for _, u := range units {
-		ends[u.stream] = ends[u.stream] || u.ws != nil
+		counts[u.stream] = counts[u.stream] || u.ws != nil
 	}
 
 	var refsTab [trace.NumDomains][]uint64
@@ -224,10 +219,7 @@ func runManyStreamed(t *trace.Trace, keys []streamKey, parts int,
 					d.attrs = append(d.attrs, uint32(e.Domain())<<eventDomainShift|uint32(e.Block()))
 				}
 				for s := range compilers {
-					if err := compilers[s].compile(d.attrs, &d.lines[s], ends[s]); err != nil {
-						work <- item{err: err}
-						return
-					}
+					compilers[s].compile(d.attrs, &d.lines[s], counts[s])
 				}
 				work <- item{d: d}
 			}

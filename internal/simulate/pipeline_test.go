@@ -63,19 +63,16 @@ func TestStreamedMatchesMaterialised(t *testing.T) {
 // of tr, read off its materialised stream s.
 func windowAccesses(tr *trace.Trace, s *Stream, chunk int) []uint32 {
 	var sizes []uint32
-	blocks, prev := 0, uint32(0)
+	blocks := 0
 	for lo := 0; lo < len(tr.Events); lo += chunk {
+		n := uint32(0)
 		for _, e := range tr.Events[lo:min(lo+chunk, len(tr.Events))] {
 			if e.IsBlock() {
+				n += uint32(s.counts[blocks])
 				blocks++
 			}
 		}
-		end := uint32(0)
-		if blocks > 0 {
-			end = s.eventEnd[blocks-1]
-		}
-		sizes = append(sizes, end-prev)
-		prev = end
+		sizes = append(sizes, n)
 	}
 	return sizes
 }

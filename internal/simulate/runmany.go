@@ -12,16 +12,43 @@ import (
 	"oslayout/internal/trace"
 )
 
-// runner is one cache's hoisted access function. probe is set on chain
-// members only, which test it inline and call access only on a miss. obs is
-// non-nil only on the observed drive path, and hit only when obs is also a
-// HitObserver (never on a chain member); the unobserved drive loops read
-// neither.
-type runner struct {
+// runner is one cache's hoisted access function and its inline hit test,
+// which the drive loops try first, calling access only when it fails: a
+// chain member's probe is its cache.DMProbe, a rest cache's its
+// cache.MRUProbe. obs is non-nil only on the observed drive path, and hit
+// only when obs is also a HitObserver (never on a chain member); the
+// unobserved drive loops read neither.
+type runner[P any] struct {
 	access func(uint64, trace.Domain) cache.MissClass
-	probe  cache.DMProbe
+	probe  P
 	obs    obs.Observer
 	hit    obs.HitObserver
+}
+
+// chainRunner and restRunner are the runners of a unit's inclusion chain
+// and of its other caches.
+type (
+	chainRunner = runner[cache.DMProbe]
+	restRunner  = runner[cache.MRUProbe]
+)
+
+// runners hoists the access function, probe and observers of each cache
+// in idx.
+func runners[P any](idx []int, caches []*cache.Cache, obsAt func(int) obs.Observer, probe func(*cache.Cache) P) []runner[P] {
+	rs := make([]runner[P], len(idx))
+	for k, i := range idx {
+		o := obsAt(i)
+		h, _ := o.(obs.HitObserver)
+		rs[k] = runner[P]{caches[i].AccessFunc(), probe(caches[i]), o, h}
+	}
+	return rs
+}
+
+// dmProbe returns a chain member's probe; buildUnits chains only caches
+// that have one.
+func dmProbe(c *cache.Cache) cache.DMProbe {
+	p, _ := c.Probe()
+	return p
 }
 
 // CacheSetup configures one freshly built cache before its replay starts —
@@ -197,7 +224,7 @@ func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 	// The whole compiled stream is one window.
 	data := &unitData{attrs: ev.attrs, refsTab: ev.refsTab, lines: make([]lineWindow, len(streams))}
 	for s, st := range streams {
-		data.lines[s] = lineWindow{accs: st.accs, eventEnd: st.eventEnd}
+		data.lines[s] = lineWindow{accs: st.accs, counts: st.counts}
 	}
 	driveUnits(units, data, opt.Workers)
 
@@ -242,16 +269,6 @@ func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Obse
 		sort.SliceStable(chainIdx, func(a, b int) bool {
 			return caches[chainIdx[a]].Sets() < caches[chainIdx[b]].Sets()
 		})
-		mkRunners := func(idx []int) []runner {
-			rs := make([]runner, len(idx))
-			for k, i := range idx {
-				probe, _ := caches[i].Probe() // the zero probe of a rest cache is never read
-				o := obsAt(i)
-				h, _ := o.(obs.HitObserver)
-				rs[k] = runner{caches[i].AccessFunc(), probe, o, h}
-			}
-			return rs
-		}
 		// The chain, when there is one, is item 0 and lands in unit 0. A
 		// unit owns its caches and observers exclusively, so units touch
 		// disjoint state and may drive concurrently over the shared
@@ -267,11 +284,23 @@ func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Obse
 			dealt[u] = append(dealt[u], i)
 		}
 		for u, rest := range dealt {
-			var chain []runner
+			var chain []int
 			if u == 0 {
-				chain = mkRunners(chainIdx)
+				chain = chainIdx
 			}
-			units = append(units, newDriveUnit(s, chain, mkRunners(rest)))
+			unit := driveUnit{
+				stream: s,
+				chain:  runners(chain, caches, obsAt, dmProbe),
+				rest:   runners(rest, caches, obsAt, (*cache.Cache).MRUProbe),
+			}
+			for _, part := range [][]int{chain, rest} {
+				for _, i := range part {
+					if o := obsAt(i); o != nil {
+						unit.ws = append(unit.ws, o)
+					}
+				}
+			}
+			units = append(units, unit)
 		}
 	}
 	return units
@@ -281,12 +310,12 @@ func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Obse
 const eventDomainShift = 31
 
 // lineWindow is one compiled stream's arrays for one replay window: the
-// elided accesses plus the per-event end offsets (relative to the window).
-// For a materialised replay the window is the whole stream; for a streamed
-// replay it is one chunk, or one part of a chunk.
+// elided accesses plus, when an observed unit reads the stream, each
+// event's access count. For a materialised replay the window is the whole
+// stream; for a streamed replay it is one chunk, or one part of a chunk.
 type lineWindow struct {
-	accs     []uint32
-	eventEnd []uint32
+	accs   []uint32
+	counts []uint8
 }
 
 // unitData is one replay window handed to the drive units: the window's
@@ -306,23 +335,11 @@ type unitData struct {
 // chunked replay is a plain continuation of cache state.
 type driveUnit struct {
 	stream int
-	chain  []runner
-	rest   []runner
-	// ws caches the unit's non-nil observers, in config order; computed once
+	chain  []chainRunner
+	rest   []restRunner
+	// ws caches the unit's non-nil observers, chain first; computed once
 	// at build time so per-window dispatch allocates nothing.
 	ws []obs.Observer
-}
-
-func newDriveUnit(stream int, chain, rest []runner) driveUnit {
-	u := driveUnit{stream: stream, chain: chain, rest: rest}
-	for _, rs := range [][]runner{chain, rest} {
-		for k := range rs {
-			if rs[k].obs != nil {
-				u.ws = append(u.ws, rs[k].obs)
-			}
-		}
-	}
-	return u
 }
 
 // drive replays one window through the unit's caches, picking the observed
@@ -330,7 +347,7 @@ func newDriveUnit(stream int, chain, rest []runner) driveUnit {
 func (u *driveUnit) drive(d *unitData) {
 	lw := &d.lines[u.stream]
 	if u.ws != nil {
-		driveWindowObserved(d.attrs, lw.eventEnd, lw.accs, d.refsTab, u.chain, u.rest, u.ws)
+		driveWindowObserved(d.attrs, lw.counts, lw.accs, d.refsTab, u.chain, u.rest, u.ws)
 	} else {
 		driveWindow(lw.accs, u.chain, u.rest)
 	}
@@ -394,8 +411,10 @@ func driveUnits(units []driveUnit, d *unitData, workers int) {
 // every larger chain member, with no state change either way) remains a
 // drive-time rule because it depends on per-cache hit state. A chain hit
 // costs one tag load and compare through the member's probe; a miss only
-// calls the access function, whose cache counts it by domain and class.
-func driveWindow(accs []uint32, chain, rest []runner) {
+// calls the access function, whose cache counts it by domain and class. A
+// rest cache's hit in its most-recently-used way changes nothing either,
+// so its MRU probe spares the call there.
+func driveWindow(accs []uint32, chain []chainRunner, rest []restRunner) {
 	for _, v := range accs {
 		line := uint64(v & streamLineMask)
 		d := trace.Domain(v >> eventDomainShift)
@@ -407,27 +426,31 @@ func driveWindow(accs []uint32, chain, rest []runner) {
 			r.access(line, d)
 		}
 		for k := range rest {
-			rest[k].access(line, d)
+			r := &rest[k]
+			if !r.probe.Hit(line) {
+				r.access(line, d)
+			}
 		}
 	}
 }
 
 // driveWindowObserved is driveWindow plus observer notification: the walk
-// follows the window's per-event offsets so every trace event — including
-// ones whose accesses were all elided at compile time — is announced to
-// every watcher of the unit in exact replay order, and each miss is
-// forwarded to its runner's observer with the block of the event that
-// caused it (evictions reach observers through the cache-side hook
+// follows the window's per-event access counts so every trace event —
+// including ones whose accesses were all elided at compile time — is
+// announced to every watcher of the unit in exact replay order, and each
+// miss is forwarded to its runner's observer with the block of the event
+// that caused it (evictions reach observers through the cache-side hook
 // installed at setup). A rest runner's HitObserver also hears of each of
-// its hits; chain members never carry one. The cache-visible access
-// sequence is exactly driveWindow's, so results stay bit-identical to the
-// unobserved path; and because every observer belongs to exactly one unit,
-// the per-observer event/miss sequence is identical whether units run
-// sequentially or in parallel, and whether windows arrive whole or chunked.
-func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint32,
-	refsTab [trace.NumDomains][]uint64, chain, rest []runner, watchers []obs.Observer) {
+// its hits, MRU probe hits included; chain members never carry one. The
+// cache-visible access sequence is exactly driveWindow's, so results stay
+// bit-identical to the unobserved path; and because every observer belongs
+// to exactly one unit, the per-observer event/miss sequence is identical
+// whether units run sequentially or in parallel, and whether windows arrive
+// whole or chunked.
+func driveWindowObserved(attrs []uint32, counts []uint8, accs []uint32,
+	refsTab [trace.NumDomains][]uint64, chain []chainRunner, rest []restRunner, watchers []obs.Observer) {
 
-	start := uint32(0)
+	j := 0
 	for i, a := range attrs {
 		d := trace.Domain(a >> eventDomainShift)
 		b := a & (1<<eventDomainShift - 1)
@@ -435,8 +458,7 @@ func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint32,
 		for _, w := range watchers {
 			w.Event(d, b, refs)
 		}
-		end := eventEnd[i]
-		for j := start; j < end; j++ {
+		for end := j + int(counts[i]); j < end; j++ {
 			line := uint64(accs[j] & streamLineMask)
 			for k := range chain {
 				r := &chain[k]
@@ -450,7 +472,11 @@ func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint32,
 			}
 			for k := range rest {
 				r := &rest[k]
-				switch cl := r.access(line, d); {
+				cl := cache.Hit
+				if !r.probe.Hit(line) {
+					cl = r.access(line, d)
+				}
+				switch {
 				case cl == cache.Hit:
 					if r.hit != nil {
 						r.hit.Hit(line, d)
@@ -460,6 +486,5 @@ func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint32,
 				}
 			}
 		}
-		start = end
 	}
 }

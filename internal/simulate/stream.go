@@ -20,8 +20,8 @@ import (
 //     exactly one Events regardless of how many layouts it is replayed under.
 //   - Stream: the layout- and line-size-dependent expansion — the elided
 //     line-access sequence with each access's fetching domain, plus
-//     per-event offsets so observed drives can announce events (and with
-//     them each miss's block) in exact replay order.
+//     per-event access counts so observed drives can announce events (and
+//     with them each miss's block) in exact replay order.
 //
 // Sharing the resolved reference stream across configurations is the classic
 // single-pass trick (Hill & Smith's all-associativity simulation, the
@@ -96,11 +96,13 @@ type Stream struct {
 	// line address below. CompileEvents rejects layouts whose line addresses
 	// reach 2^31 (a >2G-line code image).
 	accs []uint32
-	// eventEnd[i] is the end offset into accs of block event i's accesses
-	// (its start is eventEnd[i-1]), so observed drives can walk the stream
-	// event by event and announce every event — including ones whose
-	// accesses were all elided — in exact replay order.
-	eventEnd []uint32
+	// counts[i] is how many accesses of accs block event i owns, in order
+	// (its first is the sum of the counts before it), so observed drives
+	// can walk the stream event by event and announce every event —
+	// including ones whose accesses were all elided, with count 0 — in
+	// exact replay order. One byte suffices: CompileEvents rejects blocks
+	// spanning more than 255 lines.
+	counts []uint8
 }
 
 // streamLineMask extracts the line address from a packed access word; the
@@ -123,10 +125,8 @@ func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSiz
 		return nil, err
 	}
 	var lw lineWindow
-	if err := cc.compile(ev.attrs, &lw, true); err != nil {
-		return nil, err
-	}
-	return &Stream{lineSize: lineSize, ev: ev, accs: lw.accs, eventEnd: lw.eventEnd}, nil
+	cc.compile(ev.attrs, &lw, true)
+	return &Stream{lineSize: lineSize, ev: ev, accs: lw.accs, counts: lw.counts}, nil
 }
 
 // LineSize returns the line size the stream was compiled for.
@@ -140,9 +140,9 @@ func (s *Stream) Accesses() int { return len(s.accs) }
 func (s *Stream) Events() *Events { return s.ev }
 
 // Bytes estimates the stream's own memory footprint (excluding the shared
-// Events), for cache budgets.
+// Events), for cache budgets: four bytes per access and one per event.
 func (s *Stream) Bytes() int64 {
-	return int64(4*len(s.accs) + 4*len(s.eventEnd))
+	return int64(4*len(s.accs) + len(s.counts))
 }
 
 // StreamSource supplies compiled streams to RunGroups; implementations
@@ -164,14 +164,16 @@ func refsOf(p *program.Program) []uint64 {
 // lineSpan is the precomputed [First, Last] line-address range one block's
 // execution touches under a given line size. spanTables admits only line
 // addresses below the packed access word's domain bit, so a span fits in
-// two 32-bit words.
+// two 32-bit words, and only spans of at most maxSpanLines lines, so an
+// event's access count fits in a byte.
 type lineSpan struct {
 	First, Last uint32
 }
 
 // spanTables precomputes, for one line size, the line-address range each
 // block's execution covers under the given layouts, rejecting line
-// addresses that reach the packed access word's domain bit.
+// addresses that reach the packed access word's domain bit and blocks that
+// span more lines than a per-event count holds.
 func spanTables(t *trace.Trace, osL, appL *layout.Layout, lineSize int) ([trace.NumDomains][]lineSpan, error) {
 	shift := uint(bits.TrailingZeros(uint(lineSize)))
 	var tabs [trace.NumDomains][]lineSpan
@@ -185,15 +187,22 @@ func spanTables(t *trace.Trace, osL, appL *layout.Layout, lineSize int) ([trace.
 	return tabs, err
 }
 
+// maxSpanLines is the most lines one block may span in a compiled stream:
+// the largest per-event access count a byte holds.
+const maxSpanLines = 255
+
 func spansOf(l *layout.Layout, shift uint) ([]lineSpan, error) {
 	spans := make([]lineSpan, len(l.Addr))
 	for b, addr := range l.Addr {
 		size := l.Prog.Block(program.BlockID(b)).Size
-		last := (addr + uint64(size) - 1) >> shift
+		first, last := addr>>shift, (addr+uint64(size)-1)>>shift
 		if last > streamLineMask {
 			return nil, fmt.Errorf("simulate: line address %#x exceeds the packed 31-bit stream range; cannot compile", last)
 		}
-		spans[b] = lineSpan{uint32(addr >> shift), uint32(last)}
+		if n := last - first + 1; n > maxSpanLines {
+			return nil, fmt.Errorf("simulate: block %d spans %d lines, more than the %d a per-event access count holds; cannot compile", b, n, maxSpanLines)
+		}
+		spans[b] = lineSpan{uint32(first), uint32(last)}
 	}
 	return spans, nil
 }

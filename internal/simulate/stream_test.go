@@ -8,6 +8,7 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
 	"oslayout/internal/obs"
+	"oslayout/internal/progtest"
 	"oslayout/internal/trace"
 )
 
@@ -31,16 +32,16 @@ func TestCompileStreamProperties(t *testing.T) {
 		}
 	}
 	// Every access word carries its event's domain in bit 31.
-	start := uint32(0)
+	j := 0
 	for i, a := range s.ev.attrs {
-		for j := start; j < s.eventEnd[i]; j++ {
+		for end := j + int(s.counts[i]); j < end; j++ {
 			if got, want := s.accs[j]>>eventDomainShift, a>>eventDomainShift; got != want {
 				t.Fatalf("access %d of event %d: domain bit %d, event domain %d", j, i, got, want)
 			}
 		}
-		start = s.eventEnd[i]
 	}
-	// Event offsets must be monotone and cover the access array exactly.
+	// There is one access count per block event, and the counts cover the
+	// access array exactly.
 	blocks := 0
 	for _, e := range tr.Events {
 		if e.IsBlock() {
@@ -51,18 +52,14 @@ func TestCompileStreamProperties(t *testing.T) {
 	if ev.NumEvents() != blocks {
 		t.Errorf("NumEvents = %d, want %d block events", ev.NumEvents(), blocks)
 	}
-	if len(s.eventEnd) != ev.NumEvents() {
-		t.Fatalf("eventEnd length %d != %d events", len(s.eventEnd), ev.NumEvents())
+	if len(s.counts) != ev.NumEvents() {
+		t.Fatalf("%d access counts for %d events", len(s.counts), ev.NumEvents())
 	}
-	prev := uint32(0)
-	for i, end := range s.eventEnd {
-		if end < prev {
-			t.Fatalf("eventEnd[%d] = %d < %d: offsets not monotone", i, end, prev)
-		}
-		prev = end
+	if j != s.Accesses() {
+		t.Errorf("access counts sum to %d, want Accesses() = %d", j, s.Accesses())
 	}
-	if int(prev) != len(s.accs) {
-		t.Errorf("final eventEnd %d != %d accesses", prev, len(s.accs))
+	if want := int64(4*s.Accesses() + ev.NumEvents()); s.Bytes() != want {
+		t.Errorf("Bytes() = %d, want 4 × %d accesses + %d events = %d", s.Bytes(), s.Accesses(), ev.NumEvents(), want)
 	}
 	// Decoded reference totals must agree with the trace's own accounting.
 	wantOS, wantApp := tr.Refs()
@@ -70,8 +67,8 @@ func TestCompileStreamProperties(t *testing.T) {
 	if refs[trace.DomainOS] != wantOS || refs[trace.DomainApp] != wantApp {
 		t.Errorf("Refs = %v, want OS %d / App %d", refs, wantOS, wantApp)
 	}
-	if s.Bytes() <= 0 || ev.Bytes() <= 0 {
-		t.Errorf("non-positive size estimates: stream %d, events %d", s.Bytes(), ev.Bytes())
+	if ev.Bytes() <= 0 {
+		t.Errorf("non-positive events size estimate %d", ev.Bytes())
 	}
 }
 
@@ -116,6 +113,40 @@ func TestCompileErrors(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[0], want) {
 			t.Errorf("block at line %#x: streamed %+v, per-event %+v", line, got[0].Stats, want.Stats)
+		}
+	}
+
+	// An event's access count is one byte: a block spanning 256 lines is
+	// rejected, materialised and streamed; one spanning 255 compiles and
+	// replays, observed, exactly as the per-event loop does.
+	tiny := cache.Config{Size: 64, Line: 4, Assoc: 1}
+	for _, lines := range []int32{256, 255} {
+		p, _ := progtest.Linear(2, 4*lines)
+		l := layout.NewBase(p, 0)
+		wide := &trace.Trace{Name: "wide", OS: p}
+		for i := 0; i < 3; i++ {
+			wide.Events = append(wide.Events, trace.BlockEvent(trace.DomainOS, 0), trace.BlockEvent(trace.DomainOS, 1))
+		}
+		_, cerr := CompileEvents(Decode(wide), wide, l, nil, 4)
+		got, rerr := RunManyOpt(wide.ChunkView(1), l, nil, []cache.Config{tiny}, Options{})
+		if accept := lines <= 255; (cerr == nil) != accept || (rerr == nil) != accept {
+			t.Errorf("%d-line block: compile error %v, streamed replay error %v; want accepted = %v", lines, cerr, rerr, accept)
+			continue
+		}
+		if rerr != nil {
+			continue
+		}
+		observed, err := RunManyOpt(wide, l, nil, []cache.Config{tiny},
+			Options{Observers: []obs.Observer{obs.NewSimStats(2)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(wide, l, nil, tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0], want) || !reflect.DeepEqual(observed[0], want) {
+			t.Errorf("%d-line block: streamed %+v, observed %+v, per-event %+v", lines, got[0].Stats, observed[0].Stats, want.Stats)
 		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 
 // DefaultMaxBytes bounds the cache's estimated memory when New is given a
 // non-positive limit. An 8-strategy × 3-size compare grid at the default
-// 3M references per workload compiles ~474 MiB of streams; 1 GiB holds
+// 3M references per workload compiles ~312 MiB of streams; 1 GiB holds
 // that whole working set (the repeat-job fast path depends on it — an LRU
 // one notch smaller than a repeating scan evicts every entry just before
 // its reuse), while still capping serve daemons that chew through many

@@ -35,6 +35,10 @@ type MultiTrace struct {
 	// NumEvents(). Runs is always materialised, even for header-only
 	// streams — it is tiny relative to the events it schedules.
 	Runs []CPURun
+	// PerCPU, when set on a header-only merged trace, holds each CPU's own
+	// header-only trace, with the Totals the merging walk counted, for
+	// CPUTrace to hand out.
+	PerCPU []*Trace
 }
 
 // CheckRuns validates that the schedule covers the event stream exactly,
@@ -64,21 +68,25 @@ func (mt *MultiTrace) CheckRuns() error {
 	return nil
 }
 
-// CPUTrace cuts CPU cpu's own trace out of a materialised merged trace by
-// following the run schedule. Interleaving reorders events across CPUs,
-// never within one, so the result holds exactly the events the CPU's own
-// trace source generates, in order. A header-only merged trace holds no
-// events to cut, and a schedule that does not cover the events cannot be
-// followed; both are refused.
+// CPUTrace returns CPU cpu's own trace. From a materialised merged trace it
+// cuts the trace out by following the run schedule: interleaving reorders
+// events across CPUs, never within one, so the result holds exactly the
+// events the CPU's own trace source generates, in order. A header-only
+// merged trace hands out its PerCPU trace. A header-only merged trace
+// without PerCPU traces holds no events to cut, and a schedule that does
+// not cover the events cannot be followed; both are refused.
 func (mt *MultiTrace) CPUTrace(cpu int) (*Trace, error) {
+	if cpu < 0 || cpu >= mt.CPUs {
+		return nil, fmt.Errorf("trace: no CPU %d in a %d-CPU multi-trace", cpu, mt.CPUs)
+	}
 	if mt.Streaming() {
-		return nil, fmt.Errorf("trace: cannot cut CPU %d out of header-only multi-trace %q", cpu, mt.Name)
+		if len(mt.PerCPU) != mt.CPUs {
+			return nil, fmt.Errorf("trace: cannot cut CPU %d out of header-only multi-trace %q", cpu, mt.Name)
+		}
+		return mt.PerCPU[cpu], nil
 	}
 	if err := mt.CheckRuns(); err != nil {
 		return nil, err
-	}
-	if cpu < 0 || cpu >= mt.CPUs {
-		return nil, fmt.Errorf("trace: no CPU %d in a %d-CPU multi-trace", cpu, mt.CPUs)
 	}
 	n := 0
 	for _, r := range mt.Runs {

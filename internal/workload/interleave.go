@@ -251,7 +251,9 @@ func (ms *MultiSource) Generate() (*trace.MultiTrace, error) {
 // trace whose events are regenerated chunk-by-chunk on every replay. One
 // walk computes the CPU run schedule (tiny) and the totals, which are the
 // sum of the per-CPU generators' own: every CPU's trace runs to completion
-// in the merged one. The event stream itself is never retained.
+// in the merged one. Each CPU's own header-only trace, with its generator's
+// totals, goes in PerCPU, so a private replay needs no counting walk. The
+// event stream itself is never retained.
 func (ms *MultiSource) Trace() (*trace.MultiTrace, error) {
 	mt := &trace.MultiTrace{Trace: ms.srcs[0].header(), CPUs: len(ms.srcs)}
 	il := ms.interleaver(func(r trace.CPURun) { mt.Runs = append(mt.Runs, r) })
@@ -263,12 +265,13 @@ func (ms *MultiSource) Trace() (*trace.MultiTrace, error) {
 		}
 	}
 	tot := &trace.Totals{}
-	for _, g := range il.gens {
+	for c, g := range il.gens {
 		tot.Events += g.tot.Events
 		tot.Blocks += g.tot.Blocks
 		for d, n := range g.tot.Refs {
 			tot.Refs[d] += n
 		}
+		mt.PerCPU = append(mt.PerCPU, ms.srcs[c].headerOnly(g.tot))
 	}
 	mt.Trace.Source = ms.Open
 	mt.Trace.Total = tot

@@ -1,6 +1,11 @@
 package workload
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"oslayout/internal/trace"
+)
 
 // multiOpt is the test grid's interleaving shape: small enough that every
 // workload's merged stream builds in milliseconds, jittered (granularity 3)
@@ -103,6 +108,17 @@ func TestInterleavePreservesPerCPUSubsequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A header-only merged trace hands out each CPU's header-only trace,
+	// counted in the merging walk: it replays the CPU's own events with
+	// their totals, and the walk starts no generator beyond one per CPU.
+	before := Opens()
+	ht, err := ms.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Opens() - before; n != int64(mt.CPUs) {
+		t.Errorf("merged header-only trace started %d generators for %d CPUs", n, mt.CPUs)
+	}
 	for cpu := 0; cpu < mt.CPUs; cpu++ {
 		split, err := mt.CPUTrace(cpu)
 		if err != nil {
@@ -120,15 +136,36 @@ func TestInterleavePreservesPerCPUSubsequences(t *testing.T) {
 				t.Fatalf("cpu %d: event %d differs from the CPU's own trace", cpu, i)
 			}
 		}
+		header, err := ht.CPUTrace(cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !header.Streaming() || *header.Total != *own.Summarize() {
+			t.Errorf("cpu %d: header-only trace totals %+v, want the CPU's own %+v", cpu, header.Total, own.Summarize())
+		}
+		var replayed []trace.Event
+		r := header.Chunks()
+		for {
+			batch, err := r.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch) == 0 {
+				break
+			}
+			replayed = append(replayed, batch...)
+		}
+		if !slices.Equal(replayed, own.Events) {
+			t.Errorf("cpu %d: header-only trace replays %d events, not the CPU's own %d", cpu, len(replayed), len(own.Events))
+		}
 	}
 
-	// The split follows a schedule over held events: a header-only merged
-	// trace, or a schedule short of the events, is refused.
-	ht, err := ms.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ht.CPUTrace(0); err == nil {
+	// A header-only merged trace without per-CPU traces holds no events to
+	// cut, and a schedule short of the events cannot be followed: both are
+	// refused.
+	bare := *ht
+	bare.PerCPU = nil
+	if _, err := bare.CPUTrace(0); err == nil {
 		t.Error("CPUTrace split a header-only merged trace")
 	}
 	short := *mt

@@ -100,10 +100,15 @@ func (s *Source) Trace(feed func([]trace.Event)) (*trace.Trace, error) {
 			feed(batch)
 		}
 	}
-	tot := r.g.tot
+	return s.headerOnly(r.g.tot), nil
+}
+
+// headerOnly returns a header-only trace over the source whose generating
+// walk counted tot.
+func (s *Source) headerOnly(tot trace.Totals) *trace.Trace {
 	t := s.header()
 	t.Source, t.Total = s.Open, &tot
-	return t, nil
+	return t
 }
 
 // header returns the trace's name and programs, with no events.
