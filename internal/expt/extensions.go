@@ -329,9 +329,9 @@ type MultiCPU struct {
 
 // RunMultiCPU computes the per-CPU statistics. The per-CPU traces are the
 // same ones fig19 interleaves (the multi-source's walker-seed family, at
-// the study's reference target), each replayed independently through the
-// batched engine — honouring the environment's streaming mode, worker
-// bound, recorder and live-progress hook.
+// the study's reference target), each replayed once under Base and OptS
+// through the grouped engine — honouring the environment's streaming mode,
+// worker bound, recorder and live-progress hook.
 func (e *Env) RunMultiCPU() (*MultiCPU, error) {
 	cpus := e.cpus
 	cfg := DefaultCache
@@ -364,19 +364,22 @@ func (e *Env) RunMultiCPU() (*MultiCPU, error) {
 			return err
 		}
 		appL := appBaseOf(srcs[i])
+		groups := make([]simulate.Group, len(layouts))
+		var observers []obs.Observer
 		for li, osL := range layouts {
-			var observers []obs.Observer
+			groups[li] = simulate.Group{OS: osL, App: appL, Configs: []cache.Config{cfg}}
 			if e.onWindow != nil {
-				observers = []obs.Observer{e.progressObserver(i, cfg)}
+				observers = append(observers, e.progressObserver(i, cfg))
 			}
-			start := time.Now()
-			ress, err := simulate.RunManyOpt(tr, osL, appL,
-				[]cache.Config{cfg}, simulate.Options{Observers: observers, Workers: e.par})
-			if err != nil {
-				return err
-			}
-			e.recordReplay(tr, 1, start, ress...)
-			rates[i][li][cpu] = ress[0].Stats.MissRate()
+		}
+		start := time.Now()
+		ress, err := simulate.RunGroups(tr, groups, simulate.Options{Observers: observers, Workers: e.par})
+		if err != nil {
+			return err
+		}
+		e.recordReplay(tr, len(groups), start, ress...)
+		for li, res := range ress {
+			rates[i][li][cpu] = res.Stats.MissRate()
 		}
 		return nil
 	}); err != nil {

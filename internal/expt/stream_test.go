@@ -125,3 +125,35 @@ func TestStreamedFig19WalksEachCPUThrice(t *testing.T) {
 		t.Errorf("streamed fig19 differs from materialised:\n%s\nwant:\n%s", ss, sm)
 	}
 }
+
+// TestStreamedMultiCPUWalksEachCPUTwice checks that a streamed cpus
+// extension starts two generators per CPU per workload: the counting walk
+// that builds the CPU's header-only trace, and one replay under Base and
+// OptS together. Its rendering matches the materialised run's byte for
+// byte.
+func TestStreamedMultiCPUWalksEachCPUTwice(t *testing.T) {
+	const refs, cpus = 60_000, 4
+	mat, err := NewEnv(Options{OSRefs: refs, Stream: oslayout.StreamOff, CPUs: cpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := NewEnv(Options{OSRefs: refs, Stream: oslayout.StreamOn, ChunkEvents: 4 << 10, CPUs: cpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := Run(mat, "cpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := workload.Opens()
+	rs, err := Run(str, "cpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, want := workload.Opens()-before, int64(2*cpus*len(str.St.Data)); n != want {
+		t.Errorf("streamed cpus started %d trace generators, want %d (2 per CPU for each of %d workloads)", n, want, len(str.St.Data))
+	}
+	if sm, ss := rm.Render(), rs.Render(); sm != ss {
+		t.Errorf("streamed cpus differs from materialised:\n%s\nwant:\n%s", ss, sm)
+	}
+}

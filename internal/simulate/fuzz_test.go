@@ -4,13 +4,15 @@ import (
 	"slices"
 	"testing"
 
+	"oslayout/internal/cache"
+	"oslayout/internal/obs"
 	"oslayout/internal/trace"
 )
 
-// FuzzChunkCompile compiles an event sequence window by window into one
-// reused lineWindow, as the streamed pipeline does, and checks every window
-// against a naive per-line reference. The input is a span table, the block
-// events and the window lengths:
+// FuzzChunkCompile walks an event sequence window by window through drive
+// units, as a walked replay does, and compiles it whole, as CompileEvents
+// does, checking both against a naive per-line reference. The input is a
+// span table, the block events and the window lengths:
 //
 //   - spans: bytes 0..63 are the OS blocks and bytes 64..127 the
 //     application blocks; a byte b is a span of b&3+1 lines starting at
@@ -20,18 +22,20 @@ import (
 //   - cuts: each byte is one window's length in events; the events left
 //     after the last cut form a final window.
 //
-// Each window's accesses, and its per-event access counts when they are
-// asked for, must equal the reference's. After each window the access
-// buffer's capacity must be the largest window's exact count so far, and
-// the count buffer's the longest window's length: the buffers grow only to
-// what a window needs.
+// Two units walk the windows, each carrying its own elision state across
+// them: an unobserved one through a chain runner and an observed one
+// through a rest runner. Each runner's probe never hits, since its cache
+// is never accessed, and its access function records every line, so a
+// unit's recorded lines are exactly the ones it drives; the observed
+// unit's recorder also opens a count at each Event. Each window's lines,
+// and the observed unit's per-event counts, must equal the reference's,
+// and the whole compile's accesses and counts the reference's over all
+// events.
 func FuzzChunkCompile(f *testing.F) {
 	// Spans of 4 lines at lines 0, 8 and 16, and of 2 lines at line 19.
-	// The first window needs 8 accesses. The second's first two events fit
-	// that buffer, its third does not, and its fourth elides its first
-	// line against the third's last, which the count of the rest must see.
-	growSpans, growEvents, growCuts := []byte{3, 35, 67, 77}, []byte{0, 1, 0, 1, 2, 3}, []byte{2, 4}
-	f.Add(growSpans, growEvents, growCuts)
+	// The second window's fourth event elides its first line against the
+	// third's last.
+	f.Add([]byte{3, 35, 67, 77}, []byte{0, 1, 0, 1, 2, 3}, []byte{2, 4})
 	// Block 1 starts on block 0's last line, and a window starts with it.
 	f.Add([]byte{3, 13}, []byte{0, 1, 1, 0, 1}, []byte{1, 2})
 	// One single-line block repeated: every event after the first elides
@@ -44,25 +48,39 @@ func FuzzChunkCompile(f *testing.F) {
 	}
 	f.Add(spans, []byte{0, 128, 5, 133, 133, 200, 7, 255, 64, 1, 129, 2}, []byte{3, 0, 5})
 
-	if checkChunkCompile(f, growSpans, growEvents, growCuts) == 0 {
-		f.Fatal("no window of the growth seed outgrew its buffer after its first event")
-	}
-	f.Fuzz(func(t *testing.T, spans, events, cuts []byte) {
-		checkChunkCompile(t, spans, events, cuts)
-	})
+	f.Fuzz(checkChunkCompile)
 }
 
-// checkChunkCompile runs one FuzzChunkCompile input and returns how many
-// windows outgrew their buffer after their first event fitted it.
-func checkChunkCompile(tb testing.TB, spanBytes, events, cuts []byte) (midGrows int) {
-	tb.Helper()
+// lineRecorder stands in for a cache in FuzzChunkCompile: its access
+// function records every access as a packed access word and reports a hit,
+// and as an observer it opens a new per-event count at each Event.
+type lineRecorder struct {
+	accs   []uint32
+	counts []uint8
+}
+
+func (r *lineRecorder) access(line uint64, d trace.Domain) cache.MissClass {
+	r.accs = append(r.accs, uint32(d)<<eventDomainShift|uint32(line))
+	if len(r.counts) > 0 {
+		r.counts[len(r.counts)-1]++
+	}
+	return cache.Hit
+}
+
+func (r *lineRecorder) Begin(cache.Config, int)                            {}
+func (r *lineRecorder) Event(trace.Domain, uint32, uint64)                 { r.counts = append(r.counts, 0) }
+func (r *lineRecorder) Miss(uint64, trace.Domain, cache.MissClass, uint32) {}
+func (r *lineRecorder) Evict(uint64, int, trace.Domain)                    {}
+
+// checkChunkCompile runs one FuzzChunkCompile input.
+func checkChunkCompile(t *testing.T, spanBytes, events, cuts []byte) {
 	var spans [trace.NumDomains][]lineSpan
 	for i, b := range spanBytes[:min(len(spanBytes), 128)] {
 		first := uint32(b >> 2)
 		spans[i/64] = append(spans[i/64], lineSpan{first, first + uint32(b&3)})
 	}
 	if len(spans[trace.DomainOS]) == 0 {
-		return 0
+		return
 	}
 	attrs := make([]uint32, len(events))
 	for i, e := range events {
@@ -73,50 +91,50 @@ func checkChunkCompile(tb testing.TB, spanBytes, events, cuts []byte) (midGrows 
 		attrs[i] = uint32(d)<<eventDomainShift | uint32(int(e&127)%len(spans[d]))
 	}
 
-	// Two compilers, with and without per-event access counts, each with
-	// its own reused window; prev starts where newChunkCompiler starts it.
-	withCounts := &chunkCompiler{spans: spans, prev: ^uint32(0)}
-	noCounts := &chunkCompiler{spans: spans, prev: ^uint32(0)}
-	var lwCounts, lwNoCounts lineWindow
-	prev := ^uint32(0)
-	maxAccs, maxEvents := 0, 0
+	wantAccs, wantCounts, _ := naiveCompile(spans, noLine, attrs)
+	accs, counts := compile(attrs, &spans)
+	if !slices.Equal(accs, wantAccs) || !slices.Equal(counts, wantCounts) {
+		t.Fatalf("compile %v: accesses %v counts %v, want %v and %v", attrs, accs, counts, wantAccs, wantCounts)
+	}
+
+	// Fresh caches are never accessed, so their probes never hit.
+	probed := cache.MustNew(cache.Config{Size: 64, Line: 32, Assoc: 1})
+	dm, _ := probed.Probe()
+	plain, watched := &lineRecorder{}, &lineRecorder{}
+	units := []driveUnit{
+		{chain: []chainRunner{{access: plain.access, probe: dm}}, spans: &spans, prev: noLine},
+		{rest: []restRunner{{access: watched.access, probe: probed.MRUProbe()}},
+			ws: []obs.Observer{watched}, spans: &spans, prev: noLine},
+	}
+	d := &unitData{}
+	for dom, tab := range spans {
+		d.refsTab[dom] = make([]uint64, len(tab))
+	}
+	prev := noLine
 	for w, lo := 0, 0; lo < len(attrs) || w <= len(cuts); w++ {
 		hi := len(attrs)
 		if w < len(cuts) {
 			hi = min(lo+int(cuts[w]), len(attrs))
 		}
-		window := attrs[lo:hi]
+		d.attrs = attrs[lo:hi]
 		lo = hi
 
 		var wantAccs []uint32
 		var wantCounts []uint8
-		wantAccs, wantCounts, prev = naiveCompile(spans, prev, window)
-		if len(window) > 0 && wantCounts[0] > 0 && int(wantCounts[0]) <= cap(lwNoCounts.accs) && len(wantAccs) > cap(lwNoCounts.accs) {
-			midGrows++
+		wantAccs, wantCounts, prev = naiveCompile(spans, prev, d.attrs)
+		plain.accs, watched.accs, watched.counts = plain.accs[:0], watched.accs[:0], watched.counts[:0]
+		for k := range units {
+			units[k].drive(d)
 		}
-		maxAccs, maxEvents = max(maxAccs, len(wantAccs)), max(maxEvents, len(window))
-
-		withCounts.compile(window, &lwCounts, true)
-		noCounts.compile(window, &lwNoCounts, false)
-		for _, lw := range []lineWindow{lwCounts, lwNoCounts} {
-			if !slices.Equal(lw.accs, wantAccs) {
-				tb.Fatalf("window %d %v: accesses %v, want %v", w, window, lw.accs, wantAccs)
-			}
-			if cap(lw.accs) != maxAccs {
-				tb.Fatalf("window %d: access buffer capacity %d, want the largest exact count %d", w, cap(lw.accs), maxAccs)
+		for _, r := range []*lineRecorder{plain, watched} {
+			if !slices.Equal(r.accs, wantAccs) {
+				t.Fatalf("window %d %v: walked lines %v, want %v", w, d.attrs, r.accs, wantAccs)
 			}
 		}
-		if !slices.Equal(lwCounts.counts, wantCounts) {
-			tb.Fatalf("window %d %v: event access counts %v, want %v", w, window, lwCounts.counts, wantCounts)
-		}
-		if cap(lwCounts.counts) != maxEvents {
-			tb.Fatalf("window %d: count buffer capacity %d, want the longest window %d", w, cap(lwCounts.counts), maxEvents)
-		}
-		if lwNoCounts.counts != nil {
-			tb.Fatalf("window %d: compiled without counts, got %v", w, lwNoCounts.counts)
+		if !slices.Equal(watched.counts, wantCounts) {
+			t.Fatalf("window %d %v: observed walk's event access counts %v, want %v", w, d.attrs, watched.counts, wantCounts)
 		}
 	}
-	return midGrows
 }
 
 // naiveCompile is the reference compiler: it expands every span line by

@@ -245,11 +245,14 @@ func (h *heapSampler) Event(trace.Domain, uint32, uint64) {
 func (h *heapSampler) Miss(uint64, trace.Domain, cache.MissClass, uint32) {}
 func (h *heapSampler) Evict(uint64, int, trace.Domain)                    {}
 
-// TestStreamedGroupsWindowBytes checks the streamed pipeline's memory bound
-// does not grow with the group count: a replay under four layout pairs
-// splits each reader batch into four windows, so its window buffers hold
-// about as many compiled bytes as a one-group replay's, where four
-// whole-batch windows would hold about three times as many.
+// TestStreamedGroupsWindowBytes checks the walk's memory bound: a window
+// holds only its decoded events, whatever the group count. A replay under
+// four layout pairs, whose windows carry no per-group arrays and which
+// splits each reader batch into four windows, must grow the live heap by
+// no more than half as much again as a one-group replay. And a
+// materialised trace given no stream source walks too: its replay must
+// grow the live heap by less than the one compiled stream it used to
+// build, beside that stream's decoded events.
 func TestStreamedGroupsWindowBytes(t *testing.T) {
 	tr, osL, appL := mixedTrace(100_000, 3)
 	view := tr.ChunkView(32 << 10)
@@ -261,24 +264,35 @@ func TestStreamedGroupsWindowBytes(t *testing.T) {
 	}
 	// growth is the live heap a replay adds at its peak, sampled from an
 	// observer on the first configuration while the windows are in flight.
-	growth := func(gs []Group) uint64 {
+	growth := func(src *trace.Trace, gs []Group) uint64 {
 		h := &heapSampler{every: 2_000}
 		observers := make([]obs.Observer, len(gs))
 		observers[0] = h
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		if _, err := RunGroups(view, gs, Options{Observers: observers}); err != nil {
+		if _, err := RunGroups(src, gs, Options{Observers: observers}); err != nil {
 			t.Fatal(err)
 		}
+		// The caller keeps its trace: a materialised one must not count as
+		// freed once the walk has read it.
+		runtime.KeepAlive(src)
 		if h.peak < ms.HeapAlloc {
 			return 0
 		}
 		return h.peak - ms.HeapAlloc
 	}
-	one, four := growth(groups[:1]), growth(groups)
+	one, four := growth(view, groups[:1]), growth(view, groups)
 	if one == 0 || four > one*3/2 {
 		t.Errorf("live heap grew by %d B replaying four groups, %d B replaying one: window buffers grow with the group count", four, one)
+	}
+	s, err := CompileEvents(Decode(tr), tr, osL, appL, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := uint64(s.Bytes())
+	if mat := growth(tr, groups[:1]); mat == 0 || mat >= compiled {
+		t.Errorf("live heap grew by %d B replaying the materialised trace with no stream source, want 0 < growth < its compiled stream's %d B", mat, compiled)
 	}
 }
 

@@ -10,32 +10,42 @@ import (
 	"oslayout/internal/trace"
 )
 
-// TestStreamedMatchesMaterialised is the pipeline's acceptance test:
-// replaying a trace through the chunked pipeline must produce results
-// bit-identical to the materialised path, at every chunk size — including
-// one larger than the trace, so the whole stream is one window, and small
-// ones where a later window needs more accesses than a buffer's first,
-// exactly sized, window — and every worker count.
+// TestStreamedMatchesMaterialised is the walk's acceptance test. Its
+// baseline is the compiled path, a materialised trace through a stream
+// source, which must equal Run config by config. Walked replays must
+// reproduce it bit for bit: the materialised trace given no source, and
+// header-only views at every chunk size, including one larger than the
+// trace so the whole trace is one window, each at every worker count.
 func TestStreamedMatchesMaterialised(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
-	want, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
+	want, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{Streams: &countingSource{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := CompileEvents(Decode(tr), tr, osL, appL, 32)
-	if err != nil {
-		t.Fatal(err)
+	for i, cfg := range equivalenceGrid {
+		r, err := Run(tr, osL, appL, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want[i], r) {
+			t.Errorf("%v: compiled result differs from Run\n  compiled: %+v\n  Run:      %+v", cfg, want[i].Stats, r.Stats)
+		}
 	}
-	for _, chunk := range []int{100, 333} {
-		sizes := windowAccesses(tr, s, chunk)
-		grows := false
-		for k := 2; k < len(sizes); k++ {
-			// Two buffers alternate, so window k reuses window k%2's buffer.
-			grows = grows || sizes[k] > sizes[k%2]
+	check := func(t *testing.T, src *trace.Trace, workers int) {
+		t.Helper()
+		got, err := RunManyOpt(src, osL, appL, equivalenceGrid, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !grows {
-			t.Fatalf("chunk=%d: no later window outgrows its buffer's first (%v)", chunk, sizes)
+		for i := range equivalenceGrid {
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Errorf("%v: walked result differs from compiled\n  compiled: %+v\n  walked:   %+v",
+					equivalenceGrid[i], want[i].Stats, got[i].Stats)
+			}
 		}
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("materialised/workers=%d", workers), func(t *testing.T) { check(t, tr, workers) })
 	}
 	for _, chunk := range []int{100, 333, 1 << 10, 64 << 10, 1 << 20, len(tr.Events) + 1} {
 		for _, workers := range []int{1, 4} {
@@ -44,70 +54,49 @@ func TestStreamedMatchesMaterialised(t *testing.T) {
 				if !view.Streaming() {
 					t.Fatal("ChunkView did not produce a streaming trace")
 				}
-				got, err := RunManyOpt(view, osL, appL, equivalenceGrid, Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range equivalenceGrid {
-					if !reflect.DeepEqual(want[i], got[i]) {
-						t.Errorf("%v: streamed result differs from materialised\n  mat: %+v\n  str: %+v",
-							equivalenceGrid[i], want[i].Stats, got[i].Stats)
-					}
-				}
+				check(t, view, workers)
 			})
 		}
 	}
 }
 
-// windowAccesses returns the 32 B access count of each chunk-event window
-// of tr, read off its materialised stream s.
-func windowAccesses(tr *trace.Trace, s *Stream, chunk int) []uint32 {
-	var sizes []uint32
-	blocks := 0
-	for lo := 0; lo < len(tr.Events); lo += chunk {
-		n := uint32(0)
-		for _, e := range tr.Events[lo:min(lo+chunk, len(tr.Events))] {
-			if e.IsBlock() {
-				n += uint32(s.counts[blocks])
-				blocks++
-			}
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes
-}
-
 // TestStreamedObservedMatchesMaterialised checks that observers see the
 // identical event/miss/eviction sequence — and thus produce identical
-// windowed statistics — whether the replay is materialised or chunked.
+// windowed statistics — whether the replay drives a compiled stream (the
+// baseline, through a stream source) or walks the trace, materialised or
+// chunked into many windows. At 8 workers each of the two streams splits
+// into several units, and each unit carries its own elision state across
+// the windows.
 func TestStreamedObservedMatchesMaterialised(t *testing.T) {
 	tr, osL, appL := mixedTrace(20_000, 7)
 	cfgs := []cache.Config{
 		{Size: 1 << 10, Line: 32, Assoc: 1},
+		{Size: 2 << 10, Line: 32, Assoc: 2},
+		{Size: 2 << 10, Line: 32, Assoc: 4, Policy: cache.RandomReplacement},
 		{Size: 2 << 10, Line: 64, Assoc: 2},
+		{Size: 4 << 10, Line: 64, Assoc: 1},
 	}
-	collect := func(streamed bool, chunk, workers int) []*obs.SimStats {
+	collect := func(src *trace.Trace, opt Options) []*obs.SimStats {
 		t.Helper()
-		target := tr
-		if streamed {
-			target = tr.ChunkView(chunk)
-		}
-		observers := make([]obs.Observer, len(cfgs))
 		stats := make([]*obs.SimStats, len(cfgs))
+		opt.Observers = make([]obs.Observer, len(cfgs))
 		for i := range cfgs {
-			s := obs.NewSimStats(16)
-			stats[i] = s
-			observers[i] = s
+			stats[i] = obs.NewSimStats(16)
+			opt.Observers[i] = stats[i]
 		}
-		if _, err := RunManyOpt(target, osL, appL, cfgs, Options{Observers: observers, Workers: workers}); err != nil {
+		if _, err := RunManyOpt(src, osL, appL, cfgs, opt); err != nil {
 			t.Fatal(err)
 		}
 		return stats
 	}
-	want := collect(false, 0, 1)
-	for _, chunk := range []int{512, 8 << 10} {
-		for _, workers := range []int{1, 4} {
-			got := collect(true, chunk, workers)
+	want := collect(tr, Options{Streams: &countingSource{}})
+	for _, chunk := range []int{0, 100, 512, 8 << 10} {
+		for _, workers := range []int{1, 4, 8} {
+			src := tr
+			if chunk > 0 {
+				src = tr.ChunkView(chunk)
+			}
+			got := collect(src, Options{Workers: workers})
 			for i := range cfgs {
 				if !reflect.DeepEqual(want[i].Windows, got[i].Windows) {
 					t.Errorf("chunk=%d workers=%d cfg=%v: windowed series differ", chunk, workers, cfgs[i])

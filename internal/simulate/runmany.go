@@ -57,7 +57,8 @@ func dmProbe(c *cache.Cache) cache.DMProbe {
 type CacheSetup func(*cache.Cache) error
 
 // Options tunes a RunGroups or RunManyOpt replay. The zero value selects
-// no observers, no setups, direct compilation and the sequential drive.
+// no observers, no setups, a walk that compiles nothing and the sequential
+// drive.
 type Options struct {
 	// Observers, when non-nil, must match the replay's configurations in
 	// length (the groups' configs concatenated in order); Observers[i]
@@ -70,14 +71,15 @@ type Options struct {
 	// repartitioning installed here touches only its own cache: it stays
 	// bit-identical at any worker count.
 	Setups []CacheSetup
-	// Streams supplies compiled line streams; nil compiles directly,
-	// sharing one trace decode across the call's streams. A memoizing
-	// source (internal/streamcache) additionally shares compilations across
-	// calls.
+	// Streams supplies compiled line streams for a materialised trace; a
+	// memoizing source (internal/streamcache) shares each compilation
+	// across calls. nil walks the trace and compiles nothing: the drive
+	// units expand each event's line span as they drive. A header-only
+	// trace always walks.
 	Streams StreamSource
 	// Workers bounds the drive worker pool. Values <= 1 select the
-	// sequential path: one pass per compiled stream driving every cache
-	// that reads it. Higher values split each stream's caches into up to
+	// sequential path: one pass per stream driving every cache that reads
+	// it. Higher values split each stream's caches into up to
 	// ⌈Workers/streams⌉ units — a direct-mapped inclusion chain always
 	// whole, the other caches dealt round-robin — and fan the units across
 	// min(Workers, units) goroutines over the shared read-only streams.
@@ -101,9 +103,9 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 	return RunGroups(t, []Group{{OS: osL, App: appL, Configs: cfgs}}, opt)
 }
 
-// streamKey identifies one compiled stream of a replay: caches of any group
-// sharing a layout pair and a line size see the exact same line-access
-// sequence, so they read one stream.
+// streamKey identifies one stream of a replay: caches of any group sharing
+// a layout pair and a line size see the exact same line-access sequence, so
+// they read one stream.
 type streamKey struct {
 	os, app *layout.Layout
 	line    int
@@ -112,13 +114,16 @@ type streamKey struct {
 // RunGroups is the single-pass multi-configuration engine: where repeated
 // Run calls replay the trace once per cache organisation — re-decoding every
 // event and re-resolving every block address each time — RunGroups reads
-// the trace once, compiles it once per distinct (layout pair, line size)
-// into a flat pre-elided line stream (see CompileEvents) and drives every
-// cache reading that stream from it (in the spirit of Hill & Smith's
+// the trace once and drives every cache sharing a (layout pair, line size)
+// from one line-access stream (in the spirit of Hill & Smith's
 // all-associativity and the Cheetah-style single-pass simulators cited by
-// the paper's successors). A header-only trace is therefore regenerated
-// once per call, however many groups the call carries. It returns one
-// Result per configuration, the groups' configs concatenated in order, each
+// the paper's successors). Given a stream source, a materialised trace
+// drives flat pre-elided streams the source compiled and keeps (see
+// CompileEvents); every other replay walks the trace window by window,
+// each drive unit expanding its stream's line spans as it goes, and
+// compiles nothing. A header-only trace is therefore regenerated once per
+// call, however many groups the call carries. It returns one Result per
+// configuration, the groups' configs concatenated in order, each
 // bit-identical to the one the equivalent Run call produces.
 //
 // Options add per-config observers and setups, a pluggable stream source
@@ -189,48 +194,58 @@ func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 	}
 	units := buildUnits(members, caches, obsAt, opt.Workers)
 
-	// Header-only traces replay through the chunked pipeline: the stream is
-	// regenerated, compiled and driven window by window, never materialised.
-	if t.Streaming() {
-		return runManyStreamed(t, keys, parts, caches, results, obsAt, units, opt)
-	}
-
-	streams := make([]*Stream, len(keys))
-	var ev *Events
-	for s, k := range keys {
-		var err error
-		if opt.Streams != nil {
-			streams[s], err = opt.Streams.Stream(t, k.os, k.app, k.line)
-		} else {
-			if ev == nil {
-				ev = Decode(t)
+	// Only a stream source compiles, and it keeps what it compiles. Every
+	// other replay walks the trace: each unit expands its stream's spans
+	// from a table shared with the stream's other units, carrying its own
+	// elision state across windows.
+	walked := t.Streaming() || opt.Streams == nil
+	var streams []*Stream
+	var blocks int
+	var refs [trace.NumDomains]uint64
+	if walked {
+		spans := make([][trace.NumDomains][]lineSpan, len(keys))
+		for s, k := range keys {
+			var err error
+			if spans[s], err = spanTables(t, k.os, k.app, k.line); err != nil {
+				return nil, err
 			}
-			streams[s], err = CompileEvents(ev, t, k.os, k.app, k.line)
 		}
-		if err != nil {
-			return nil, err
+		for k := range units {
+			units[k].spans, units[k].prev = &spans[units[k].stream], noLine
 		}
+		tot := t.Summarize()
+		blocks, refs = tot.Blocks, tot.Refs
+	} else {
+		streams = make([]*Stream, len(keys))
+		for s, k := range keys {
+			var err error
+			if streams[s], err = opt.Streams.Stream(t, k.os, k.app, k.line); err != nil {
+				return nil, err
+			}
+		}
+		ev := streams[0].Events()
+		blocks, refs = ev.NumEvents(), ev.Refs()
 	}
 
-	ev = streams[0].Events()
-	refs := ev.Refs()
 	for i := range caches {
 		if o := obsAt(i); o != nil {
-			o.Begin(results[i].Config, ev.NumEvents())
+			o.Begin(results[i].Config, blocks)
 			caches[i].SetEvictionHook(o.Evict)
 		}
 	}
-
-	// The whole compiled stream is one window.
-	data := &unitData{attrs: ev.attrs, refsTab: ev.refsTab, lines: make([]lineWindow, len(streams))}
-	for s, st := range streams {
-		data.lines[s] = lineWindow{accs: st.accs, counts: st.counts}
+	if walked {
+		if err := walk(t, parts, units, opt.Workers); err != nil {
+			return nil, err
+		}
+	} else {
+		// The whole compiled stream is one window.
+		ev := streams[0].Events()
+		driveUnits(units, &unitData{attrs: ev.attrs, refsTab: ev.refsTab, streams: streams}, opt.Workers)
 	}
-	driveUnits(units, data, opt.Workers)
 
 	for i := range results {
 		// Per-domain references are a property of the trace alone, so they
-		// are summed once during decode and stamped on every cache.
+		// are counted once and stamped on every cache.
 		caches[i].Stats.Refs = refs
 		results[i].Stats = caches[i].Stats
 	}
@@ -246,11 +261,11 @@ func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 // stays out of the chain. The chain is therefore one item that must stay
 // whole; every other cache is an item of its own.
 //
-// Every unit walks every access of its stream's windows (and, observed,
-// every event), so each unit costs a walk: a stream's items are dealt
-// round-robin into min(items, ⌈workers/streams⌉) units, enough to occupy
-// the workers and no more. With workers <= 1 each stream's caches are one
-// unit, driven in a single pass.
+// Every unit walks every event and access of its stream's windows, so each
+// unit costs a walk: a stream's items are dealt round-robin into
+// min(items, ⌈workers/streams⌉) units, enough to occupy the workers and no
+// more. With workers <= 1 each stream's caches are one unit, driven in a
+// single pass.
 func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Observer, workers int) []driveUnit {
 	perStream := 1
 	if workers > 1 {
@@ -309,22 +324,15 @@ func buildUnits(members [][]int, caches []*cache.Cache, obsAt func(int) obs.Obse
 // eventDomainShift packs a resolved block event as domain<<31 | block.
 const eventDomainShift = 31
 
-// lineWindow is one compiled stream's arrays for one replay window: the
-// elided accesses plus, when an observed unit reads the stream, each
-// event's access count. For a materialised replay the window is the whole
-// stream; for a streamed replay it is one chunk, or one part of a chunk.
-type lineWindow struct {
-	accs   []uint32
-	counts []uint8
-}
-
 // unitData is one replay window handed to the drive units: the window's
-// block events, the shared per-block reference tables, and one lineWindow
-// per compiled stream (indexed by driveUnit.stream).
+// block events, the shared per-block reference tables and, when a stream
+// source compiled the replay, its streams (indexed by driveUnit.stream),
+// whose whole length is then the one window. A walked window carries no
+// streams: each unit expands the events itself.
 type unitData struct {
 	attrs   []uint32
 	refsTab [trace.NumDomains][]uint64
-	lines   []lineWindow
+	streams []*Stream
 }
 
 // driveUnit is one independently drivable slice of a replay: a stream
@@ -332,7 +340,7 @@ type unitData struct {
 // power-of-two caches in ascending set order (inclusion semantics); rest
 // caches always run. No two units share a cache, result or observer, so
 // units drive concurrently — and a unit keeps its caches across windows, so
-// chunked replay is a plain continuation of cache state.
+// windowed replay is a plain continuation of cache state.
 type driveUnit struct {
 	stream int
 	chain  []chainRunner
@@ -340,24 +348,37 @@ type driveUnit struct {
 	// ws caches the unit's non-nil observers, chain first; computed once
 	// at build time so per-window dispatch allocates nothing.
 	ws []obs.Observer
+	// spans is a walked replay's line-span table for the unit's stream,
+	// shared read-only with the stream's other units, and prev the last
+	// line of the last span this unit walked, carried across windows for
+	// same-line elision. Each unit keeps its own prev: units of one
+	// stream walk the same windows independently.
+	spans *[trace.NumDomains][]lineSpan
+	prev  uint32
 }
 
-// drive replays one window through the unit's caches, picking the observed
-// walk only when the unit actually carries an observer.
+// drive replays one window through the unit's caches: a walked window
+// through the walk loops, a compiled one through the stream loops, each
+// observed only when the unit actually carries an observer.
 func (u *driveUnit) drive(d *unitData) {
-	lw := &d.lines[u.stream]
-	if u.ws != nil {
-		driveWindowObserved(d.attrs, lw.counts, lw.accs, d.refsTab, u.chain, u.rest, u.ws)
-	} else {
-		driveWindow(lw.accs, u.chain, u.rest)
+	switch {
+	case d.streams == nil && u.ws != nil:
+		u.prev = walkWindowObserved(d.attrs, &d.refsTab, u.spans, u.prev, u.chain, u.rest, u.ws)
+	case d.streams == nil:
+		u.prev = walkWindow(d.attrs, u.spans, u.prev, u.chain, u.rest)
+	case u.ws != nil:
+		s := d.streams[u.stream]
+		driveWindowObserved(d.attrs, s.counts, s.accs, d.refsTab, u.chain, u.rest, u.ws)
+	default:
+		driveWindow(d.streams[u.stream].accs, u.chain, u.rest)
 	}
 }
 
 // driveUnits runs the units over one window, fanning them across
 // min(workers, len(units)) goroutines claiming units off a shared counter.
 // Unit order is irrelevant to the results — units are mutually independent —
-// so the fan-out is deterministic by construction, not by scheduling. In
-// chunked replay this is called once per window: the return is the barrier
+// so the fan-out is deterministic by construction, not by scheduling. In a
+// walked replay this is called once per window: the return is the barrier
 // that keeps every unit's access order sequential across windows. A panic in
 // a unit (a cache setup's hook, say) is re-raised here once every worker
 // has returned, so it reaches the caller's goroutine as in a sequential
@@ -445,8 +466,7 @@ func driveWindow(accs []uint32, chain []chainRunner, rest []restRunner) {
 // cache-visible access sequence is exactly driveWindow's, so results stay
 // bit-identical to the unobserved path; and because every observer belongs
 // to exactly one unit, the per-observer event/miss sequence is identical
-// whether units run sequentially or in parallel, and whether windows arrive
-// whole or chunked.
+// whether units run sequentially or in parallel.
 func driveWindowObserved(attrs []uint32, counts []uint8, accs []uint32,
 	refsTab [trace.NumDomains][]uint64, chain []chainRunner, rest []restRunner, watchers []obs.Observer) {
 
@@ -487,4 +507,90 @@ func driveWindowObserved(attrs []uint32, counts []uint8, accs []uint32,
 			}
 		}
 	}
+}
+
+// walkWindow is driveWindow over a window of block events: it expands each
+// event's line span as it goes, its lines in order less the first when that
+// repeats the previous span's last (lineSpan.from), which is exactly the
+// compiled stream's access sequence, so the caches see a walked replay and
+// a compiled one alike. prev is the last line of the span before the
+// window; walkWindow returns the window's.
+func walkWindow(attrs []uint32, spans *[trace.NumDomains][]lineSpan, prev uint32,
+	chain []chainRunner, rest []restRunner) uint32 {
+
+	for _, a := range attrs {
+		d := trace.Domain(a >> eventDomainShift)
+		sp := spans[d][a&(1<<eventDomainShift-1)]
+		line := sp.from(prev)
+		prev = sp.Last
+		for ; line <= sp.Last; line++ {
+			l := uint64(line)
+			for k := range chain {
+				r := &chain[k]
+				if r.probe.Hit(l) {
+					break
+				}
+				r.access(l, d)
+			}
+			for k := range rest {
+				r := &rest[k]
+				if !r.probe.Hit(l) {
+					r.access(l, d)
+				}
+			}
+		}
+	}
+	return prev
+}
+
+// walkWindowObserved is walkWindow plus observer notification, as
+// driveWindowObserved is driveWindow's: each event is announced to every
+// watcher of the unit before its lines are driven, each miss is forwarded
+// to its runner's observer with the event's block, and a rest runner's
+// HitObserver hears of each of its hits. The per-observer call sequence is
+// driveWindowObserved's over the compiled stream, at any worker count and
+// any windowing.
+func walkWindowObserved(attrs []uint32, refsTab *[trace.NumDomains][]uint64, spans *[trace.NumDomains][]lineSpan,
+	prev uint32, chain []chainRunner, rest []restRunner, watchers []obs.Observer) uint32 {
+
+	for _, a := range attrs {
+		d := trace.Domain(a >> eventDomainShift)
+		b := a & (1<<eventDomainShift - 1)
+		refs := refsTab[d][b]
+		for _, w := range watchers {
+			w.Event(d, b, refs)
+		}
+		sp := spans[d][b]
+		line := sp.from(prev)
+		prev = sp.Last
+		for ; line <= sp.Last; line++ {
+			l := uint64(line)
+			for k := range chain {
+				r := &chain[k]
+				if r.probe.Hit(l) {
+					break
+				}
+				cl := r.access(l, d)
+				if r.obs != nil {
+					r.obs.Miss(l, d, cl, b)
+				}
+			}
+			for k := range rest {
+				r := &rest[k]
+				cl := cache.Hit
+				if !r.probe.Hit(l) {
+					cl = r.access(l, d)
+				}
+				switch {
+				case cl == cache.Hit:
+					if r.hit != nil {
+						r.hit.Hit(l, d)
+					}
+				case r.obs != nil:
+					r.obs.Miss(l, d, cl, b)
+				}
+			}
+		}
+	}
+	return prev
 }

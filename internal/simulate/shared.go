@@ -7,11 +7,11 @@ package simulate
 // and keeps the configuration's per-CPU books (obs.CPUStats). The books
 // count hits on lines a sibling CPU installed, so they are hit observers:
 // a direct-mapped cache they watch leaves the inclusion chain, and every
-// hit of the compiled stream reaches them. Everything else — cache
-// construction, line-size and layout grouping, chunked compile, unit
-// fan-out and the per-window barrier — is the single-CPU engine's, so the
-// results are bit-identical at any worker count and in either pipeline
-// mode, and a one-CPU replay equals RunManyOpt.
+// hit of the walk reaches them. Everything else — cache construction,
+// line-size and layout grouping, the windowed walk, unit fan-out and the
+// per-window barrier — is the single-CPU engine's, so the results are
+// bit-identical at any worker count and in either pipeline mode, and a
+// one-CPU replay equals RunManyOpt.
 
 import (
 	"fmt"
@@ -89,9 +89,11 @@ func (b *cpuBooks) Hit(line uint64, d trace.Domain) { b.cpu.Hit(line, b.cur, d) 
 // bind their partition via opt.Setups. Results index the groups' configs
 // concatenated in order. The schedule must cover the stream exactly, in
 // raw events and in block events. The merged stream replays through a
-// header-only view over its own Chunks, so a materialised trace, like a
-// regenerated one, keeps O(chunk) compiled bytes in flight however many
-// groups the call carries, and a header-only one is regenerated once.
+// header-only view over its own Chunks, which carries the totals the
+// schedule check summed, so a materialised trace is not scanned for them
+// again; the view walks, even beside a stream source, so any merged trace
+// keeps O(chunk) decoded events in flight however many groups the call
+// carries, and a header-only one is regenerated once.
 func RunShared(mt *trace.MultiTrace, groups []Group, opt Options) ([]*SharedResult, error) {
 	if err := mt.CheckRuns(); err != nil {
 		return nil, err

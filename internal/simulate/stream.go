@@ -11,9 +11,11 @@ import (
 
 // This file defines the compiled line stream: the trace's block events
 // resolved, span-expanded and same-line-elided ONCE into flat arrays, so the
-// drive loops iterate pre-computed line accesses instead of re-deriving them
-// per event on every replay. The compilation splits into two layers that are
-// cached independently (see internal/streamcache):
+// drive loops of a replay that reuses it iterate pre-computed line accesses
+// instead of re-deriving them per event. Only a stream source compiles (the
+// stream cache, which keeps what it compiles); a replay driven once walks
+// the trace instead (pipeline.go). The compilation splits into two layers
+// that are cached independently (see internal/streamcache):
 //
 //   - Events: the layout-independent decode of one trace — markers dropped,
 //     each block event packed, per-block reference tables. One trace has
@@ -43,9 +45,9 @@ type Events struct {
 
 // Decode resolves the trace's block events once: markers are dropped and
 // each event is packed into a uint32 alongside the per-block reference
-// tables the replay needs. Decode materialises the packed events — for
-// header-only traces that should stay in O(chunk) memory, use the chunked
-// pipeline (RunGroups routes there automatically) instead.
+// tables the replay needs. Decode materialises the packed events; a
+// RunGroups call given no stream source walks the trace in O(chunk)
+// memory instead.
 func Decode(t *trace.Trace) *Events {
 	ev := &Events{}
 	ev.refsTab[trace.DomainOS] = refsOf(t.OS)
@@ -85,12 +87,11 @@ func (ev *Events) Bytes() int64 {
 
 // Stream is the compiled line stream of one (trace, OS layout, app layout,
 // line size) tuple: every block event's line span expanded and consecutive
-// same-line accesses elided, exactly as the drive loops used to do per
-// replay. A Stream is immutable after CompileEvents; any number of drive
-// workers and RunGroups calls may read it concurrently.
+// same-line accesses elided, exactly as a walked replay's drive units
+// expand them. A Stream is immutable after CompileEvents; any number of
+// drive workers and RunGroups calls may read it concurrently.
 type Stream struct {
-	lineSize int
-	ev       *Events
+	ev *Events
 	// accs is the elided line-access sequence, one 4-byte word per access:
 	// the fetching domain in bit 31, where the event's attr has it, and the
 	// line address below. CompileEvents rejects layouts whose line addresses
@@ -114,23 +115,47 @@ const streamLineMask = 1<<eventDomainShift - 1
 // no application; lineSize must be a positive power of two. It works on an
 // already-decoded event stream, so callers compiling one trace under many
 // layouts or line sizes (the stream cache) share a single decode. ev must be
-// Decode(t). The whole stream is one window of the chunked pipeline's
-// compiler.
+// Decode(t).
 func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error) {
 	if err := checkLayouts(t, osL, appL); err != nil {
 		return nil, err
 	}
-	cc, err := newChunkCompiler(t, osL, appL, lineSize)
+	spans, err := spanTables(t, osL, appL, lineSize)
 	if err != nil {
 		return nil, err
 	}
-	var lw lineWindow
-	cc.compile(ev.attrs, &lw, true)
-	return &Stream{lineSize: lineSize, ev: ev, accs: lw.accs, counts: lw.counts}, nil
+	accs, counts := compile(ev.attrs, &spans)
+	return &Stream{ev: ev, accs: accs, counts: counts}, nil
 }
 
-// LineSize returns the line size the stream was compiled for.
-func (s *Stream) LineSize() int { return s.lineSize }
+// compile expands and elides attrs under spans in two walks: the first
+// counts the accesses (the span lengths less the spans whose first line
+// repeats the previous span's last, the one place elision can strike), the
+// second writes them into an array of exactly that length along with each
+// event's access count.
+func compile(attrs []uint32, spans *[trace.NumDomains][]lineSpan) ([]uint32, []uint8) {
+	n, prev := 0, noLine
+	for _, a := range attrs {
+		sp := spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
+		n += int(sp.Last + 1 - sp.from(prev))
+		prev = sp.Last
+	}
+	accs, counts := make([]uint32, n), make([]uint8, len(attrs))
+	j := 0
+	prev = noLine
+	for i, a := range attrs {
+		sp := spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
+		dom := a & (1 << eventDomainShift)
+		line := sp.from(prev)
+		prev = sp.Last
+		counts[i] = uint8(sp.Last + 1 - line)
+		for ; line <= sp.Last; line++ {
+			accs[j] = dom | line
+			j++
+		}
+	}
+	return accs, counts
+}
 
 // Accesses returns the number of line accesses after elision.
 func (s *Stream) Accesses() int { return len(s.accs) }
@@ -170,13 +195,32 @@ type lineSpan struct {
 	First, Last uint32
 }
 
+// noLine is the line before a replay's first span: no line address reaches
+// it, so the first span is never elided.
+const noLine = ^uint32(0)
+
+// from returns the first line of sp left after same-line elision against
+// prev, the last line of the span before it. Lines within a span strictly
+// increase, so elision can strike only a span's first line; a one-line span
+// it strikes is left empty (from returns Last+1).
+func (sp lineSpan) from(prev uint32) uint32 {
+	if sp.First == prev {
+		return sp.First + 1
+	}
+	return sp.First
+}
+
 // spanTables precomputes, for one line size, the line-address range each
-// block's execution covers under the given layouts, rejecting line
-// addresses that reach the packed access word's domain bit and blocks that
-// span more lines than a per-event count holds.
+// block's execution covers under the given layouts, rejecting a line size
+// that is not a positive power of two, line addresses that reach the packed
+// access word's domain bit and blocks that span more lines than a
+// per-event count holds.
 func spanTables(t *trace.Trace, osL, appL *layout.Layout, lineSize int) ([trace.NumDomains][]lineSpan, error) {
-	shift := uint(bits.TrailingZeros(uint(lineSize)))
 	var tabs [trace.NumDomains][]lineSpan
+	if lineSize <= 0 || bits.OnesCount(uint(lineSize)) != 1 {
+		return tabs, fmt.Errorf("simulate: line size %d not a positive power of two", lineSize)
+	}
+	shift := uint(bits.TrailingZeros(uint(lineSize)))
 	var err error
 	if tabs[trace.DomainOS], err = spansOf(osL, shift); err != nil {
 		return tabs, err

@@ -18,9 +18,6 @@ func TestCompileStreamProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.LineSize() != 32 {
-		t.Errorf("LineSize = %d, want 32", s.LineSize())
-	}
 	if s.Accesses() == 0 {
 		t.Fatal("compiled stream has no accesses")
 	}
