@@ -23,10 +23,10 @@ import (
 //     after the last cut form a final window.
 //
 // Two units walk the windows, each carrying its own elision state across
-// them: an unobserved one through a chain runner and an observed one
-// through a rest runner. Each runner's probe never hits, since its cache
-// is never accessed, and its access function records every line, so a
-// unit's recorded lines are exactly the ones it drives; the observed
+// them: an unobserved one (no watchers) through a chain runner and an
+// observed one through a rest runner. Each runner's probe never hits, since
+// its cache is never accessed, and its access function records every line,
+// so a unit's recorded lines are exactly the ones it drives; the observed
 // unit's recorder also opens a count at each Event. Each window's lines,
 // and the observed unit's per-event counts, must equal the reference's,
 // and the whole compile's accesses and counts the reference's over all

@@ -3,6 +3,7 @@ package simulate
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"oslayout/internal/cache"
@@ -66,7 +67,12 @@ func TestStreamedMatchesMaterialised(t *testing.T) {
 // baseline, through a stream source) or walks the trace, materialised or
 // chunked into many windows. At 8 workers each of the two streams splits
 // into several units, and each unit carries its own elision state across
-// the windows.
+// the windows. Two configurations are watched by hit observers: the
+// direct-mapped one, which its observer keeps out of the inclusion chain
+// so that its every hit is an MRU probe hit, and a 2-way one, whose hits
+// in its second way come back from the access function. Each must hear the
+// same Event/Hit/Miss sequence on every path, and in the baseline one hit
+// or miss per access of its compiled stream.
 func TestStreamedObservedMatchesMaterialised(t *testing.T) {
 	tr, osL, appL := mixedTrace(20_000, 7)
 	cfgs := []cache.Config{
@@ -76,7 +82,8 @@ func TestStreamedObservedMatchesMaterialised(t *testing.T) {
 		{Size: 2 << 10, Line: 64, Assoc: 2},
 		{Size: 4 << 10, Line: 64, Assoc: 1},
 	}
-	collect := func(src *trace.Trace, opt Options) []*obs.SimStats {
+	logged := []int{0, 1}
+	collect := func(src *trace.Trace, opt Options) ([]*obs.SimStats, []*hitLog) {
 		t.Helper()
 		stats := make([]*obs.SimStats, len(cfgs))
 		opt.Observers = make([]obs.Observer, len(cfgs))
@@ -84,19 +91,43 @@ func TestStreamedObservedMatchesMaterialised(t *testing.T) {
 			stats[i] = obs.NewSimStats(16)
 			opt.Observers[i] = stats[i]
 		}
+		logs := make([]*hitLog, len(logged))
+		for k, i := range logged {
+			logs[k] = &hitLog{SimStats: stats[i]}
+			opt.Observers[i] = logs[k]
+		}
 		if _, err := RunManyOpt(src, osL, appL, cfgs, opt); err != nil {
 			t.Fatal(err)
 		}
-		return stats
+		return stats, logs
 	}
-	want := collect(tr, Options{Streams: &countingSource{}})
+	want, wantLogs := collect(tr, Options{Streams: &countingSource{}})
+	ev := Decode(tr)
+	for k, i := range logged {
+		s, err := CompileEvents(ev, tr, osL, appL, cfgs[i].Line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events, lines int
+		for _, c := range wantLogs[k].calls {
+			if c.kind == 'e' {
+				events++
+			} else {
+				lines++
+			}
+		}
+		if events != ev.NumEvents() || lines != s.Accesses() {
+			t.Errorf("cfg=%v: compiled replay reported %d events and %d hits and misses, want %d and %d",
+				cfgs[i], events, lines, ev.NumEvents(), s.Accesses())
+		}
+	}
 	for _, chunk := range []int{0, 100, 512, 8 << 10} {
 		for _, workers := range []int{1, 4, 8} {
 			src := tr
 			if chunk > 0 {
 				src = tr.ChunkView(chunk)
 			}
-			got := collect(src, Options{Workers: workers})
+			got, gotLogs := collect(src, Options{Workers: workers})
 			for i := range cfgs {
 				if !reflect.DeepEqual(want[i].Windows, got[i].Windows) {
 					t.Errorf("chunk=%d workers=%d cfg=%v: windowed series differ", chunk, workers, cfgs[i])
@@ -107,8 +138,43 @@ func TestStreamedObservedMatchesMaterialised(t *testing.T) {
 					t.Errorf("chunk=%d workers=%d cfg=%v: observer attributions differ", chunk, workers, cfgs[i])
 				}
 			}
+			for k, i := range logged {
+				if !slices.Equal(wantLogs[k].calls, gotLogs[k].calls) {
+					t.Errorf("chunk=%d workers=%d cfg=%v: Event/Hit/Miss sequences differ", chunk, workers, cfgs[i])
+				}
+			}
 		}
 	}
+}
+
+// hitLog is a hit observer that keeps SimStats' books and logs every
+// Event, Hit and Miss it hears, in order.
+type hitLog struct {
+	*obs.SimStats
+	calls []hitCall
+}
+
+// hitCall is one logged call: kind 'e' carries an event's block, 'h' and
+// 'm' a hit's or miss's line.
+type hitCall struct {
+	kind  byte
+	d     trace.Domain
+	addr  uint64
+	class cache.MissClass
+}
+
+func (h *hitLog) Event(d trace.Domain, b uint32, refs uint64) {
+	h.calls = append(h.calls, hitCall{kind: 'e', d: d, addr: uint64(b)})
+	h.SimStats.Event(d, b, refs)
+}
+
+func (h *hitLog) Hit(line uint64, d trace.Domain) {
+	h.calls = append(h.calls, hitCall{kind: 'h', d: d, addr: line})
+}
+
+func (h *hitLog) Miss(line uint64, d trace.Domain, cl cache.MissClass, b uint32) {
+	h.calls = append(h.calls, hitCall{kind: 'm', d: d, addr: line, class: cl})
+	h.SimStats.Miss(line, d, cl, b)
 }
 
 // TestStreamedSingleConfigPaths checks the single-cache replay entry points

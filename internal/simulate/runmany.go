@@ -15,9 +15,10 @@ import (
 // runner is one cache's hoisted access function and its inline hit test,
 // which the drive loops try first, calling access only when it fails: a
 // chain member's probe is its cache.DMProbe, a rest cache's its
-// cache.MRUProbe. obs is non-nil only on the observed drive path, and hit
-// only when obs is also a HitObserver (never on a chain member); the
-// unobserved drive loops read neither.
+// cache.MRUProbe. obs is non-nil only on an observed unit, and hit only
+// when obs is also a HitObserver (never on a chain member); the unobserved
+// compiled loop reads neither, and the walk loop finds both nil on an
+// unobserved unit.
 type runner[P any] struct {
 	access func(uint64, trace.Domain) cache.MissClass
 	probe  P
@@ -128,11 +129,12 @@ type streamKey struct {
 //
 // Options add per-config observers and setups, a pluggable stream source
 // and a bounded parallel drive. Observation is gated at unit-setup time — a
-// unit whose configurations carry no observer runs through exactly the
-// unobserved drive loop, so the nil case stays bit-identical and pays
-// nothing per access. Observed units keep the repeat-elision and
-// inclusion-chain fast paths: both elide only hits, which change no state,
-// so every miss-derived metric the observers see is exact.
+// compiled unit whose configurations carry no observer runs through the
+// unobserved drive loop and pays nothing per access, and a walked one
+// carries an empty watcher list — so the nil case stays bit-identical.
+// Observed units keep the repeat-elision and inclusion-chain fast paths:
+// both elide only hits, which change no state, so every miss-derived metric
+// the observers see is exact.
 func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 	n, parts := 0, 0
 	for _, g := range groups {
@@ -358,14 +360,12 @@ type driveUnit struct {
 }
 
 // drive replays one window through the unit's caches: a walked window
-// through the walk loops, a compiled one through the stream loops, each
-// observed only when the unit actually carries an observer.
+// through the walk loop, a compiled one through the stream loops, observed
+// only when the unit actually carries an observer.
 func (u *driveUnit) drive(d *unitData) {
 	switch {
-	case d.streams == nil && u.ws != nil:
-		u.prev = walkWindowObserved(d.attrs, &d.refsTab, u.spans, u.prev, u.chain, u.rest, u.ws)
 	case d.streams == nil:
-		u.prev = walkWindow(d.attrs, u.spans, u.prev, u.chain, u.rest)
+		u.prev = walkWindow(d.attrs, &d.refsTab, u.spans, u.prev, u.chain, u.rest, u.ws)
 	case u.ws != nil:
 		s := d.streams[u.stream]
 		driveWindowObserved(d.attrs, s.counts, s.accs, d.refsTab, u.chain, u.rest, u.ws)
@@ -509,56 +509,27 @@ func driveWindowObserved(attrs []uint32, counts []uint8, accs []uint32,
 	}
 }
 
-// walkWindow is driveWindow over a window of block events: it expands each
-// event's line span as it goes, its lines in order less the first when that
-// repeats the previous span's last (lineSpan.from), which is exactly the
-// compiled stream's access sequence, so the caches see a walked replay and
-// a compiled one alike. prev is the last line of the span before the
-// window; walkWindow returns the window's.
-func walkWindow(attrs []uint32, spans *[trace.NumDomains][]lineSpan, prev uint32,
-	chain []chainRunner, rest []restRunner) uint32 {
-
-	for _, a := range attrs {
-		d := trace.Domain(a >> eventDomainShift)
-		sp := spans[d][a&(1<<eventDomainShift-1)]
-		line := sp.from(prev)
-		prev = sp.Last
-		for ; line <= sp.Last; line++ {
-			l := uint64(line)
-			for k := range chain {
-				r := &chain[k]
-				if r.probe.Hit(l) {
-					break
-				}
-				r.access(l, d)
-			}
-			for k := range rest {
-				r := &rest[k]
-				if !r.probe.Hit(l) {
-					r.access(l, d)
-				}
-			}
-		}
-	}
-	return prev
-}
-
-// walkWindowObserved is walkWindow plus observer notification, as
-// driveWindowObserved is driveWindow's: each event is announced to every
-// watcher of the unit before its lines are driven, each miss is forwarded
-// to its runner's observer with the event's block, and a rest runner's
-// HitObserver hears of each of its hits. The per-observer call sequence is
-// driveWindowObserved's over the compiled stream, at any worker count and
-// any windowing.
-func walkWindowObserved(attrs []uint32, refsTab *[trace.NumDomains][]uint64, spans *[trace.NumDomains][]lineSpan,
+// walkWindow drives one window of block events through the unit's caches,
+// observed or not. It expands each event's line span as it goes, its lines
+// in order less the first when that repeats the previous span's last
+// (lineSpan.from), which is exactly the compiled stream's access sequence,
+// so the caches see a walked replay and a compiled one alike. Each event is
+// announced to every watcher of the unit before its lines are driven, each
+// miss is forwarded to its runner's observer with the event's block, and a
+// rest runner's HitObserver hears of each of its hits, so the per-observer
+// call sequence is driveWindowObserved's over the compiled stream, at any
+// worker count and any windowing. An unobserved unit has no watchers and
+// runners without observers; a loop of its own measured level with this
+// one. prev is the last line of the span before the window; walkWindow
+// returns the window's.
+func walkWindow(attrs []uint32, refsTab *[trace.NumDomains][]uint64, spans *[trace.NumDomains][]lineSpan,
 	prev uint32, chain []chainRunner, rest []restRunner, watchers []obs.Observer) uint32 {
 
 	for _, a := range attrs {
 		d := trace.Domain(a >> eventDomainShift)
 		b := a & (1<<eventDomainShift - 1)
-		refs := refsTab[d][b]
 		for _, w := range watchers {
-			w.Event(d, b, refs)
+			w.Event(d, b, refsTab[d][b])
 		}
 		sp := spans[d][b]
 		line := sp.from(prev)
