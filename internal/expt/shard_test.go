@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,6 +111,98 @@ func TestComparePrivateShardsMatchWhole(t *testing.T) {
 	if got, want := merged.Render(), whole.Render(); got != want {
 		t.Fatalf("merged private render differs from whole run:\n--- merged ---\n%s\n--- whole ---\n%s", got, want)
 	}
+}
+
+// TestCompareRandomShardsMatchWhole is the merge property: a grid
+// reassembled from random complementary shards, merged in random order,
+// equals the whole grid's run, every array and the render. Each axis a
+// shard may select (workloads and strategies, and the CPUs of a private
+// grid) is split into random groups, and the shards are their cross
+// product; each case draws several decompositions. The plain grids run the whole grid first on a fresh study, so
+// its replays are first sightings that walk the decodes while the shards'
+// replays compile: the property also pins walked ≡ compiled across a grid,
+// observed (detail) and not.
+func TestCompareRandomShardsMatchWhole(t *testing.T) {
+	cases := []struct {
+		name       string
+		cpus       int
+		strategies []string
+		sizes      []int
+		opt        CompareOptions
+	}{
+		{"plain", 1, []string{"base", "ch", "opts", "optl"}, []int{4 << 10, 8 << 10}, CompareOptions{}},
+		{"detail", 1, []string{"base", "ph", "opts"}, []int{8 << 10}, CompareOptions{Detail: true}},
+		{"private", 2, []string{"base", "opts", "optl"}, []int{4 << 10, 8 << 10}, CompareOptions{CPUs: 2, Private: true}},
+	}
+	const draws = 4
+	for n, tc := range cases {
+		for d := 0; d < draws; d++ {
+			t.Run(fmt.Sprintf("%s/draw=%d", tc.name, d), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(n*draws + d)))
+				e := shardTestEnv(t, tc.cpus)
+				whole, err := e.RunCompareOpts(tc.strategies, tc.sizes, 32, 1, tc.opt)
+				if err != nil {
+					t.Fatalf("whole grid: %v", err)
+				}
+				if _, misses := e.StreamCacheStats(); misses != 0 {
+					t.Fatalf("the whole grid compiled %d streams, want first sightings only", misses)
+				}
+				cpuGroups := [][]int{nil}
+				if tc.opt.Private {
+					cpuGroups = randomGroups(rng, tc.cpus)
+				}
+				var masks []*CompareShard
+				for _, ws := range randomGroups(rng, len(whole.Workloads)) {
+					for _, ks := range randomGroups(rng, len(tc.strategies)) {
+						for _, cs := range cpuGroups {
+							masks = append(masks, &CompareShard{Workloads: ws, Strategies: ks, CPUs: cs})
+						}
+					}
+				}
+				rng.Shuffle(len(masks), func(i, j int) { masks[i], masks[j] = masks[j], masks[i] })
+				var merged *Compare
+				for _, mask := range masks {
+					opt := tc.opt
+					opt.Shard = mask
+					part, err := e.RunCompareOpts(tc.strategies, tc.sizes, 32, 1, opt)
+					if err != nil {
+						t.Fatalf("shard %+v: %v", *mask, err)
+					}
+					if merged == nil {
+						merged = part
+						continue
+					}
+					if err := merged.MergeShard(part, mask); err != nil {
+						t.Fatalf("merging shard %+v: %v", *mask, err)
+					}
+				}
+				merged.Finalize()
+				if _, misses := e.StreamCacheStats(); !tc.opt.Private && misses == 0 {
+					t.Error("the shards compiled no streams")
+				}
+				if !reflect.DeepEqual(merged, whole) {
+					t.Errorf("merged grid of %d shards differs from the whole grid", len(masks))
+				}
+				if got, want := merged.Render(), whole.Render(); got != want {
+					t.Errorf("merged render differs from whole-grid render:\n--- merged ---\n%s\n--- whole ---\n%s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// randomGroups splits 0..n-1 into a random number of non-empty groups,
+// each index in exactly one, in random order.
+func randomGroups(rng *rand.Rand, n int) [][]int {
+	groups := make([][]int, 1+rng.Intn(n))
+	for i, v := range rng.Perm(n) {
+		g := i
+		if g >= len(groups) {
+			g = rng.Intn(len(groups))
+		}
+		groups[g] = append(groups[g], v)
+	}
+	return groups
 }
 
 func TestCompareShardValidation(t *testing.T) {

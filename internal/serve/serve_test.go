@@ -708,45 +708,55 @@ func TestManagerSurvivesPanickingJob(t *testing.T) {
 }
 
 // TestCompareJobsShareStudyAndStreams is the cross-job memoization check:
-// two identical compare jobs must render identically, and the second must
-// replay entirely from the pooled study's compiled streams — new stream
-// hits, zero new stream misses or layout builds.
+// three identical compare jobs must render identically on one pooled
+// study. The first sights each stream for the first time and compiles
+// none, the second compiles them, and the third replays entirely from the
+// compiled streams — new stream hits, zero new stream misses or layout
+// builds.
 func TestCompareJobsShareStudyAndStreams(t *testing.T) {
 	_, ts := newTestServer(t)
 	spec := fmt.Sprintf(`{"compare":{"strategies":["base","opts"],"sizes":["4k","8k"]},"refs":%d}`, testRefs)
+	counters := func() (hits, misses, builds float64) {
+		fams := scrape(t, ts)
+		return fams["oslayout_streamcache_hits_total"].Samples["oslayout_streamcache_hits_total"],
+			fams["oslayout_streamcache_misses_total"].Samples["oslayout_streamcache_misses_total"],
+			fams["oslayout_layout_cache_misses_total"].Samples["oslayout_layout_cache_misses_total"]
+	}
+	job := func(n int) JobStatus {
+		t.Helper()
+		st := await(t, ts, submit(t, ts, spec).ID)
+		if st.State != StateDone {
+			t.Fatalf("job %d ended %s: %s", n, st.State, st.Error)
+		}
+		return st
+	}
 
-	first := await(t, ts, submit(t, ts, spec).ID)
-	if first.State != StateDone {
-		t.Fatalf("first job ended %s: %s", first.State, first.Error)
+	first := job(1)
+	hits1, miss1, _ := counters()
+	if miss1 != 0 || hits1 != 0 {
+		t.Fatalf("first compare job compiled %v streams and hit %v, want neither", miss1, hits1)
 	}
-	fams := scrape(t, ts)
-	hits0 := fams["oslayout_streamcache_hits_total"].Samples["oslayout_streamcache_hits_total"]
-	miss0 := fams["oslayout_streamcache_misses_total"].Samples["oslayout_streamcache_misses_total"]
-	build0 := fams["oslayout_layout_cache_misses_total"].Samples["oslayout_layout_cache_misses_total"]
-	if miss0 == 0 {
-		t.Fatal("first compare job compiled no streams")
+	second := job(2)
+	_, miss2, build2 := counters()
+	if miss2 == 0 {
+		t.Fatal("second compare job compiled no streams")
 	}
-
-	second := await(t, ts, submit(t, ts, spec).ID)
-	if second.State != StateDone {
-		t.Fatalf("second job ended %s: %s", second.State, second.Error)
+	third := job(3)
+	hits3, miss3, build3 := counters()
+	for n, st := range []JobStatus{second, third} {
+		if st.Results["compare"].Digest != first.Results["compare"].Digest {
+			t.Errorf("repeat compare job %d rendered differently: %s vs %s",
+				n+2, st.Results["compare"].Digest, first.Results["compare"].Digest)
+		}
 	}
-	if first.Results["compare"].Digest != second.Results["compare"].Digest {
-		t.Errorf("repeat compare job rendered differently: %s vs %s",
-			first.Results["compare"].Digest, second.Results["compare"].Digest)
+	if hits3 <= hits1 {
+		t.Errorf("third job hit no compiled streams (hits %v -> %v)", hits1, hits3)
 	}
-	fams = scrape(t, ts)
-	hits1 := fams["oslayout_streamcache_hits_total"].Samples["oslayout_streamcache_hits_total"]
-	miss1 := fams["oslayout_streamcache_misses_total"].Samples["oslayout_streamcache_misses_total"]
-	build1 := fams["oslayout_layout_cache_misses_total"].Samples["oslayout_layout_cache_misses_total"]
-	if hits1 <= hits0 {
-		t.Errorf("second job hit no compiled streams (hits %v -> %v)", hits0, hits1)
+	if miss3 != miss2 {
+		t.Errorf("third job compiled %v fresh streams, want full reuse", miss3-miss2)
 	}
-	if miss1 != miss0 {
-		t.Errorf("second job compiled %v fresh streams, want full reuse", miss1-miss0)
-	}
-	if build1 != build0 {
-		t.Errorf("second job built %v fresh layouts, want full reuse", build1-build0)
+	if build3 != build2 {
+		t.Errorf("third job built %v fresh layouts, want full reuse", build3-build2)
 	}
 
 	// A different seed must not share the pooled study.

@@ -1,8 +1,9 @@
 package simulate
 
-// The walked replay: RunGroups' path for every replay no stream source
-// compiles, that is a header-only trace, or a materialised one given no
-// source. A producer goroutine reads the trace window by window
+// The trace walk: RunGroups' path for a header-only trace, or a
+// materialised one given no stream source. (A materialised trace whose
+// source leaves a stream uncompiled walks the source's decode instead, in
+// one window.) A producer goroutine reads the trace window by window
 // (Trace.Chunks, which regenerates a header-only trace) and decodes each
 // window's block events; the drive units then expand and elide their own
 // stream's line spans as they drive their caches, so neither a whole-trace
@@ -27,12 +28,12 @@ import (
 	"oslayout/internal/trace"
 )
 
-// walk is RunGroups' replay loop for every trace no stream source compiles.
-// The caches and drive units arrive built, each unit holding its stream's
-// span table, and the observers have begun; walk owns windowing, decoding
-// and the producer/consumer handoff. A stream source is bypassed: a stream
-// compiled to be driven once costs more than the walk, and holding one
-// would break the O(chunk) bound a header-only trace was chosen for.
+// walk is RunGroups' replay loop for every trace that reaches no stream
+// source. The caches and drive units arrive built, each unit holding its
+// stream's span table, and the observers have begun; walk owns windowing,
+// decoding and the producer/consumer handoff. A header-only trace never
+// reaches a source: a decode or a compiled stream held for it would break
+// the O(chunk) bound it was chosen for.
 //
 // The trace is read once, whatever the number of groups. Every unit walks
 // every event of a window, and a window holds only its decoded events, 4

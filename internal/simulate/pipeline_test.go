@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"oslayout/internal/cache"
+	"oslayout/internal/layout"
 	"oslayout/internal/obs"
 	"oslayout/internal/trace"
 )
@@ -175,6 +176,86 @@ func (h *hitLog) Hit(line uint64, d trace.Domain) {
 func (h *hitLog) Miss(line uint64, d trace.Domain, cl cache.MissClass, b uint32) {
 	h.calls = append(h.calls, hitCall{kind: 'm', d: d, addr: line, class: cl})
 	h.SimStats.Miss(line, d, cl, b)
+}
+
+// TestPartlyCompiledMatchesRun drives calls whose source compiled some of
+// their streams and left the others Uncompiled, as a stream cache does for
+// streams it sees for the first time, so compiled and walking units share
+// the one window of the decode. Three configurations are watched by
+// logging hit observers, one by SimStats, and the rest, inclusion chains
+// among them, by nothing. At workers 1 and 4 every result must equal Run's,
+// and each logging observer must hear the Event/Hit/Miss sequence it hears
+// in an all-compiled call.
+func TestPartlyCompiledMatchesRun(t *testing.T) {
+	tr, osL, appL := mixedTrace(20_000, 13)
+	cfgs := []cache.Config{
+		{Size: 1 << 10, Line: 32, Assoc: 1},
+		{Size: 4 << 10, Line: 32, Assoc: 1},
+		{Size: 8 << 10, Line: 32, Assoc: 1},
+		{Size: 2 << 10, Line: 32, Assoc: 2},
+		{Size: 2 << 10, Line: 64, Assoc: 2},
+		{Size: 4 << 10, Line: 64, Assoc: 1},
+		{Size: 8 << 10, Line: 64, Assoc: 1},
+	}
+	logged := []int{0, 3, 4}
+	const watched = 5
+	ev := Decode(tr)
+	run := func(compiled map[int]bool, workers int) ([]*Result, [][]hitCall) {
+		t.Helper()
+		opt := Options{Streams: &partSource{ev: ev, compiled: compiled}, Workers: workers,
+			Observers: make([]obs.Observer, len(cfgs))}
+		opt.Observers[watched] = obs.NewSimStats(16)
+		logs := make([]*hitLog, len(logged))
+		for k, i := range logged {
+			logs[k] = &hitLog{SimStats: obs.NewSimStats(16)}
+			opt.Observers[i] = logs[k]
+		}
+		res, err := RunManyOpt(tr, osL, appL, cfgs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := make([][]hitCall, len(logs))
+		for k := range logs {
+			calls[k] = logs[k].calls
+		}
+		return res, calls
+	}
+	_, want := run(map[int]bool{32: true, 64: true}, 1)
+	for _, compiled := range []map[int]bool{{32: true}, {64: true}, {}} {
+		for _, workers := range []int{1, 4} {
+			got, calls := run(compiled, workers)
+			for i, cfg := range cfgs {
+				r, err := Run(tr, osL, appL, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(r, got[i]) {
+					t.Errorf("compiled=%v workers=%d %v: result differs from Run\n  got: %+v\n  Run: %+v",
+						compiled, workers, cfg, got[i].Stats, r.Stats)
+				}
+			}
+			for k, i := range logged {
+				if !slices.Equal(want[k], calls[k]) {
+					t.Errorf("compiled=%v workers=%d %v: Event/Hit/Miss sequence differs from the all-compiled call",
+						compiled, workers, cfgs[i])
+				}
+			}
+		}
+	}
+}
+
+// partSource compiles the streams of the line sizes in compiled and leaves
+// every other stream Uncompiled.
+type partSource struct {
+	ev       *Events
+	compiled map[int]bool
+}
+
+func (p *partSource) Stream(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error) {
+	if p.compiled[lineSize] {
+		return CompileEvents(p.ev, t, osL, appL, lineSize)
+	}
+	return Uncompiled(p.ev, t, osL, appL, lineSize)
 }
 
 // TestStreamedSingleConfigPaths checks the single-cache replay entry points

@@ -72,11 +72,13 @@ type Options struct {
 	// repartitioning installed here touches only its own cache: it stays
 	// bit-identical at any worker count.
 	Setups []CacheSetup
-	// Streams supplies compiled line streams for a materialised trace; a
-	// memoizing source (internal/streamcache) shares each compilation
-	// across calls. nil walks the trace and compiles nothing: the drive
-	// units expand each event's line span as they drive. A header-only
-	// trace always walks.
+	// Streams supplies the line streams of a materialised trace. A
+	// memoizing source (internal/streamcache) compiles a stream on its
+	// second request and shares the compilation across calls; a stream it
+	// leaves uncompiled, a first request's, is walked over its decode. nil
+	// walks the trace and compiles nothing: the drive units expand each
+	// event's line span as they drive. A header-only trace always walks the
+	// trace.
 	Streams StreamSource
 	// Workers bounds the drive worker pool. Values <= 1 select the
 	// sequential path: one pass per stream driving every cache that reads
@@ -118,12 +120,14 @@ type streamKey struct {
 // the trace once and drives every cache sharing a (layout pair, line size)
 // from one line-access stream (in the spirit of Hill & Smith's
 // all-associativity and the Cheetah-style single-pass simulators cited by
-// the paper's successors). Given a stream source, a materialised trace
-// drives flat pre-elided streams the source compiled and keeps (see
-// CompileEvents); every other replay walks the trace window by window,
-// each drive unit expanding its stream's line spans as it goes, and
-// compiles nothing. A header-only trace is therefore regenerated once per
-// call, however many groups the call carries. It returns one Result per
+// the paper's successors). Given a stream source, a materialised trace is
+// driven in one window, the source's decode: a stream the source compiled
+// and keeps (see CompileEvents) drives its flat pre-elided accesses, and a
+// stream it left uncompiled walks the decode, each of its drive units
+// expanding the line spans as it goes. With no source, or a header-only
+// trace, every stream walks the trace window by window and nothing is
+// compiled, so a header-only trace is regenerated once per call, however
+// many groups the call carries. It returns one Result per
 // configuration, the groups' configs concatenated in order, each
 // bit-identical to the one the equivalent Run call produces.
 //
@@ -196,28 +200,14 @@ func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 	}
 	units := buildUnits(members, caches, obsAt, opt.Workers)
 
-	// Only a stream source compiles, and it keeps what it compiles. Every
-	// other replay walks the trace: each unit expands its stream's spans
-	// from a table shared with the stream's other units, carrying its own
-	// elision state across windows.
-	walked := t.Streaming() || opt.Streams == nil
+	// Only a stream source compiles, and it keeps what it compiles; it may
+	// also leave a stream uncompiled. A stream that is not compiled is
+	// walked: each of its units expands its spans from a table shared with
+	// the stream's other units, carrying its own elision state across
+	// windows. A header-only trace, or a call with no source, walks every
+	// stream over the trace.
 	var streams []*Stream
-	var blocks int
-	var refs [trace.NumDomains]uint64
-	if walked {
-		spans := make([][trace.NumDomains][]lineSpan, len(keys))
-		for s, k := range keys {
-			var err error
-			if spans[s], err = spanTables(t, k.os, k.app, k.line); err != nil {
-				return nil, err
-			}
-		}
-		for k := range units {
-			units[k].spans, units[k].prev = &spans[units[k].stream], noLine
-		}
-		tot := t.Summarize()
-		blocks, refs = tot.Blocks, tot.Refs
-	} else {
+	if !t.Streaming() && opt.Streams != nil {
 		streams = make([]*Stream, len(keys))
 		for s, k := range keys {
 			var err error
@@ -225,6 +215,28 @@ func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 				return nil, err
 			}
 		}
+	}
+	walks := func(s int) bool { return streams == nil || !streams[s].compiled() }
+	spans := make([][trace.NumDomains][]lineSpan, len(keys))
+	for s, k := range keys {
+		if walks(s) {
+			var err error
+			if spans[s], err = spanTables(t, k.os, k.app, k.line); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for k := range units {
+		if u := &units[k]; walks(u.stream) {
+			u.spans, u.prev = &spans[u.stream], noLine
+		}
+	}
+	var blocks int
+	var refs [trace.NumDomains]uint64
+	if streams == nil {
+		tot := t.Summarize()
+		blocks, refs = tot.Blocks, tot.Refs
+	} else {
 		ev := streams[0].Events()
 		blocks, refs = ev.NumEvents(), ev.Refs()
 	}
@@ -235,12 +247,13 @@ func RunGroups(t *trace.Trace, groups []Group, opt Options) ([]*Result, error) {
 			caches[i].SetEvictionHook(o.Evict)
 		}
 	}
-	if walked {
+	if streams == nil {
 		if err := walk(t, parts, units, opt.Workers); err != nil {
 			return nil, err
 		}
 	} else {
-		// The whole compiled stream is one window.
+		// The whole decode is one window: compiled units drive their
+		// streams, and the others walk the decode.
 		ev := streams[0].Events()
 		driveUnits(units, &unitData{attrs: ev.attrs, refsTab: ev.refsTab, streams: streams}, opt.Workers)
 	}
@@ -328,9 +341,10 @@ const eventDomainShift = 31
 
 // unitData is one replay window handed to the drive units: the window's
 // block events, the shared per-block reference tables and, when a stream
-// source compiled the replay, its streams (indexed by driveUnit.stream),
-// whose whole length is then the one window. A walked window carries no
-// streams: each unit expands the events itself.
+// source supplied the replay, its streams (indexed by driveUnit.stream),
+// the whole decode then being the one window. A window of the trace walk
+// carries no streams, and a unit whose stream is not compiled expands the
+// events itself.
 type unitData struct {
 	attrs   []uint32
 	refsTab [trace.NumDomains][]uint64
@@ -350,21 +364,22 @@ type driveUnit struct {
 	// ws caches the unit's non-nil observers, chain first; computed once
 	// at build time so per-window dispatch allocates nothing.
 	ws []obs.Observer
-	// spans is a walked replay's line-span table for the unit's stream,
-	// shared read-only with the stream's other units, and prev the last
-	// line of the last span this unit walked, carried across windows for
-	// same-line elision. Each unit keeps its own prev: units of one
-	// stream walk the same windows independently.
+	// spans is the line-span table of the unit's stream when that stream
+	// is walked, nil when it is compiled; it is shared read-only with the
+	// stream's other units. prev is the last line of the last span this
+	// unit walked, carried across windows for same-line elision. Each unit
+	// keeps its own prev: units of one stream walk the same windows
+	// independently.
 	spans *[trace.NumDomains][]lineSpan
 	prev  uint32
 }
 
-// drive replays one window through the unit's caches: a walked window
-// through the walk loop, a compiled one through the stream loops, observed
-// only when the unit actually carries an observer.
+// drive replays one window through the unit's caches: a unit whose stream
+// is not compiled through the walk loop, one whose stream is through the
+// stream loops, observed only when the unit actually carries an observer.
 func (u *driveUnit) drive(d *unitData) {
 	switch {
-	case d.streams == nil:
+	case u.spans != nil:
 		u.prev = walkWindow(d.attrs, &d.refsTab, u.spans, u.prev, u.chain, u.rest, u.ws)
 	case u.ws != nil:
 		s := d.streams[u.stream]
@@ -378,7 +393,7 @@ func (u *driveUnit) drive(d *unitData) {
 // min(workers, len(units)) goroutines claiming units off a shared counter.
 // Unit order is irrelevant to the results — units are mutually independent —
 // so the fan-out is deterministic by construction, not by scheduling. In a
-// walked replay this is called once per window: the return is the barrier
+// trace walk this is called once per window: the return is the barrier
 // that keeps every unit's access order sequential across windows. A panic in
 // a unit (a cache setup's hook, say) is re-raised here once every worker
 // has returned, so it reaches the caller's goroutine as in a sequential

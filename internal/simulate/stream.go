@@ -13,9 +13,11 @@ import (
 // resolved, span-expanded and same-line-elided ONCE into flat arrays, so the
 // drive loops of a replay that reuses it iterate pre-computed line accesses
 // instead of re-deriving them per event. Only a stream source compiles (the
-// stream cache, which keeps what it compiles); a replay driven once walks
-// the trace instead (pipeline.go). The compilation splits into two layers
-// that are cached independently (see internal/streamcache):
+// stream cache, which compiles a stream on its second request and keeps
+// it); a replay driven once walks instead, the shared decode when a source
+// leaves its stream uncompiled (Uncompiled), the trace when there is no
+// source (pipeline.go). The compilation splits into two layers that are
+// cached independently (see internal/streamcache):
 //
 //   - Events: the layout-independent decode of one trace — markers dropped,
 //     each block event packed, per-block reference tables. One trace has
@@ -88,8 +90,9 @@ func (ev *Events) Bytes() int64 {
 // Stream is the compiled line stream of one (trace, OS layout, app layout,
 // line size) tuple: every block event's line span expanded and consecutive
 // same-line accesses elided, exactly as a walked replay's drive units
-// expand them. A Stream is immutable after CompileEvents; any number of
-// drive workers and RunGroups calls may read it concurrently.
+// expand them, or only its decode when it is Uncompiled. A Stream is
+// immutable once made; any number of drive workers and RunGroups calls may
+// read it concurrently.
 type Stream struct {
 	ev *Events
 	// accs is the elided line-access sequence, one 4-byte word per access:
@@ -128,6 +131,25 @@ func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSiz
 	return &Stream{ev: ev, accs: accs, counts: counts}, nil
 }
 
+// Uncompiled returns the stream of the same tuple left uncompiled: it
+// carries only ev, and RunGroups walks ev for it, expanding the line spans
+// as it drives, as for a trace given no source. A stream source returns one
+// for a stream it has not seen reused. Uncompiled refuses
+// what CompileEvents refuses; ev must be Decode(t).
+func Uncompiled(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error) {
+	if err := checkLayouts(t, osL, appL); err != nil {
+		return nil, err
+	}
+	if _, err := spanTables(t, osL, appL, lineSize); err != nil {
+		return nil, err
+	}
+	return &Stream{ev: ev}, nil
+}
+
+// compiled reports whether CompileEvents made s; it always allocates
+// counts, one per event, and Uncompiled never does.
+func (s *Stream) compiled() bool { return s.counts != nil }
+
 // compile expands and elides attrs under spans in two walks: the first
 // counts the accesses (the span lengths less the spans whose first line
 // repeats the previous span's last, the one place elision can strike), the
@@ -157,7 +179,8 @@ func compile(attrs []uint32, spans *[trace.NumDomains][]lineSpan) ([]uint32, []u
 	return accs, counts
 }
 
-// Accesses returns the number of line accesses after elision.
+// Accesses returns the number of line accesses after elision, 0 for an
+// uncompiled stream.
 func (s *Stream) Accesses() int { return len(s.accs) }
 
 // Events returns the shared decoded event stream the Stream was compiled
@@ -170,9 +193,10 @@ func (s *Stream) Bytes() int64 {
 	return int64(4*len(s.accs) + len(s.counts))
 }
 
-// StreamSource supplies compiled streams to RunGroups; implementations
-// (internal/streamcache.Cache) memoize compilation across calls. A source
-// must be safe for concurrent use.
+// StreamSource supplies the streams of a materialised trace to RunGroups;
+// implementations (internal/streamcache.Cache) memoize compilation across
+// calls. A source may leave a stream Uncompiled, and RunGroups then walks
+// the decode for it. A source must be safe for concurrent use.
 type StreamSource interface {
 	Stream(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error)
 }

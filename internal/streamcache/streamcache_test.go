@@ -28,12 +28,68 @@ func testTrace(events int, seed int64) *trace.Trace {
 	return tr
 }
 
-// TestSingleFlight: many goroutines racing on one key must share a single
-// compile — one miss, pointer-identical streams for everyone.
+// TestCompileOnSecondRequest pins the reuse rule: a first request compiles
+// nothing and adds no stream bytes, only the decode and the sighting
+// record; the second compiles, dropping the record; the third is a hit on
+// the same stream.
+func TestCompileOnSecondRequest(t *testing.T) {
+	tr := testTrace(5_000, 7)
+	osL := layout.NewBase(tr.OS, 0)
+	ev := simulate.Decode(tr)
+	c := New(0)
+	k := streamKey{tr: tr, osL: osL, line: 32}
+
+	first, err := c.Stream(tr, osL, nil, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Accesses() != 0 || first.Events().NumEvents() != ev.NumEvents() {
+		t.Errorf("first request served %d accesses over %d events, want the uncompiled decode of %d events",
+			first.Accesses(), first.Events().NumEvents(), ev.NumEvents())
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("after a first sighting: hits %d, misses %d, want 0 and 0", hits, misses)
+	}
+	if got, want := c.Bytes(), ev.Bytes()+k.pinned(); got != want {
+		t.Errorf("after a first sighting: %d bytes, want the decode and the record, %d", got, want)
+	}
+
+	second, err := c.Stream(tr, osL, nil, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Accesses() == 0 || second.Events() != first.Events() {
+		t.Error("second request did not compile over the shared decode")
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
+		t.Errorf("after the second request: hits %d, misses %d, want 0 and 1", hits, misses)
+	}
+	if got, want := c.Bytes(), ev.Bytes()+second.Bytes(); got != want || len(c.seen) != 0 {
+		t.Errorf("after the compile: %d bytes and %d records, want %d and none", got, len(c.seen), want)
+	}
+
+	third, err := c.Stream(tr, osL, nil, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third != second {
+		t.Error("third request got a different stream")
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("after the third request: hits %d, misses %d, want 1 and 1", hits, misses)
+	}
+}
+
+// TestSingleFlight: after a key's first sighting, many goroutines racing
+// on its second request must share a single compile — one miss,
+// pointer-identical compiled streams for everyone.
 func TestSingleFlight(t *testing.T) {
 	tr := testTrace(5_000, 1)
 	osL := layout.NewBase(tr.OS, 0)
 	c := New(0)
+	if _, err := c.Stream(tr, osL, nil, 32); err != nil {
+		t.Fatal(err)
+	}
 	const n = 16
 	got := make([]*simulate.Stream, n)
 	var wg sync.WaitGroup
@@ -55,6 +111,9 @@ func TestSingleFlight(t *testing.T) {
 			t.Fatalf("goroutine %d got a different stream pointer", i)
 		}
 	}
+	if got[0] == nil || got[0].Accesses() == 0 {
+		t.Fatal("the racing requests were not served a compiled stream")
+	}
 	hits, misses := c.Stats()
 	if misses != 1 {
 		t.Errorf("misses = %d, want exactly 1 compile", misses)
@@ -65,9 +124,9 @@ func TestSingleFlight(t *testing.T) {
 }
 
 // TestConcurrentGrid drives a compare-grid-shaped workload — several
-// layouts crossed with several line sizes, each cell requested by several
-// goroutines at once — and asserts exactly one compile per (layout, line
-// size) cell.
+// layouts crossed with several line sizes, each cell requested once and
+// then by several goroutines at once — and asserts exactly one compile per
+// (layout, line size) cell.
 func TestConcurrentGrid(t *testing.T) {
 	tr := testTrace(5_000, 2)
 	layouts := make([]*layout.Layout, 4)
@@ -77,6 +136,13 @@ func TestConcurrentGrid(t *testing.T) {
 	lineSizes := []int{16, 32, 64}
 	const perCell = 4
 	c := New(0)
+	for _, l := range layouts {
+		for _, ls := range lineSizes {
+			if _, err := c.Stream(tr, l, nil, ls); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	type cell struct {
 		l    *layout.Layout
 		line int
@@ -112,25 +178,30 @@ func TestConcurrentGrid(t *testing.T) {
 	}
 }
 
-// TestErrorsNotCached: a failing key (foreign layout) must recompile — and
-// re-fail — on every request instead of pinning the error.
+// TestErrorsNotCached: a failing key (foreign layout) must be refused on
+// every request, its first included, instead of pinning the error. A
+// refused request leaves no sighting record, so no later request compiles
+// it.
 func TestErrorsNotCached(t *testing.T) {
 	tr := testTrace(100, 3)
 	other := testTrace(100, 4)
 	foreign := layout.NewBase(other.OS, 0)
 	c := New(0)
-	for i := 1; i <= 2; i++ {
+	for i := 1; i <= 3; i++ {
 		if _, err := c.Stream(tr, foreign, nil, 32); err == nil {
-			t.Fatal("foreign layout accepted")
+			t.Fatalf("request %d: foreign layout accepted", i)
 		}
-		if _, misses := c.Stats(); misses != uint64(i) {
-			t.Errorf("after failure %d: misses = %d, want %d (errors must not cache)", i, misses, i)
+		if hits, misses := c.Stats(); hits != 0 || misses != 0 || len(c.seen) != 0 {
+			t.Errorf("after failure %d: hits %d, misses %d, %d records, want none (errors must not cache)",
+				i, hits, misses, len(c.seen))
 		}
 	}
 }
 
 // TestEvictionLRU pins the byte bound and the recency order: with room for
 // three streams, touching A before inserting D must push out B, not A.
+// Each stream is requested twice to compile it; an evicted stream's next
+// request is a first sighting again.
 func TestEvictionLRU(t *testing.T) {
 	tr := testTrace(5_000, 5)
 	mk := func() *layout.Layout { return layout.NewBase(tr.OS, 0) }
@@ -145,17 +216,21 @@ func TestEvictionLRU(t *testing.T) {
 	}
 	c := New(ev.Bytes() + 3*probe.Bytes())
 
-	for _, l := range []*layout.Layout{lA, lB, lC} {
-		if _, err := c.Stream(tr, l, nil, 32); err != nil {
-			t.Fatal(err)
+	twice := func(l *layout.Layout) {
+		t.Helper()
+		for r := 0; r < 2; r++ {
+			if _, err := c.Stream(tr, l, nil, 32); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	for _, l := range []*layout.Layout{lA, lB, lC} {
+		twice(l)
 	}
 	if _, err := c.Stream(tr, lA, nil, 32); err != nil { // refresh A's recency
 		t.Fatal(err)
 	}
-	if _, err := c.Stream(tr, lD, nil, 32); err != nil { // must evict B
-		t.Fatal(err)
-	}
+	twice(lD) // must evict B
 	if c.Evictions() == 0 {
 		t.Fatal("no eviction despite exceeding the byte bound")
 	}
@@ -169,11 +244,47 @@ func TestEvictionLRU(t *testing.T) {
 	if hits, _ := c.Stats(); hits != hits0+1 {
 		t.Error("recently-touched A was evicted; LRU order wrong")
 	}
-	if _, err := c.Stream(tr, lB, nil, 32); err != nil {
+	s, err := c.Stream(tr, lB, nil, 32)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := c.Stats(); misses != misses0+1 {
+	if hits, misses := c.Stats(); hits != hits0+1 || misses != misses0 || s.Accesses() != 0 {
 		t.Error("least-recently-used B survived; LRU order wrong")
+	}
+}
+
+// TestSightingRecordsBounded: a run of one-off layouts, each requested
+// once, must keep its sighting records within the byte bound, evicting the
+// oldest first, and compile nothing.
+func TestSightingRecordsBounded(t *testing.T) {
+	tr := testTrace(2_000, 8)
+	ev := simulate.Decode(tr)
+	layouts := make([]*layout.Layout, 100)
+	for i := range layouts {
+		layouts[i] = layout.NewBase(tr.OS, 0)
+	}
+	const room = 10
+	bound := ev.Bytes() + room*streamKey{osL: layouts[0]}.pinned()
+	c := New(bound)
+	for _, l := range layouts {
+		if _, err := c.Stream(tr, l, nil, 32); err != nil {
+			t.Fatal(err)
+		}
+		if c.Bytes() > bound || len(c.seen) > room {
+			t.Fatalf("%d bytes in %d records, bound %d bytes", c.Bytes(), len(c.seen), bound)
+		}
+	}
+	if len(c.seen) != room || c.Evictions() != uint64(len(layouts)-room) {
+		t.Errorf("%d records after %d evictions, want %d after %d",
+			len(c.seen), c.Evictions(), room, len(layouts)-room)
+	}
+	for _, l := range []*layout.Layout{layouts[0], layouts[len(layouts)-1]} {
+		if _, err := c.Stream(tr, l, nil, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
+		t.Errorf("hits %d, misses %d: want the newest layout's second request alone to compile", hits, misses)
 	}
 }
 
@@ -204,7 +315,9 @@ func TestStreamSourceIntegration(t *testing.T) {
 			}
 		}
 	}
-	// Second round must be all hits: 2 distinct line sizes compiled once.
+	// Each of the 2 distinct line sizes compiles once, on its second
+	// request; the first round's requests for line 16 and the first for
+	// line 32 walk the decode.
 	_, misses := c.Stats()
 	if misses != 2 {
 		t.Errorf("misses = %d, want one compile per distinct line size (2)", misses)
